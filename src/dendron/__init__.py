@@ -52,7 +52,7 @@ from .gtrees import (
     is_equivariant_morphism, equivariant_hom, equivariant_isomorphisms,
     are_equivariant_isomorphic, equivariant_contract_orbit,
     equivariant_split_orbit, equivariant_graft_orbit, EquivariantStep,
-    EquivariantFactorization, equivariant_factorize, EquivariantPointedMap,
+    equivariant_factorize, EquivariantPointedMap,
     enumerate_equivariant_pointed_maps, phi_star_G, groth_hom_G, F_G, lift_G,
     equivariant_canonical_key, enumerate_gtrees, gset_pointed_category,
     corolla_glabeled, standard_probes, gtree_oplax_data,

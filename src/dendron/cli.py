@@ -375,9 +375,6 @@ def build_parser():
                     help="builtin group name or a group JSON file")
     ck.add_argument("--per-stratum", type=int, default=None,
                     help="cap enumerated trees per size stratum")
-    ck.add_argument("--seed", type=int, default=0,
-                    help="accepted for interface stability; suites are "
-                         "exhaustive and ignore it")
     ck.add_argument("--output", help="write the JSON report to this path")
     ck.set_defaults(run=cmd_check)
 

@@ -20,8 +20,9 @@ from .labels import PLUS, LabeledTree, PointedMap, LabelError
 from .substitution import phi_star, iota
 from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
     check_equivalence
-from .groups import FiniteGroup, GSet, GroupError, coset_gset, \
-    subgroups, subgroup_conjugacy_key, equivariant_maps
+from .groups import FiniteGroup, GSet, GroupError, check_action, \
+    close_table, coset_gset, equivariant_maps, maps_by_orbit_reps, \
+    subgroup_class_reps
 from .gtrees import GTree, NotEquivariant, enumerate_gtrees
 
 
@@ -154,21 +155,9 @@ class GForest:
     def _validate(self):
         n = self.forest.n
         group = self.group
-        if set(self.index_action) != set(group.elements):
-            raise ActionNotFunctorial("one index row per group element")
-        for g, row in self.index_action.items():
-            if sorted(row) != list(range(n)):
-                raise ActionNotFunctorial(f"row of {g} is not a permutation")
-        if self.index_action[group.identity] != tuple(range(n)):
-            raise ActionNotFunctorial("identity must act trivially")
-        for a in group.elements:
-            for b in group.elements:
-                ab = group.mul(a, b)
-                for i in range(n):
-                    if self.index_action[ab][i] \
-                            != self.index_action[a][self.index_action[b][i]]:
-                        raise ActionNotFunctorial(
-                            "index rows do not compose as the group")
+        check_action(group, {g: dict(enumerate(row))
+                             for g, row in self.index_action.items()},
+                     range(n), ActionNotFunctorial)
         if set(self.isos) != {(g, i) for g in group.elements
                               for i in range(n)}:
             raise ActionNotFunctorial("one component iso per element and "
@@ -207,34 +196,29 @@ class GForest:
 
     @classmethod
     def from_generator_rows(cls, forest, group, rows, isos):
-        """Close index rows and isos given on a generating set."""
+        """Close index rows and isos given on a generating set.
+
+        The data of an element is its index row with one component iso
+        per index.
+        """
         n = forest.n
-        have_idx = {group.identity: tuple(range(n))}
-        have_iso = {(group.identity, i):
-                    {e: e for e in forest.components[i].edges}
-                    for i in range(n)}
-        for g, row in rows.items():
-            have_idx[g] = tuple(row)
-            for i in range(n):
-                have_iso[(g, i)] = dict(isos[(g, i)])
-        grew = True
-        while grew:
-            grew = False
-            for a in list(have_idx):
-                for b in list(have_idx):
-                    ab = group.mul(a, b)
-                    if ab in have_idx:
-                        continue
-                    have_idx[ab] = tuple(have_idx[a][have_idx[b][i]]
-                                         for i in range(n))
-                    for i in range(n):
-                        have_iso[(ab, i)] = {
-                            x: have_iso[(a, have_idx[b][i])][y]
-                            for x, y in have_iso[(b, i)].items()}
-                    grew = True
-        if set(have_idx) != set(group.elements):
-            raise ActionNotFunctorial("rows do not generate the whole group")
-        return cls(forest, group, have_idx, have_iso)
+
+        def product(a, b):
+            (idx_a, iso_a), (idx_b, iso_b) = a, b
+            return (tuple(idx_a[j] for j in idx_b),
+                    tuple({x: iso_a[idx_b[i]][y] for x, y in iso_b[i].items()}
+                          for i in range(n)))
+
+        have = close_table(
+            group,
+            {g: (tuple(row), tuple(dict(isos[(g, i)]) for i in range(n)))
+             for g, row in rows.items()},
+            (tuple(range(n)),
+             tuple({e: e for e in t.edges} for t in forest.components)),
+            product, ActionNotFunctorial)
+        return cls(forest, group, {g: idx for g, (idx, _) in have.items()},
+                   {(g, i): m[i] for g, (_, m) in have.items()
+                    for i in range(n)})
 
     def act_index(self, g, i):
         return self.index_action[g][i]
@@ -332,6 +316,18 @@ def _index_orbits(gforest):
     return orbits
 
 
+def _commutes(f, pairs):
+    """Does a tree map commute with each (source iso, target iso) pair?"""
+    return all(f.mapping[up[e]] == over[v]
+               for up, over in pairs for e, v in f.mapping.items())
+
+
+def _carry(f, up, over, src, dst):
+    """Carry a tree map along a source and a target iso."""
+    moved = {up[e]: over[v] for e, v in f.mapping.items()}
+    return TreeMorphism(src, dst, moved, _checked=True)
+
+
 def forest_hom(src, dst):
     """All equivariant forest morphisms src -> dst.
 
@@ -353,22 +349,12 @@ def forest_hom(src, dst):
         per_orbit = []
         for orb in orbits:
             r = orb[0]
-            cands = []
-            for f in hom_set(src.forest.components[r],
-                             dst.forest.components[idx[r]]):
-                ok = True
-                for s in group.elements:
-                    if src.index_action[s][r] != r:
-                        continue
-                    up = src.isos[(s, r)]
-                    over = dst.isos[(s, idx[r])]
-                    if any(f.mapping[up[e]] != over[f.mapping[e]]
-                           for e in f.src.edges):
-                        ok = False
-                        break
-                if ok:
-                    cands.append(f)
-            per_orbit.append((orb, cands))
+            pairs = [(src.isos[(s, r)], dst.isos[(s, idx[r])])
+                     for s in group.elements if src.index_action[s][r] == r]
+            per_orbit.append((orb, [
+                f for f in hom_set(src.forest.components[r],
+                                   dst.forest.components[idx[r]])
+                if _commutes(f, pairs)]))
         for choice in itertools.product(*(c for _, c in per_orbit)):
             comps = [None] * src.forest.n
             for (orb, _), f in zip(per_orbit, choice):
@@ -376,15 +362,11 @@ def forest_hom(src, dst):
                 comps[r] = f
                 for g in group.elements:
                     i = src.index_action[g][r]
-                    if comps[i] is not None:
-                        continue
-                    up = src.isos[(g, r)]
-                    over = dst.isos[(g, idx[r])]
-                    moved = {up[e]: over[v]
-                             for e, v in f.mapping.items()}
-                    comps[i] = TreeMorphism(src.forest.components[i],
-                                            dst.forest.components[idx[i]],
-                                            moved, _checked=True)
+                    if comps[i] is None:
+                        comps[i] = _carry(f, src.isos[(g, r)],
+                                          dst.isos[(g, idx[r])],
+                                          src.forest.components[i],
+                                          dst.forest.components[idx[i]])
             out.append(ForestMorphism(src.forest, dst.forest, idx, comps,
                                       _checked=True))
     return tuple(out)
@@ -655,27 +637,15 @@ def diagram_hom(src, dst):
     c0 = min(base.elements)
     reps = {c: min(x for x in group.elements if base.act(x, c0) == c)
             for c in base.elements}
-    stab = [s for s in group.elements if base.act(s, c0) == c0]
+    pairs = [(src.isos[(s, c0)], dst.isos[(s, c0)])
+             for s in group.elements if base.act(s, c0) == c0]
     out = []
     for f0 in hom_set(src.trees[c0], dst.trees[c0]):
-        ok = True
-        for s in stab:
-            up = src.isos[(s, c0)]
-            over = dst.isos[(s, c0)]
-            if any(f0.mapping[up[e]] != over[f0.mapping[e]]
-                   for e in src.trees[c0].edges):
-                ok = False
-                break
-        if not ok:
-            continue
-        comps = {}
-        for c, r in reps.items():
-            up = src.isos[(r, c0)]
-            over = dst.isos[(r, c0)]
-            moved = {up[e]: over[v] for e, v in f0.mapping.items()}
-            comps[c] = TreeMorphism(src.trees[c], dst.trees[c], moved,
-                                    _checked=True)
-        out.append(DiagramMorphism(src, dst, comps))
+        if _commutes(f0, pairs):
+            comps = {c: _carry(f0, src.isos[(r, c0)], dst.isos[(r, c0)],
+                               src.trees[c], dst.trees[c])
+                     for c, r in reps.items()}
+            out.append(DiagramMorphism(src, dst, comps))
     return tuple(out)
 
 
@@ -721,14 +691,9 @@ def orbit_category(group):
     Arrows are named by their full graph so the table can be assembled by
     composing the underlying functions.
     """
-    seen = {}
-    for sub in subgroups(group):
-        key = subgroup_conjugacy_key(group, tuple(sub))
-        entry = tuple(sorted(sub))
-        if key not in seen or entry < seen[key]:
-            seen[key] = entry
     objects = [coset_gset(group, s)
-               for s in sorted(seen.values(), key=lambda s: (-len(s), s))]
+               for s in sorted(subgroup_class_reps(group),
+                               key=lambda s: (-len(s), s))]
     mors = {}
     for a, b in itertools.product(objects, repeat=2):
         for m in equivariant_maps(a, b):
@@ -877,26 +842,19 @@ def enumerate_retractive_maps(src, dst):
     target over the same coset (the section point included) whose
     stabilizer is large enough.
     """
-    group = src.group
     pts = set(src.section.values())
-    reps = [o.rep for o in src.carrier.orbits()]
-    choice_sets = []
-    for r in reps:
+
+    def choices(r):
         if r in pts:
-            choice_sets.append([dst.section[src.retraction[r]]])
-            continue
+            return [dst.section[src.retraction[r]]]
         stab = set(src.carrier.stabilizer(r))
-        choice_sets.append([x for x in dst.carrier.elements
-                            if dst.retraction[x] == src.retraction[r]
-                            and stab <= set(dst.carrier.stabilizer(x))])
-    out = []
-    for images in itertools.product(*choice_sets):
-        mapping = {}
-        for r, img in zip(reps, images):
-            for g in group.elements:
-                mapping[src.carrier.act(g, r)] = dst.carrier.act(g, img)
-        out.append(RetractiveMap(src, dst, mapping))
-    return tuple(out)
+        return [x for x in dst.carrier.elements
+                if dst.retraction[x] == src.retraction[r]
+                and stab <= set(dst.carrier.stabilizer(x))]
+
+    return tuple(RetractiveMap(src, dst, m)
+                 for m in maps_by_orbit_reps(src.carrier, choices,
+                                             dst.carrier.act))
 
 
 def fiber_gset(ret):
@@ -1252,14 +1210,8 @@ def q_star_compare(p, q, src_sub, mid_sub, ret):
 def enumerate_genuine_diagrams(group, max_edges, per_stratum=None):
     """Coset diagrams for every subgroup conjugacy class, one per
     equivariant tree from the bounded corpus."""
-    seen = {}
-    for sub in subgroups(group):
-        key = subgroup_conjugacy_key(group, tuple(sub))
-        entry = tuple(sorted(sub))
-        if key not in seen or entry < seen[key]:
-            seen[key] = entry
     out = []
-    for sub in sorted(seen.values(), key=lambda s: (-len(s), s)):
+    for sub in sorted(subgroup_class_reps(group), key=lambda s: (-len(s), s)):
         hgrp, _ = subgroup_group(group, sub)
         for gtree in enumerate_gtrees(hgrp, max_edges,
                                       per_stratum=per_stratum):

@@ -38,6 +38,8 @@ class FiniteGroup:
     def __post_init__(self):
         n = len(self.mult)
         object.__setattr__(self, "mult", tuple(tuple(r) for r in self.mult))
+        if n == 0:
+            raise GroupError("a group needs at least its identity")
         rng = range(n)
         for row in self.mult:
             if len(row) != n or any(v not in rng for v in row):
@@ -145,6 +147,77 @@ def subgroup_conjugacy_key(group, sub):
                for g in group.elements)
 
 
+def subgroup_class_reps(group):
+    """The least subgroup of each conjugacy class, smallest first."""
+    reps = {}
+    for sub in subgroups(group):
+        reps.setdefault(subgroup_conjugacy_key(group, sub), sub)
+    return tuple(sorted(reps.values(), key=lambda s: (len(s), s)))
+
+
+def check_action(group, action, carrier, error):
+    """Raise `error` unless action holds one permutation of the carrier
+    per group element, composing as the group with the identity trivial."""
+    carrier = set(carrier)
+    if set(action) != set(group.elements):
+        raise error("need one action row per group element")
+    for g, row in action.items():
+        if set(row) != carrier or set(row.values()) != carrier:
+            raise error(f"row of {g} is not a permutation")
+    ident = action[group.identity]
+    for x in carrier:
+        if ident[x] != x:
+            raise error("identity must act trivially")
+    for a in group.elements:
+        row_a = action[a]
+        for b in group.elements:
+            row_ab, row_b = action[group.mul(a, b)], action[b]
+            for x in carrier:
+                if row_ab[x] != row_a[row_b[x]]:
+                    raise error("rows do not compose as the group")
+
+
+def close_table(group, rows, identity, product, error):
+    """Close an action table given on a generating set.
+
+    rows maps some group elements to their data, identity is the data of
+    the identity, and product(a, b) is the data of a*b from those of a and
+    b.  Returns a table over every element; raises `error` when the rows do
+    not generate the whole group.
+    """
+    have = {group.identity: identity, **rows}
+    grew = True
+    while grew:
+        grew = False
+        for a in list(have):
+            for b in list(have):
+                ab = group.mul(a, b)
+                if ab not in have:
+                    have[ab] = product(have[a], have[b])
+                    grew = True
+    if set(have) != set(group.elements):
+        raise error("rows do not generate the whole group")
+    return have
+
+
+def maps_by_orbit_reps(src, choices, act):
+    """Every map out of a G-set fixed by one image per orbit representative.
+
+    choices(rep) lists the images allowed for a representative and act(g,
+    y) carries an image along g; the maps come in product order of the
+    choices, representatives in orbit order.
+    """
+    reps = [o.rep for o in src.orbits()]
+    out = []
+    for pick in product(*(choices(r) for r in reps)):
+        mapping = {}
+        for r, y in zip(reps, pick):
+            for g in src.group.elements:
+                mapping[src.act(g, r)] = act(g, y)
+        out.append(mapping)
+    return out
+
+
 @dataclass(frozen=True)
 class Orbit:
     rep: object
@@ -167,25 +240,11 @@ class GSet:
         self.action = {g: dict(row) for g, row in action.items()}
         self.basepoint = basepoint
         self._hash = None
-        carrier = set(self.elements)
-        if len(carrier) != len(self.elements):
+        if len(set(self.elements)) != len(self.elements):
             raise GSetError("carrier has repeated elements")
-        if set(self.action) != set(group.elements):
-            raise GSetError("need one action row per group element")
-        for g, row in self.action.items():
-            if set(row) != carrier or set(row.values()) != carrier:
-                raise GSetError(f"row of {g} is not a permutation")
-        for x in self.elements:
-            if self.action[group.identity][x] != x:
-                raise GSetError("identity must act trivially")
-        for a in group.elements:
-            for b in group.elements:
-                ab = group.mul(a, b)
-                for x in self.elements:
-                    if self.action[ab][x] != self.action[a][self.action[b][x]]:
-                        raise GSetError("rows do not compose as the group")
+        check_action(group, self.action, self.elements, GSetError)
         if basepoint is not None:
-            if basepoint not in carrier:
+            if basepoint not in self.elements:
                 raise GSetError("basepoint is not in the carrier")
             for g in group.elements:
                 if self.action[g][basepoint] != basepoint:
@@ -194,20 +253,9 @@ class GSet:
     @classmethod
     def from_generator_rows(cls, group, elements, rows, basepoint=None):
         """Close partial data: rows maps some generating set to its action."""
-        have = {group.identity: {x: x for x in elements}}
-        for g, row in rows.items():
-            have[g] = dict(row)
-        grew = True
-        while grew:
-            grew = False
-            for a in list(have):
-                for b in list(have):
-                    ab = group.mul(a, b)
-                    if ab not in have:
-                        have[ab] = {x: have[a][have[b][x]] for x in elements}
-                        grew = True
-        if set(have) != set(group.elements):
-            raise GSetError("rows do not generate the whole group")
+        have = close_table(group, rows, {x: x for x in elements},
+                           lambda a, b: {x: a[b[x]] for x in elements},
+                           GSetError)
         return cls(group, elements, have, basepoint=basepoint)
 
     @property
@@ -312,12 +360,7 @@ def disjoint_union_gsets(parts):
 
 def transitive_gsets(group):
     """One coset G-set per conjugacy class of subgroups, biggest first."""
-    classes = {}
-    for sub in subgroups(group):
-        classes.setdefault(subgroup_conjugacy_key(group, frozenset(sub)),
-                           sub)
-    reps = sorted(classes.values(), key=lambda s: (len(s), s))
-    return tuple(coset_gset(group, s) for s in reps)
+    return tuple(coset_gset(group, s) for s in subgroup_class_reps(group))
 
 
 def skeletal_gsets(group, max_size):
@@ -351,25 +394,14 @@ def equivariant_maps(src, dst):
     """
     if src.group != dst.group:
         raise GSetError("maps need a common group")
-    reps = [o.rep for o in src.orbits()]
-    choices = []
-    for r in reps:
+
+    def choices(r):
         if r == src.basepoint:
-            if dst.basepoint is None:
-                return ()
-            choices.append([dst.basepoint])
-            continue
+            return [] if dst.basepoint is None else [dst.basepoint]
         need = set(src.stabilizer(r))
-        choices.append([y for y in dst.elements
-                        if need <= set(dst.stabilizer(y))])
-    out = []
-    for pick in product(*choices):
-        f = {}
-        for r, y in zip(reps, pick):
-            for g in src.group.elements:
-                f[src.act(g, r)] = dst.act(g, y)
-        out.append(f)
-    return tuple(out)
+        return [y for y in dst.elements if need <= set(dst.stabilizer(y))]
+
+    return tuple(maps_by_orbit_reps(src, choices, dst.act))
 
 
 def equivariant_bijections(src, dst):
@@ -406,10 +438,23 @@ def group_to_json(group):
 
 
 def group_from_json(data):
+    if not isinstance(data, dict):
+        raise GroupError("group data must be a JSON object")
     if set(data) - {"order", "mult", "names"}:
         raise GroupError("unexpected keys in group data")
-    g = FiniteGroup(tuple(tuple(r) for r in data["mult"]),
-                    names=tuple(data["names"]) if "names" in data else None)
+    if not {"order", "mult"} <= set(data):
+        raise GroupError("group data needs \"order\" and \"mult\"")
+    mult, names = data["mult"], data.get("names")
+    if not isinstance(data["order"], int):
+        raise GroupError("\"order\" must be an integer")
+    if not isinstance(mult, list) or not all(
+            isinstance(r, list) and all(isinstance(v, int) for v in r)
+            for r in mult):
+        raise GroupError("\"mult\" must be a list of integer rows")
+    if names is not None and not isinstance(names, list):
+        raise GroupError("\"names\" must be a list")
+    g = FiniteGroup(tuple(tuple(r) for r in mult),
+                    names=tuple(names) if names is not None else None)
     if g.order != data["order"]:
         raise GroupError("declared order does not match the table")
     return g

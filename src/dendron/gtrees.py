@@ -18,13 +18,10 @@ action, and the comparison cells need no equivariant correction at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .trees import (
     Tree,
     TreeError,
-    sort_key,
-    spanned_subtree,
     all_isomorphisms,
     canonical_form,
     relabel_canonical,
@@ -35,12 +32,14 @@ from .morphisms import (
     TreeMorphism,
     SourceTargetMismatch,
     FactorizationError,
+    Factorization,
+    NotEquivariant,
     compose,
-    contract_edge,
     split_edge,
-    collapse_unary,
     hom_set,
-    _kernel_classes,
+    _contract_edges,
+    _edge_orbit,
+    _normal_form,
 )
 from .labels import (
     LabeledTree,
@@ -50,20 +49,19 @@ from .labels import (
     compose_pointed,
     hom_labeled,
 )
-from .substitution import phi_star, iota, lift_morphism
+from .substitution import phi_star, iota, lift_morphism, _oplax_data
 from .groups import (
     GSet,
+    check_action,
+    close_table,
     coset_gset,
     cyclic_group,
     disjoint_union_gsets,
+    maps_by_orbit_reps,
     skeletal_gsets,
     subgroups,
     trivial_gset,
 )
-
-
-class NotEquivariant(ValueError):
-    """Raised when a map or an action fails to commute with the group."""
 
 
 class SiteInvalid(TreeError):
@@ -88,27 +86,14 @@ class GTree:
         self.group = group
         self.action = {g: dict(row) for g, row in action.items()}
         self._hash = None
-        edges = set(tree.edges)
-        if set(self.action) != set(group.elements):
-            raise NotEquivariant("need one edge permutation per element")
+        check_action(group, self.action, tree.edges, NotEquivariant)
         vset = {(o, frozenset(ins)) for o, ins in tree.vertices}
         for g, row in self.action.items():
-            if set(row) != edges or set(row.values()) != edges:
-                raise NotEquivariant(f"row of {g} is not an edge permutation")
             if row[tree.root] != tree.root:
                 raise NotEquivariant(f"row of {g} moves the root")
             for o, ins in tree.vertices:
                 if (row[o], frozenset(row[i] for i in ins)) not in vset:
                     raise NotEquivariant(f"row of {g} tears a vertex apart")
-        ident = self.action[group.identity]
-        if any(ident[e] != e for e in edges):
-            raise NotEquivariant("identity must act trivially")
-        for a in group.elements:
-            for b in group.elements:
-                ab = group.mul(a, b)
-                for e in edges:
-                    if self.action[ab][e] != self.action[a][self.action[b][e]]:
-                        raise NotEquivariant("rows do not compose as the group")
 
     @classmethod
     def trivial(cls, tree, group):
@@ -118,29 +103,16 @@ class GTree:
     @classmethod
     def from_generator_rows(cls, tree, group, rows):
         """Close a partial table given on a generating set."""
-        have = {group.identity: {e: e for e in tree.edges}}
-        for g, row in rows.items():
-            have[g] = dict(row)
-        grew = True
-        while grew:
-            grew = False
-            for a in list(have):
-                for b in list(have):
-                    ab = group.mul(a, b)
-                    if ab not in have:
-                        have[ab] = {e: have[a][have[b][e]]
-                                    for e in tree.edges}
-                        grew = True
-        if set(have) != set(group.elements):
-            raise NotEquivariant("rows do not generate the whole group")
+        have = close_table(group, rows, {e: e for e in tree.edges},
+                           lambda a, b: {e: a[b[e]] for e in tree.edges},
+                           NotEquivariant)
         return cls(tree, group, have)
 
     def act(self, g, e):
         return self.action[g][e]
 
     def edge_orbit(self, e):
-        return tuple(sorted({row[e] for row in self.action.values()},
-                            key=sort_key))
+        return _edge_orbit(e, self.action.values())
 
     def edge_orbits(self):
         seen = set()
@@ -181,10 +153,11 @@ class GTree:
                 f"order-{self.group.order} group>")
 
 
-def _restrict_rows(gtree, edges):
-    keep = set(edges)
-    return {g: {e: row[e] for e in keep}
-            for g, row in gtree.action.items()}
+def _restrict(gtree, tree):
+    """The action of gtree on a subtree whose edges it permutes."""
+    return GTree(tree, gtree.group,
+                 {g: {e: row[e] for e in tree.edges}
+                  for g, row in gtree.action.items()})
 
 
 class GLabeledTree:
@@ -211,6 +184,14 @@ class GLabeledTree:
         """Label every leaf by its own edge name."""
         return cls(gtree, gtree.leaf_gset(),
                    {e: e for e in gtree.tree.leaves})
+
+    @property
+    def tree(self):
+        return self.gtree.tree
+
+    @property
+    def label_set(self):
+        return self.labeled.label_set
 
     def leaf_of(self, a):
         return self.labeled.leaf_of(a)
@@ -273,13 +254,8 @@ def equivariant_contract_orbit(gtree, edge):
     is the edge inclusion, and equals the composite of the one-edge faces
     taken in any order.
     """
-    orbit = gtree.edge_orbit(edge)
-    cur = gtree.tree
-    for e in orbit:
-        cur, _ = contract_edge(cur, e)
-    smaller = GTree(cur, gtree.group, _restrict_rows(gtree, cur.edges))
-    delta = TreeMorphism(cur, gtree.tree, {e: e for e in cur.edges})
-    return smaller, delta
+    cur, delta = _contract_edges(gtree.tree, gtree.edge_orbit(edge))
+    return _restrict(gtree, cur), delta
 
 
 def equivariant_split_orbit(gtree, edge):
@@ -398,53 +374,6 @@ class EquivariantStep:
     dst: GTree
 
 
-@dataclass(frozen=True)
-class EquivariantFactorization:
-    degeneracies: tuple
-    iso: TreeMorphism
-    inner_faces: tuple
-    outer_faces: tuple
-
-    def stages(self):
-        yield from (s.morphism for s in self.degeneracies)
-        yield self.iso
-        yield from (s.morphism for s in self.inner_faces)
-        yield from (s.morphism for s in self.outer_faces)
-
-    def composite(self):
-        out = None
-        for m in self.stages():
-            out = m if out is None else compose(out, m)
-        return out
-
-
-def _class_orbits(src, classes):
-    """Group kernel classes into orbits of the source action.
-
-    Each class must map, member by member, onto another class under every
-    group element; anything else is a non-equivariant kernel.
-    """
-    by_key = {frozenset(c): i for i, c in enumerate(classes)}
-    image = {}
-    for i, cls in enumerate(classes):
-        for g in src.group.elements:
-            mapped = [src.act(g, m) for m in cls]
-            j = by_key.get(frozenset(mapped))
-            if j is None or classes[j] != mapped:
-                raise NotEquivariant("kernel classes are not permuted by "
-                                     "the action")
-            image[(g, i)] = j
-    orbits = []
-    seen = set()
-    for i in range(len(classes)):
-        if i in seen:
-            continue
-        members = sorted({image[(g, i)] for g in src.group.elements})
-        seen.update(members)
-        orbits.append(members)
-    return orbits
-
-
 def equivariant_factorize(src, dst, f):
     """Factor an equivariant morphism into orbit-sized stages.
 
@@ -457,145 +386,30 @@ def equivariant_factorize(src, dst, f):
         raise SourceTargetMismatch("morphism does not match the actions")
     if src.group != dst.group:
         raise NotEquivariant("factorization needs a common group")
-    group = src.group
+    moving = [g for g in src.group.elements if g != src.group.identity]
+    degeneracies, iso, inner, outer = _normal_form(
+        f, [src.action[g] for g in moving], [dst.action[g] for g in moving])
 
-    def gview(tree, origin):
-        try:
-            return GTree(tree, group, _restrict_rows(origin, tree.edges))
-        except NotEquivariant:
-            raise
-        except (KeyError, TreeError) as exc:
-            raise NotEquivariant(str(exc)) from exc
+    def chain(start, stages, origin):
+        """Attach G-tree views to the ends of consecutive stages; also
+        returns the view of the last tree reached."""
+        steps = []
+        cur = start
+        for kind, orbit, m in stages:
+            before, cur = cur, _restrict(origin, m.dst)
+            steps.append(EquivariantStep(kind, orbit, m, before, cur))
+        return tuple(steps), cur
 
-    # degeneracies: collapse kernel-class orbits onto rootward names
-    classes = _kernel_classes(f)
-    degeneracies = []
-    work = src.tree
-    work_g = src
-    for orbit_idx in _class_orbits(src, classes):
-        length = len(classes[orbit_idx[0]])
-        for i in range(length - 1):
-            tags = []
-            step = None
-            before_g = work_g
-            for j in orbit_idx:
-                cls = classes[j]
-                ins = work.children_of(cls[i + 1])
-                if ins != frozenset({cls[i]}):
-                    raise FactorizationError(
-                        "kernel class is not a unary chain")
-                work, one = collapse_unary(work, cls[i + 1])
-                step = one if step is None else compose(step, one)
-                tags.append(cls[i + 1])
-            work_g = gview(work, src)
-            mstep = EquivariantStep("degeneracy",
-                                    tuple(sorted(tags, key=sort_key)),
-                                    step, before_g, work_g)
-            if not is_equivariant_morphism(before_g, work_g, step):
-                raise FactorizationError("degeneracy stage broke "
-                                         "equivariance")
-            degeneracies.append(mstep)
-    t1_g = work_g
-
-    # the subtree of dst spanned by the image, with its inherited action
-    image_root = f.mapping[src.tree.root]
-    if any(dst.act(g, image_root) != image_root for g in group.elements):
-        raise NotEquivariant("image root is not fixed")
-    image_leaves = frozenset(f.mapping[l] for l in src.tree.leaves)
-    if any(dst.act(g, e) not in image_leaves
-           for g in group.elements for e in image_leaves):
-        raise NotEquivariant("image leaves are not a stable set")
-    grown = spanned_subtree(dst.tree, image_root, image_leaves)
-    if grown is None:
-        raise FactorizationError("image does not span a subtree")
-    span_edges, span_vertex_outs = grown
-    middle = Tree(span_edges, image_root,
-                  [(o, dst.tree.children_of(o)) for o in span_vertex_outs])
-    middle_g = gview(middle, dst)
-
-    # inner faces: contract the spanned edges missed by the image
-    image_edges = set(f.mapping.values())
-    order = middle.canonical_edge_order()
-    position = {e: k for k, e in enumerate(order)}
-    to_contract = [e for e in order if e not in image_edges]
-    if any(middle_g.act(g, e) not in position
-           or middle_g.act(g, e) in image_edges
-           for g in group.elements for e in to_contract):
-        raise NotEquivariant("contracted edges are not a stable set")
-    seen = set()
-    contract_orbits = []
-    for e in to_contract:
-        if e in seen:
-            continue
-        orbit = middle_g.edge_orbit(e)
-        seen.update(orbit)
-        contract_orbits.append(orbit)
-    inner_steps = []
-    cur = middle
-    cur_g = middle_g
-    for orbit in contract_orbits:
-        before_g = cur_g
-        for e in orbit:
-            cur, _ = contract_edge(cur, e)
-        cur_g = gview(cur, dst)
-        face = TreeMorphism(cur, before_g.tree, {e: e for e in cur.edges},
-                            _checked=True)
-        inner_steps.append(EquivariantStep("inner", orbit, face,
-                                           cur_g, before_g))
-    inner_steps.reverse()
-    t2_g = cur_g
-
-    # the residual renaming, which must itself be equivariant
-    iso = TreeMorphism(t1_g.tree, t2_g.tree,
-                       {e: f.mapping[e] for e in t1_g.tree.edges})
-    if not iso.is_isomorphism():
-        raise FactorizationError("residual stage is not an isomorphism")
+    deg_steps, t1_g = chain(src, degeneracies, src)
+    if not all(is_equivariant_morphism(s.src, s.dst, s.morphism)
+               for s in deg_steps):
+        raise FactorizationError("degeneracy stage broke equivariance")
+    t2_g = _restrict(dst, iso.dst)
+    inner_steps, middle_g = chain(t2_g, inner, dst)
     if not is_equivariant_morphism(t1_g, t2_g, iso):
         raise NotEquivariant("residual renaming does not commute")
-
-    # outer faces: grow the spanned subtree back out to the whole target
-    outer_steps = []
-    cur = middle
-    cur_g = middle_g
-    dst_tree = dst.tree
-    while cur.edges != dst_tree.edges \
-            or set(cur.vertices) != set(dst_tree.vertices):
-        before_g = cur_g
-        if cur.root != dst_tree.root:
-            below = dst_tree.parent_of(cur.root)
-            ins = dst_tree.children_of(below)
-            bigger = Tree(cur.edges | {below} | ins, below,
-                          list(cur.vertices) + [(below, ins)])
-            orbit = (below,)
-        else:
-            have = {o for o, _ in cur.vertices}
-            sites = {o for o, _ in dst_tree.vertices
-                     if o in cur.edges and o not in have}
-            if not sites:
-                raise FactorizationError("outer growth stalled")
-            pick = min(sites,
-                       key=lambda o: (dst_tree.depth(o), sort_key(o)))
-            orbit = cur_g.edge_orbit(pick)
-            if not set(orbit) <= sites:
-                raise NotEquivariant("graft sites are not a stable set")
-            edges = set(cur.edges)
-            vertices = list(cur.vertices)
-            for o in orbit:
-                ins = dst_tree.children_of(o)
-                edges |= ins
-                vertices.append((o, ins))
-            bigger = Tree(edges, cur.root, vertices)
-        step = TreeMorphism(cur, bigger, {e: e for e in cur.edges},
-                            _checked=True)
-        cur = bigger
-        cur_g = gview(cur, dst)
-        outer_steps.append(EquivariantStep("outer", orbit, step,
-                                           before_g, cur_g))
-    if cur != dst_tree:
-        raise FactorizationError("outer growth missed the target")
-
-    return EquivariantFactorization(tuple(degeneracies), iso,
-                                    tuple(inner_steps), tuple(outer_steps))
+    outer_steps, _ = chain(middle_g, outer, dst)
+    return Factorization(deg_steps, iso, inner_steps, outer_steps)
 
 
 class EquivariantPointedMap(PointedMap):
@@ -630,24 +444,17 @@ def enumerate_equivariant_pointed_maps(src_gset, dst_gset):
     """
     if src_gset.group != dst_gset.group:
         raise NotEquivariant("pointed maps need a common group")
-    group = src_gset.group
-    reps = [o.rep for o in src_gset.orbits()]
-    choices = []
-    for r in reps:
+
+    def choices(r):
         need = set(src_gset.stabilizer(r))
-        ok = [PLUS]
-        ok.extend(y for y in dst_gset.elements
-                  if need <= set(dst_gset.stabilizer(y)))
-        choices.append(ok)
-    out = []
-    for pick in product(*choices):
-        mapping = {}
-        for r, y in zip(reps, pick):
-            for g in group.elements:
-                mapping[src_gset.act(g, r)] = (PLUS if y == PLUS
-                                               else dst_gset.act(g, y))
-        out.append(EquivariantPointedMap(src_gset, dst_gset, mapping))
-    return tuple(out)
+        return [PLUS] + [y for y in dst_gset.elements
+                         if need <= set(dst_gset.stabilizer(y))]
+
+    def act(g, y):
+        return PLUS if y == PLUS else dst_gset.act(g, y)
+
+    return tuple(EquivariantPointedMap(src_gset, dst_gset, m)
+                 for m in maps_by_orbit_reps(src_gset, choices, act))
 
 
 def phi_star_G(phi, glabeled):
@@ -906,64 +713,22 @@ def standard_probes(gsets, deep=True):
 def gtree_oplax_data(group, max_size, probes, base=None):
     """Equivariant corolla substitution packaged for the coherence checker.
 
-    Identical arithmetic to the plain substitution data: fiber arrows are
-    edge-mapping dicts, fresh edges are named by label and layer, and the
-    comparison cells shift layers label by label.  The base category
+    The plain substitution data with phi_star_G as the action and the
+    equivariant label-preserving maps as fiber arrows.  The base category
     defaults to the pointed G-set one of the given size; probes map each
     G-set to labeled G-trees over it.
     """
-    from .oplax import OplaxFunctorData
-
     if base is None:
         base = gset_pointed_category(group, max_size)
-    probes = {a: tuple(ts) for a, ts in probes.items()}
-
-    def app_obj(f, x):
-        return phi_star_G(f.name, x)
-
-    def app_mor(f, m, x, y):
-        pushed = dict(m)
-        src_layer = _fresh_layer(x.gtree.tree)
-        dst_layer = _fresh_layer(y.gtree.tree)
-        for j in f.name.src_labels:
-            pushed[("graft", src_layer, ("leaf", j))] = \
-                ("graft", dst_layer, ("leaf", j))
-        pushed[("graft", src_layer, "root")] = ("graft", dst_layer, "root")
-        return pushed
-
-    def data_tau_comp(f, g, x):
-        layer = _fresh_layer(x.gtree.tree)
-        cell = {e: e for e in x.gtree.tree.edges}
-        for j in f.name.src_labels:
-            cell[("graft", layer, ("leaf", j))] = \
-                ("graft", layer + 1, ("leaf", j))
-        cell[("graft", layer, "root")] = ("graft", layer + 1, "root")
-        return cell
-
-    def data_tau_id(n, x):
-        layer = _fresh_layer(x.gtree.tree)
-        cell = {e: e for e in x.gtree.tree.edges}
-        for j in x.labeled.label_set:
-            cell[("graft", layer, ("leaf", j))] = x.leaf_of(j)
-        cell[("graft", layer, "root")] = x.gtree.tree.root
-        return cell
 
     def fiber_hom(n, x, y):
         return tuple(dict(t.mapping)
                      for t in hom_labeled(x.labeled, y.labeled)
                      if is_equivariant_morphism(x.gtree, y.gtree, t))
 
-    return OplaxFunctorData(
-        base=base,
-        fiber_objects=lambda a: probes.get(a, ()),
-        app_obj=app_obj,
-        app_mor=app_mor,
-        tau_comp=data_tau_comp,
-        tau_id=data_tau_id,
-        fiber_compose=lambda a, m1, m2: {e: m2[v] for e, v in m1.items()},
-        fiber_identity=lambda a, x: {e: e for e in x.gtree.tree.edges},
-        fiber_hom=fiber_hom,
-    )
+    return _oplax_data(base, probes,
+                       app_obj=lambda f, x: phi_star_G(f.name, x),
+                       fiber_hom=fiber_hom)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,18 @@ def contract_edge(tree, edge):
     return smaller, face
 
 
+def _contract_edges(tree, edges):
+    """Contract inner edges one after another.
+
+    Returns (smaller tree, face map smaller -> tree), the edge inclusion.
+    """
+    face = None
+    for e in edges:
+        tree, one = contract_edge(tree, e)
+        face = one if face is None else compose(one, face)
+    return tree, face
+
+
 def split_edge(tree, edge):
     """Insert a unary vertex along an edge.
 
@@ -306,6 +318,10 @@ class FactorizationError(MorphismError):
     """Internal failure of the normal form; indicates a bug if raised."""
 
 
+class NotEquivariant(ValueError):
+    """Raised when a map or an action fails to commute with the group."""
+
+
 def _kernel_classes(f):
     fibers = {}
     for e in f.src.sorted_edges():
@@ -319,6 +335,152 @@ def _kernel_classes(f):
     return classes
 
 
+def _class_orbits(classes, rows):
+    """Group kernel classes into orbits of the source action.
+
+    Each class must map, member by member, onto another class under every
+    row; anything else is a non-equivariant kernel.
+    """
+    by_key = {frozenset(c): i for i, c in enumerate(classes)}
+    orbits = []
+    seen = set()
+    for i, cls in enumerate(classes):
+        members = {i}
+        for row in rows:
+            mapped = [row[m] for m in cls]
+            j = by_key.get(frozenset(mapped))
+            if j is None or classes[j] != mapped:
+                raise NotEquivariant("kernel classes are not permuted by "
+                                     "the action")
+            members.add(j)
+        if i not in seen:
+            seen.update(members)
+            orbits.append([classes[j] for j in sorted(members)])
+    return orbits
+
+
+def _edge_orbit(e, rows):
+    """The orbit of an edge under the rows, in name order."""
+    moved = {row[e] for row in rows}
+    moved.discard(e)
+    if not moved:
+        return (e,)
+    moved.add(e)
+    return tuple(sorted(moved, key=sort_key))
+
+
+def _normal_form(f, src_rows=(), dst_rows=()):
+    """The normal form of f in orbit-sized stages.
+
+    src_rows and dst_rows are the edge permutations of the non-identity
+    group elements on f.src and f.dst, in the same order.  With no rows
+    every orbit is a single edge, which is the plain normal form.
+
+    Returns (degeneracies, iso, inner faces, outer faces); each stage is a
+    (kind, orbit, morphism) triple, the orbit naming the merged edges, the
+    contracted edges, or the graft sites, in the stage's target.  Raises
+    NotEquivariant when the stages cannot be grouped into orbits.
+    """
+    src, dst = f.src, f.dst
+
+    # degeneracies: collapse kernel-class orbits top-down onto their
+    # rootward representatives
+    degeneracies = []
+    work = src
+    for orbit in _class_orbits(_kernel_classes(f), src_rows):
+        for i in range(len(orbit[0]) - 1):
+            step = None
+            for cls in orbit:
+                if work.children_of(cls[i + 1]) != frozenset({cls[i]}):
+                    raise FactorizationError(
+                        "kernel class is not a unary chain")
+                work, one = collapse_unary(work, cls[i + 1])
+                step = one if step is None else compose(step, one)
+            degeneracies.append(
+                ("degeneracy", _edge_orbit(orbit[0][i + 1], src_rows), step))
+
+    # the subtree of dst spanned by the image
+    image_root = f.mapping[src.root]
+    image_leaves = frozenset(f.mapping[l] for l in src.leaves)
+    for row in dst_rows:
+        if row[image_root] != image_root:
+            raise NotEquivariant("image root is not fixed")
+        if not image_leaves.issuperset([row[e] for e in image_leaves]):
+            raise NotEquivariant("image leaves are not a stable set")
+    grown = spanned_subtree(dst, image_root, image_leaves)
+    if grown is None:
+        raise FactorizationError("image does not span a subtree")
+    span_edges, span_vertex_outs = grown
+    middle = Tree(span_edges, image_root,
+                  [(o, dst.children_of(o)) for o in span_vertex_outs])
+
+    # inner faces: contract the spanned edges missed by the image, orbit
+    # by orbit in canonical edge order
+    image_edges = set(f.mapping.values())
+    to_contract = [e for e in middle.canonical_edge_order()
+                   if e not in image_edges]
+    for row in dst_rows:
+        if any(row[e] not in span_edges or row[e] in image_edges
+               for e in to_contract):
+            raise NotEquivariant("contracted edges are not a stable set")
+    inner = []
+    seen = set()
+    cur = middle
+    for e in to_contract:
+        if e in seen:
+            continue
+        orbit = _edge_orbit(e, dst_rows)
+        seen.update(orbit)
+        cur, face = _contract_edges(cur, orbit)
+        inner.append(("inner", orbit, face))
+    inner.reverse()  # list in application order, t2 -> middle
+
+    # what remains of the map is a renaming; a bijection matching roots
+    # and vertices is a valid edge map, so the test below covers the
+    # validation the constructor would repeat
+    iso = TreeMorphism(work, cur, {e: f.mapping[e] for e in work.edges},
+                       _checked=True)
+    if not iso.is_isomorphism():
+        raise FactorizationError("residual stage is not an isomorphism")
+
+    # outer faces: grow the middle subtree out to the whole target,
+    # rootward first, then leafward by site order
+    outer = []
+    cur = middle
+    while cur.edges != dst.edges or set(cur.vertices) != set(dst.vertices):
+        if cur.root != dst.root:
+            below = dst.parent_of(cur.root)
+            orbit = (below,)
+            ins = dst.children_of(below)
+            bigger = Tree(cur.edges | {below} | ins, below,
+                          list(cur.vertices) + [(below, ins)])
+        else:
+            have = {o for o, _ in cur.vertices}
+            sites = {o for o, _ in dst.vertices
+                     if o in cur.edges and o not in have}
+            if not sites:
+                raise FactorizationError("outer growth stalled")
+            pick = min(sites, key=lambda o: (dst.depth(o), sort_key(o)))
+            orbit = _edge_orbit(pick, dst_rows)
+            if not sites.issuperset(orbit):
+                raise NotEquivariant("graft sites are not a stable set")
+            edges = cur.edges
+            vertices = list(cur.vertices)
+            for o in orbit:
+                ins = dst.children_of(o)
+                edges = edges | ins
+                vertices.append((o, ins))
+            bigger = Tree(edges, cur.root, vertices)
+        step = TreeMorphism(cur, bigger, {e: e for e in cur.edges},
+                            _checked=True)
+        outer.append(("outer", orbit, step))
+        cur = bigger
+    if cur != dst:
+        raise FactorizationError("outer growth missed the target")
+
+    return degeneracies, iso, inner, outer
+
+
 def factorize(f):
     """Normal form: degeneracies, isomorphism, inner faces, outer faces.
 
@@ -327,72 +489,11 @@ def factorize(f):
     edge order of the middle subtree; outer faces grow rootward first, then
     leafward by site order.
     """
-    src, dst = f.src, f.dst
+    degeneracies, iso, inner, outer = _normal_form(f)
 
-    # stage 1: collapse kernel classes onto their rootward representative
-    degeneracies = []
-    work = src
-    for cls in _kernel_classes(f):
-        for i in range(len(cls) - 1):
-            ins = work.children_of(cls[i + 1])
-            if ins != frozenset({cls[i]}):
-                raise FactorizationError("kernel class is not a unary chain")
-            work, step = collapse_unary(work, cls[i + 1])
-            degeneracies.append(GeneratorStep("degeneracy", cls[i + 1], step))
-    t1 = work
+    def steps(stages):
+        return tuple([GeneratorStep(kind, orbit[0], m)
+                      for kind, orbit, m in stages])
 
-    # stage 3 target: subtree of dst spanned by the image
-    image_root = f.mapping[src.root]
-    image_leaves = frozenset(f.mapping[l] for l in src.leaves)
-    grown = spanned_subtree(dst, image_root, image_leaves)
-    if grown is None:
-        raise FactorizationError("image does not span a subtree")
-    span_edges, span_vertex_outs = grown
-    middle = Tree(span_edges, image_root,
-                  [(o, dst.children_of(o)) for o in span_vertex_outs])
-
-    # stage 3: contract the spanned edges missed by the image
-    image_edges = set(f.mapping.values())
-    to_contract = [e for e in middle.canonical_edge_order()
-                   if e not in image_edges]
-    inner_steps = []
-    cur = middle
-    for e in to_contract:
-        cur, face = contract_edge(cur, e)
-        inner_steps.append(GeneratorStep("inner", e, face))
-    inner_steps.reverse()  # list in application order, t2 -> middle
-    t2 = cur
-
-    # stage 2: what remains of the map is a renaming
-    iso = TreeMorphism(t1, t2, {e: f.mapping[e] for e in t1.edges})
-    if not iso.is_isomorphism():
-        raise FactorizationError("residual stage is not an isomorphism")
-
-    # stage 4: grow the middle subtree out to the whole target
-    outer_steps = []
-    cur = middle
-    while cur.edges != dst.edges or set(cur.vertices) != set(dst.vertices):
-        if cur.root != dst.root:
-            below = dst.parent_of(cur.root)
-            out, ins = below, dst.children_of(below)
-            bigger = Tree(cur.edges | {out} | ins, out,
-                          list(cur.vertices) + [(out, ins)])
-        else:
-            have = {o for o, _ in cur.vertices}
-            sites = [o for o, _ in dst.vertices
-                     if o in cur.edges and o not in have]
-            if not sites:
-                raise FactorizationError("outer growth stalled")
-            out = min(sites, key=lambda o: (dst.depth(o), sort_key(o)))
-            ins = dst.children_of(out)
-            bigger = Tree(cur.edges | ins, cur.root,
-                          list(cur.vertices) + [(out, ins)])
-        step = TreeMorphism(cur, bigger, {e: e for e in cur.edges},
-                            _checked=True)
-        outer_steps.append(GeneratorStep("outer", out, step))
-        cur = bigger
-    if cur != dst:
-        raise FactorizationError("outer growth missed the target")
-
-    return Factorization(tuple(degeneracies), iso, tuple(inner_steps),
-                         tuple(outer_steps))
+    return Factorization(steps(degeneracies), iso, steps(inner),
+                         steps(outer))

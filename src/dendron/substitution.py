@@ -275,11 +275,14 @@ def pointed_category(max_size):
     return FiniteCategory(range(max_size + 1), mors, table, idents)
 
 
-def tree_oplax_data(max_size, probes):
-    """The corolla-substitution action packaged for the coherence checker.
+def _oplax_data(base, probes, app_obj, fiber_hom):
+    """Corolla substitution over a base category of pointed maps, packaged
+    for the coherence checker.
 
-    probes maps a label-set size to the tuple of labeled trees used as
-    sample objects of that fiber; labels must be skeletal (1..n).
+    probes maps each base object to the labeled trees used as sample
+    objects of its fiber; app_obj acts on them along a base arrow and
+    fiber_hom lists the fiber arrows between two of them.  Every probe
+    needs `tree`, `label_set` and `leaf_of`.
 
     Fiber arrows are passed around as plain edge-mapping dicts rather
     than validated morphism objects, and the comparison cells are
@@ -293,7 +296,7 @@ def tree_oplax_data(max_size, probes):
     """
     from .oplax import OplaxFunctorData
 
-    probes = {n: tuple(ts) for n, ts in probes.items()}
+    probes = {a: tuple(ts) for a, ts in probes.items()}
 
     def app_mor(f, m, x, y):
         pushed = dict(m)
@@ -314,7 +317,7 @@ def tree_oplax_data(max_size, probes):
         cell[("graft", layer, "root")] = ("graft", layer + 1, "root")
         return cell
 
-    def data_tau_id(n, x):
+    def data_tau_id(a, x):
         layer = _fresh_layer(x.tree)
         cell = {e: e for e in x.tree.edges}
         for j in x.label_set:
@@ -323,14 +326,26 @@ def tree_oplax_data(max_size, probes):
         return cell
 
     return OplaxFunctorData(
-        base=pointed_category(max_size),
-        fiber_objects=lambda n: probes.get(n, ()),
-        app_obj=lambda f, x: phi_star(f.name, x),
+        base=base,
+        fiber_objects=lambda a: probes.get(a, ()),
+        app_obj=app_obj,
         app_mor=app_mor,
         tau_comp=data_tau_comp,
         tau_id=data_tau_id,
-        fiber_compose=lambda n, m1, m2: {e: m2[v] for e, v in m1.items()},
-        fiber_identity=lambda n, x: {e: e for e in x.tree.edges},
-        fiber_hom=lambda n, x, y: tuple(dict(t.mapping)
-                                        for t in hom_labeled(x, y)),
+        fiber_compose=lambda a, m1, m2: {e: m2[v] for e, v in m1.items()},
+        fiber_identity=lambda a, x: {e: e for e in x.tree.edges},
+        fiber_hom=fiber_hom,
     )
+
+
+def tree_oplax_data(max_size, probes):
+    """The corolla-substitution action packaged for the coherence checker.
+
+    probes maps a label-set size to the tuple of labeled trees used as
+    sample objects of that fiber; labels must be skeletal (1..n).
+    """
+    return _oplax_data(
+        pointed_category(max_size), probes,
+        app_obj=lambda f, x: phi_star(f.name, x),
+        fiber_hom=lambda n, x, y: tuple(dict(t.mapping)
+                                        for t in hom_labeled(x, y)))

@@ -167,6 +167,18 @@ class TestExitCodes:
                            "--group", "z9", "--max-edges", "2")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("doc", [{"order": 2},
+                                     {"order": 2, "mult": 5},
+                                     {"order": 0, "mult": []}])
+    def test_malformed_group_file_is_a_usage_error(self, capsys, tmp_path,
+                                                   doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "equivariant",
+                           "--group", str(path), "--max-edges", "2")
+        assert code == 2 and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(
             SUITE_RUNNERS, "coherence",

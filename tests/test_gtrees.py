@@ -17,7 +17,8 @@ from dendron import (
     groth_hom_G, F_G, lift_G, equivariant_canonical_key, enumerate_gtrees,
     gset_pointed_category, corolla_glabeled, standard_probes,
     gtree_oplax_data, z4_orbit_contraction_sample,
-    cyclic_group, coset_gset, skeletal_gsets, GSet,
+    cyclic_group, trivial_group, coset_gset, skeletal_gsets, GSet,
+    enumerate_all_trees,
     FcMor, FiniteCategory, check_all_coherence, check_oplax_coherence,
 )
 
@@ -308,6 +309,22 @@ class TestEquivarianceFilter:
                                      SAMPLE.face)
         for step in fact.inner_faces:
             assert is_equivariant_morphism(step.src, step.dst, step.morphism)
+
+    def test_trivial_group_gives_the_plain_normal_form(self):
+        one = trivial_group()
+        trees = enumerate_all_trees(4)
+        for a, b in itertools.product(trees, repeat=2):
+            ga, gb = GTree.trivial(a, one), GTree.trivial(b, one)
+            for f in hom_set(a, b):
+                plain = factorize(f)
+                eq = equivariant_factorize(ga, gb, f)
+                assert eq.iso == plain.iso
+                for kind in ("degeneracies", "inner_faces", "outer_faces"):
+                    got, want = getattr(eq, kind), getattr(plain, kind)
+                    assert [s.morphism for s in got] == \
+                        [s.morphism for s in want]
+                    assert [s.orbit for s in got] == \
+                        [(s.tag,) for s in want]
 
 
 class TestEnumeration:
