@@ -3,29 +3,31 @@
 Exit codes: 0 all checks pass, 1 a check failed (counterexample in the
 report), 2 usage or input error.  Reports are JSON with sorted keys and
 record the exact bounds used, so reruns produce identical bytes.  The
-DENDRON_WORKERS environment variable caps worker processes for the
-pair-parallel suites; results are merged in a fixed order, so the worker
-count never changes the report.
+DENDRON_WORKERS environment variable caps worker processes, at most one
+per CPU, for the three pairwise suites (factorization, equivalence,
+equivariant); results are merged in a fixed order, so the worker count
+never changes the report.
 """
 
 import argparse
-import itertools
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .trees import (Tree, TreeError, enumerate_trees, enumerate_all_trees,
-                    tree_to_json, tree_from_json, tree_to_dot, sort_key)
+                    tree_to_json, tree_from_json, tree_to_dot)
 from .morphisms import hom_set, factorize
 from .labels import canonical_labeling
 from .substitution import (groth_hom, F_functor, lift_morphism,
                            tree_oplax_data)
 from .oplax import check_all_coherence
-from .groups import GroupError, builtin_group, group_from_json, subgroups
+from .groups import (GSet, GroupError, builtin_group, group_from_json,
+                     subgroups)
 from .gtrees import (GLabeledTree, NotEquivariant, enumerate_gtrees,
-                     equivariant_hom, is_equivariant_morphism,
-                     equivariant_factorize, groth_hom_G, F_G, lift_G)
+                     is_equivariant_morphism, equivariant_factorize,
+                     groth_hom_G, F_G, lift_G)
 from .forests import (ForestError, bh_to_coset_groupoid, gforest_from_json,
                       gtree_to_gforest, genuine_equivalence_check)
 
@@ -38,11 +40,12 @@ PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910",
 
 
 def _workers():
-    raw = os.environ.get("DENDRON_WORKERS", "")
+    """DENDRON_WORKERS, clamped to between 1 and the CPU count."""
     try:
-        return max(1, int(raw))
+        wanted = int(os.environ.get("DENDRON_WORKERS", ""))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def _write_atomic(path, text):
@@ -67,48 +70,87 @@ def _chunks(total, parts):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _run_chunked(worker, total, args):
-    """Map a chunk worker over [0, total) and merge in index order."""
-    spans = _chunks(total, _workers())
-    if len(spans) <= 1 or _workers() == 1:
-        return [worker(*args, lo, hi) for lo, hi in spans]
-    with ProcessPoolExecutor(max_workers=_workers()) as pool:
-        futs = [pool.submit(worker, *args, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futs]
+def _pair_chunk(build, bounds, check, lo, hi, corpus=None):
+    """Run check over the pair indices [lo, hi) of an n x n product; a pool
+    worker builds its own corpus from the bounds."""
+    if corpus is None:
+        corpus = build(*bounds)
+    counts, failures = [], []
+    for k in range(lo, hi):
+        count, bad = check(corpus, *divmod(k, len(corpus)))
+        counts.append(count)
+        failures.extend(bad)
+    return counts, failures
+
+
+def _run_pairs(build, bounds, check):
+    """Run check(corpus, i, j) over every ordered pair of build(*bounds).
+
+    One chunk of pairs per worker; a corpus is never pickled, since the
+    objects in it cache their hashes.  Returns the corpus, the per-pair
+    counts in pair order and the failures in a fixed order.
+    """
+    corpus = build(*bounds)
+    spans = _chunks(len(corpus) ** 2, _workers())
+    if len(spans) <= 1:
+        results = [_pair_chunk(build, bounds, check, lo, hi, corpus)
+                   for lo, hi in spans]
+    else:
+        with ProcessPoolExecutor(
+                max_workers=len(spans),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            futs = [pool.submit(_pair_chunk, build, bounds, check, lo, hi)
+                    for lo, hi in spans]
+            results = [f.result() for f in futs]
+    counts = [c for cs, _ in results for c in cs]
+    failures = sorted((f for _, fs in results for f in fs),
+                      key=lambda r: (r["src"], r["dst"], r.get("reason", ""),
+                                     json.dumps(r.get("map"),
+                                                sort_keys=True)))
+    return corpus, counts, failures
 
 
 def _mapping_doc(f):
     return {str(k): str(v) for k, v in f.mapping.items()}
 
 
+def _projection_failure(homs, pairs, project, lift):
+    """Why projection from pairs onto homs is not a bijection inverse to
+    lift, as a partial failure record; None when it is."""
+    images = [project(m) for m in pairs]
+    found = {frozenset(p.mapping.items()) for p in images}
+    if len(found) != len(pairs) or \
+            found != {frozenset(f.mapping.items()) for f in homs}:
+        return {"reason": "projection is not a bijection"}
+    for f in homs:
+        if project(lift(f)).mapping != f.mapping:
+            return {"reason": "lift then project", "map": _mapping_doc(f)}
+    for m, p in zip(pairs, images):
+        if lift(p) != m:
+            return {"reason": "project then lift", "map": _mapping_doc(p)}
+    return None
+
+
 # -- factorization suite ----------------------------------------------------
 
-def _factorization_chunk(max_edges, lo, hi):
-    trees = enumerate_all_trees(max_edges)
-    pairs = list(itertools.product(range(len(trees)), repeat=2))[lo:hi]
-    checked = 0
+def _factorization_pair(trees, i, j):
+    homs = hom_set(trees[i], trees[j])
     failures = []
-    for i, j in pairs:
-        for f in hom_set(trees[i], trees[j]):
-            checked += 1
-            fact = factorize(f)
-            back = fact.composite()
-            if back.mapping != f.mapping or factorize(back) != fact:
-                failures.append({"src": i, "dst": j, "map": _mapping_doc(f)})
-    return checked, failures
+    for f in homs:
+        fact = factorize(f)
+        back = fact.composite()
+        if back.mapping != f.mapping or factorize(back) != fact:
+            failures.append({"src": i, "dst": j, "map": _mapping_doc(f)})
+    return len(homs), failures
 
 
 def suite_factorization(args):
-    trees = enumerate_all_trees(args.max_edges)
+    trees, counts, failures = _run_pairs(
+        enumerate_all_trees, (args.max_edges,), _factorization_pair)
     n = len(trees)
-    results = _run_chunked(_factorization_chunk, n * n, (args.max_edges,))
-    checked = sum(c for c, _ in results)
-    failures = sorted((f for _, fs in results for f in fs),
-                      key=lambda r: (r["src"], r["dst"],
-                                     json.dumps(r["map"], sort_keys=True)))
     return {"suite": "factorization",
             "bounds": {"max_edges": args.max_edges},
-            "trees": n, "pairs": n * n, "morphisms": checked,
+            "trees": n, "pairs": n * n, "morphisms": sum(counts),
             "ok": not failures,
             "counterexample": failures[0] if failures else None}
 
@@ -133,102 +175,75 @@ def suite_coherence(args):
 
 # -- equivalence suite (plain labeled trees) --------------------------------
 
-def _equivalence_chunk(max_edges, lo, hi):
-    trees = enumerate_all_trees(max_edges)
-    labeled = [canonical_labeling(t) for t in trees]
-    pairs = list(itertools.product(range(len(trees)), repeat=2))[lo:hi]
-    sizes = []
-    failures = []
-    for i, j in pairs:
-        gh = groth_hom(labeled[i], labeled[j])
-        plain = hom_set(trees[i], trees[j])
-        sizes.append([i, j, len(gh)])
-        images = {tuple(sorted(F_functor(m).mapping.items())) for m in gh}
-        target = {tuple(sorted(f.mapping.items())) for f in plain}
-        if len(images) != len(gh) or images != target:
-            failures.append({"src": i, "dst": j, "reason": "not a bijection"})
-            continue
-        bad = None
-        for f in plain:
-            m = lift_morphism(f, labeled[i], labeled[j])
-            if F_functor(m).mapping != f.mapping:
-                bad = {"src": i, "dst": j, "reason": "lift then project",
-                       "map": _mapping_doc(f)}
-                break
-        for m in gh:
-            if bad:
-                break
-            if lift_morphism(F_functor(m), labeled[i], labeled[j]) != m:
-                bad = {"src": i, "dst": j, "reason": "project then lift",
-                       "map": _mapping_doc(m.fiber)}
-        if bad:
-            failures.append(bad)
-    return sizes, failures
+def _labeled_trees(max_edges):
+    return [(t, canonical_labeling(t)) for t in enumerate_all_trees(max_edges)]
+
+
+def _equivalence_pair(corpus, i, j):
+    (a, la), (b, lb) = corpus[i], corpus[j]
+    gh = groth_hom(la, lb)
+    bad = _projection_failure(hom_set(a, b), gh, F_functor,
+                              lambda f: lift_morphism(f, la, lb))
+    return len(gh), [{"src": i, "dst": j, **bad}] if bad else []
 
 
 def suite_equivalence(args):
-    trees = enumerate_all_trees(args.max_edges)
-    n = len(trees)
-    results = _run_chunked(_equivalence_chunk, n * n, (args.max_edges,))
-    sizes = sorted((s for ss, _ in results for s in ss))
-    failures = sorted((f for _, fs in results for f in fs),
-                      key=lambda r: (r["src"], r["dst"], r["reason"]))
+    corpus, counts, failures = _run_pairs(
+        _labeled_trees, (args.max_edges,), _equivalence_pair)
+    n = len(corpus)
     return {"suite": "equivalence",
             "bounds": {"max_edges": args.max_edges},
-            "trees": n, "pairs": n * n,
-            "morphisms": sum(s[2] for s in sizes),
-            "hom_sizes": sizes,
+            "trees": n, "pairs": n * n, "morphisms": sum(counts),
+            "hom_sizes": [[*divmod(k, n), c] for k, c in enumerate(counts)],
             "ok": not failures,
             "counterexample": failures[0] if failures else None}
 
 
 # -- equivariant suite ------------------------------------------------------
 
-def suite_equivariant(args):
-    group = _load_group(args.group)
-    corpus = enumerate_gtrees(group, args.max_edges,
-                              per_stratum=args.per_stratum)
-    labeled = [GLabeledTree.self_labeled(g) for g in corpus]
-    plain = eq_total = groth = 0
+def _labeled_gtrees(group, max_edges, per_stratum):
+    return [(g, GLabeledTree.self_labeled(g))
+            for g in enumerate_gtrees(group, max_edges,
+                                      per_stratum=per_stratum)]
+
+
+def _equivariant_pair(corpus, i, j):
+    (a, la), (b, lb) = corpus[i], corpus[j]
+    plain = hom_set(a.tree, b.tree)
+    eq = []
     failures = []
+    for f in plain:
+        flag = is_equivariant_morphism(a, b, f)
+        if flag:
+            eq.append(f)
+        try:
+            replay = (equivariant_factorize(a, b, f).composite().mapping
+                      == f.mapping)
+        except NotEquivariant:
+            replay = False
+        if replay != flag:
+            failures.append({"src": i, "dst": j, "map": _mapping_doc(f),
+                             "reason": "factorization replay disagrees "
+                                       "with the filter"})
+    pairs = groth_hom_G(la, lb)
+    bad = _projection_failure(eq, pairs, lambda m: F_G(*m, la),
+                              lambda f: lift_G(f, la, lb))
+    if bad:
+        failures.append({"src": i, "dst": j, **bad})
+    return (len(plain), len(eq), len(pairs)), failures
 
-    def fail(i, j, reason):
-        failures.append({"src": i, "dst": j, "reason": reason})
 
-    for (i, a), (j, b) in itertools.product(enumerate(corpus), repeat=2):
-        eq = equivariant_hom(a, b)
-        eq_total += len(eq)
-        for f in hom_set(a.tree, b.tree):
-            plain += 1
-            flag = is_equivariant_morphism(a, b, f)
-            try:
-                replay = (equivariant_factorize(a, b, f).composite().mapping
-                          == f.mapping)
-            except NotEquivariant:
-                replay = False
-            if replay != flag:
-                fail(i, j, "factorization replay disagrees with the filter")
-        pairs = groth_hom_G(labeled[i], labeled[j])
-        groth += len(pairs)
-        images = {tuple(sorted(F_G(phi, fib, labeled[i]).mapping.items(),
-                               key=repr))
-                  for phi, fib in pairs}
-        target = {tuple(sorted(f.mapping.items(), key=repr)) for f in eq}
-        if len(images) != len(pairs) or images != target:
-            fail(i, j, "projection is not a bijection")
-            continue
-        if any(F_G(*lift_G(f, labeled[i], labeled[j]), labeled[i]).mapping
-               != f.mapping for f in eq):
-            fail(i, j, "lift then project")
-        elif any(lift_G(F_G(phi, fib, labeled[i]), labeled[i], labeled[j])
-                 != (phi, fib) for phi, fib in pairs):
-            fail(i, j, "project then lift")
-    failures.sort(key=lambda r: (r["src"], r["dst"], r["reason"]))
+def suite_equivariant(args):
+    corpus, counts, failures = _run_pairs(
+        _labeled_gtrees,
+        (_load_group(args.group), args.max_edges, args.per_stratum),
+        _equivariant_pair)
+    plain, eq, groth = (sum(c) for c in zip(*counts))
     return {"suite": "equivariant",
             "bounds": {"max_edges": args.max_edges,
                        "per_stratum": args.per_stratum},
             "group": args.group, "trees": len(corpus),
-            "plain_homs": plain, "equivariant_homs": eq_total,
+            "plain_homs": plain, "equivariant_homs": eq,
             "groth_homs": groth,
             "ok": not failures,
             "counterexample": failures[0] if failures else None}
@@ -266,26 +281,13 @@ SUITE_RUNNERS = {"factorization": suite_factorization,
 # -- DOT export -------------------------------------------------------------
 
 def _forest_edge_orbits(gforest):
-    pairs = [(i, e) for i in range(gforest.forest.n)
-             for e in gforest.forest.components[i].sorted_edges()]
-    seen = set()
-    orbits = []
-    for start in pairs:
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i, e = frontier.pop()
-            for g in gforest.group.elements:
-                nxt = (gforest.act_index(g, i), gforest.isos[(g, i)][e])
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        orbits.append(sorted(orbit, key=lambda p: (p[0], sort_key(p[1]))))
-    orbits.sort(key=lambda o: (o[0][0], sort_key(o[0][1])))
-    return orbits
+    """Orbits of (component, edge) pairs under the forest's action."""
+    pairs = [(i, e) for i, t in enumerate(gforest.forest.components)
+             for e in t.edges]
+    rows = {g: {(i, e): (gforest.act_index(g, i), gforest.isos[(g, i)][e])
+                for i, e in pairs}
+            for g in gforest.group.elements}
+    return [o.members for o in GSet(gforest.group, pairs, rows).orbits()]
 
 
 def forest_to_dot(gforest, color_orbits=False):
@@ -349,6 +351,16 @@ def _load_group(ref):
     return builtin_group(ref)
 
 
+def _int_from(low):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return int(text)
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dendron",
@@ -358,22 +370,22 @@ def build_parser():
 
     en = sub.add_parser("enumerate",
                         help="count (and optionally write) canonical trees")
-    en.add_argument("--leaves", type=int, required=True)
-    en.add_argument("--max-vertices", type=int, required=True)
+    en.add_argument("--leaves", type=_int_from(0), required=True)
+    en.add_argument("--max-vertices", type=_int_from(0), required=True)
     en.add_argument("--output", help="write the trees as JSON to this path")
     en.set_defaults(run=cmd_enumerate)
 
     ck = sub.add_parser("check", help="run a verification suite")
     ck.add_argument("suite", choices=SUITES)
-    ck.add_argument("--max-edges", type=int, default=4,
+    ck.add_argument("--max-edges", type=_int_from(1), default=4,
                     help="tree size bound for the pairwise suites")
-    ck.add_argument("--max-size", type=int, default=2,
+    ck.add_argument("--max-size", type=_int_from(0), default=2,
                     help="label set bound for the coherence suite")
-    ck.add_argument("--probe-edges", type=int, default=4,
+    ck.add_argument("--probe-edges", type=_int_from(1), default=4,
                     help="probe trees up to this many edges (coherence)")
     ck.add_argument("--group", default="z2",
                     help="builtin group name or a group JSON file")
-    ck.add_argument("--per-stratum", type=int, default=None,
+    ck.add_argument("--per-stratum", type=_int_from(1), default=None,
                     help="cap enumerated trees per size stratum")
     ck.add_argument("--output", help="write the JSON report to this path")
     ck.set_defaults(run=cmd_check)

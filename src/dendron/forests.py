@@ -21,8 +21,8 @@ from .substitution import phi_star, iota
 from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
     check_equivalence
 from .groups import FiniteGroup, GSet, GroupError, check_action, \
-    close_table, coset_gset, equivariant_maps, maps_by_orbit_reps, \
-    subgroup_class_reps
+    close_table, coset_gset, equivariant_maps, group_from_ref, \
+    maps_by_orbit_reps, subgroup_class_reps
 from .gtrees import GTree, NotEquivariant, enumerate_gtrees
 
 
@@ -303,19 +303,6 @@ def is_equivariant_forest_morphism(src, dst, fm):
     return True
 
 
-def _index_orbits(gforest):
-    seen = set()
-    orbits = []
-    for i in range(gforest.forest.n):
-        if i in seen:
-            continue
-        orb = sorted({gforest.index_action[g][i]
-                      for g in gforest.group.elements})
-        seen.update(orb)
-        orbits.append(orb)
-    return orbits
-
-
 def _commutes(f, pairs):
     """Does a tree map commute with each (source iso, target iso) pair?"""
     return all(f.mapping[up[e]] == over[v]
@@ -339,7 +326,7 @@ def forest_hom(src, dst):
     if src.group != dst.group:
         raise ForestError("hom needs a common group")
     group = src.group
-    orbits = _index_orbits(src)
+    reps = [o.rep[0] for o in root_gset(src).orbits()]
     out = []
     for idx in itertools.product(range(dst.forest.n),
                                  repeat=src.forest.n):
@@ -347,18 +334,16 @@ def forest_hom(src, dst):
                for g in group.elements for i in range(src.forest.n)):
             continue
         per_orbit = []
-        for orb in orbits:
-            r = orb[0]
+        for r in reps:
             pairs = [(src.isos[(s, r)], dst.isos[(s, idx[r])])
                      for s in group.elements if src.index_action[s][r] == r]
-            per_orbit.append((orb, [
+            per_orbit.append((r, [
                 f for f in hom_set(src.forest.components[r],
                                    dst.forest.components[idx[r]])
                 if _commutes(f, pairs)]))
         for choice in itertools.product(*(c for _, c in per_orbit)):
             comps = [None] * src.forest.n
-            for (orb, _), f in zip(per_orbit, choice):
-                r = orb[0]
+            for (r, _), f in zip(per_orbit, choice):
                 comps[r] = f
                 for g in group.elements:
                     i = src.index_action[g][r]
@@ -1321,21 +1306,29 @@ def gforest_to_json(gforest, group_ref=None):
 
 def gforest_from_json(data, registry=None):
     """Rebuild a GForest; "group" is a builtin name or an inline table."""
-    from .groups import BUILTIN_GROUPS, group_from_json
-    ref = data["group"]
-    if isinstance(ref, str):
-        table = registry if registry is not None else BUILTIN_GROUPS
-        if ref not in table:
-            raise GroupError(f"unknown group {ref!r}")
-        group = table[ref]()
-    else:
-        group = group_from_json(ref)
+    if not isinstance(data, dict) or not {"group", "action", "isos"} <= \
+            set(data) or not isinstance(data.get("components"), list):
+        raise ForestError("forest data needs \"group\", \"action\", "
+                          "\"isos\" and a \"components\" list")
+    group = group_from_ref(data["group"], registry)
     forest = Forest([tree_from_json(doc) for doc in data["components"]])
-    rows = {int(g): tuple(row) for g, row in data["action"].items()}
-    isos = {(int(g), i): dict(ms[i])
-            for g, ms in data["isos"].items()
-            for i in range(forest.n)}
-    return GForest(forest, group, rows, isos)
+    action, isos = data["action"], data["isos"]
+    if not (isinstance(action, dict) and isinstance(isos, dict)
+            and all(g.isdecimal() for g in [*action, *isos])
+            and all(isinstance(row, list) and all(type(j) is int
+                                                  for j in row)
+                    for row in action.values())
+            and all(isinstance(ms, list) and len(ms) == forest.n
+                    and all(isinstance(m, dict) and all(
+                        isinstance(v, (str, int)) for v in m.values())
+                        for m in ms)
+                    for ms in isos.values())):
+        raise ForestError("\"action\" must map element numbers to index "
+                          "lists, \"isos\" to one edge map per component")
+    rows = {int(g): tuple(row) for g, row in action.items()}
+    maps = {(int(g), i): dict(ms[i])
+            for g, ms in isos.items() for i in range(forest.n)}
+    return GForest(forest, group, rows, maps)
 
 
 def gforest_dumps(gforest, group_ref=None):

@@ -141,17 +141,24 @@ def conjugate_subgroup(group, g, sub):
     return frozenset(group.conjugate(g, a) for a in sub)
 
 
-def subgroup_conjugacy_key(group, sub):
-    """Canonical representative of the conjugacy class of a subgroup."""
+def subgroup_conjugacy_key(group, sub, within=None):
+    """Canonical representative of the conjugacy class of a subgroup under
+    conjugation by `within` (by default the whole group)."""
     return min(tuple(sorted(conjugate_subgroup(group, g, sub)))
-               for g in group.elements)
+               for g in (group.elements if within is None else within))
 
 
-def subgroup_class_reps(group):
-    """The least subgroup of each conjugacy class, smallest first."""
+def subgroup_class_reps(group, within=None):
+    """The least subgroup of each conjugacy class, smallest first.
+
+    With a subgroup `within`, only its subgroups count, and only its
+    elements conjugate.
+    """
+    inside = set(group.elements if within is None else within)
     reps = {}
     for sub in subgroups(group):
-        reps.setdefault(subgroup_conjugacy_key(group, sub), sub)
+        if inside.issuperset(sub):
+            reps.setdefault(subgroup_conjugacy_key(group, sub, within), sub)
     return tuple(sorted(reps.values(), key=lambda s: (len(s), s)))
 
 
@@ -460,6 +467,17 @@ def group_from_json(data):
     return g
 
 
+def group_from_ref(ref, registry=None):
+    """The group a document names: a registry (by default builtin) name,
+    or an inline table."""
+    if not isinstance(ref, str):
+        return group_from_json(ref)
+    table = BUILTIN_GROUPS if registry is None else registry
+    if ref not in table:
+        raise GroupError(f"unknown group {ref!r}")
+    return table[ref]()
+
+
 def gset_to_json(gset, group_ref=None):
     data = {
         "elements": [str(x) for x in gset.elements],
@@ -482,14 +500,7 @@ def gset_from_json(data, registry=None):
     Carriers round-trip through strings, so this format is for string-named
     elements (which is what the command line traffics in).
     """
-    ref = data["group"]
-    if isinstance(ref, str):
-        table = registry or BUILTIN_GROUPS
-        if ref not in table:
-            raise GroupError(f"unknown group {ref!r}")
-        group = table[ref]()
-    else:
-        group = group_from_json(ref)
+    group = group_from_ref(data["group"], registry)
     elements = list(data["elements"])
     rows = {int(g): {x: row[x] for x in elements}
             for g, row in data["action"].items()}

@@ -59,7 +59,7 @@ from .groups import (
     disjoint_union_gsets,
     maps_by_orbit_reps,
     skeletal_gsets,
-    subgroups,
+    subgroup_class_reps,
     trivial_gset,
 )
 
@@ -115,15 +115,8 @@ class GTree:
         return _edge_orbit(e, self.action.values())
 
     def edge_orbits(self):
-        seen = set()
-        out = []
-        for e in self.tree.sorted_edges():
-            if e in seen:
-                continue
-            orbit = self.edge_orbit(e)
-            seen.update(orbit)
-            out.append(orbit)
-        return tuple(out)
+        gset = GSet(self.group, self.tree.edges, self.action)
+        return tuple(o.members for o in gset.orbits())
 
     def edge_stabilizer(self, e):
         return tuple(g for g in self.group.elements if self.action[g][e] == e)
@@ -400,14 +393,12 @@ def equivariant_factorize(src, dst, f):
             steps.append(EquivariantStep(kind, orbit, m, before, cur))
         return tuple(steps), cur
 
-    deg_steps, t1_g = chain(src, degeneracies, src)
+    deg_steps, _ = chain(src, degeneracies, src)
     if not all(is_equivariant_morphism(s.src, s.dst, s.morphism)
                for s in deg_steps):
         raise FactorizationError("degeneracy stage broke equivariance")
     t2_g = _restrict(dst, iso.dst)
     inner_steps, middle_g = chain(t2_g, inner, dst)
-    if not is_equivariant_morphism(t1_g, t2_g, iso):
-        raise NotEquivariant("residual renaming does not commute")
     outer_steps, _ = chain(middle_g, outer, dst)
     return Factorization(deg_steps, iso, inner_steps, outer_steps)
 
@@ -532,20 +523,6 @@ def equivariant_canonical_key(gtree):
     return (canonical_form(gtree.tree), best)
 
 
-def _stabilizer_subgroup_classes(group, stab):
-    """Subgroups of a stabilizer, one per conjugacy class inside it."""
-    inside = frozenset(stab)
-    classes = {}
-    for sub in subgroups(group):
-        s = frozenset(sub)
-        if not s <= inside:
-            continue
-        key = min(tuple(sorted(frozenset(group.conjugate(h, a) for a in s)))
-                  for h in stab)
-        classes.setdefault(key, tuple(sorted(s)))
-    return [classes[k] for k in sorted(classes)]
-
-
 def _orbit_graft_options(group, gtree, leaf, budget, max_corolla):
     """Corollas available over a leaf orbit: multisets of coset G-sets G/K
     with K inside the stabilizer, attached by translation; sizes bounded
@@ -553,7 +530,7 @@ def _orbit_graft_options(group, gtree, leaf, budget, max_corolla):
     always an option."""
     stab = gtree.edge_stabilizer(leaf)
     types = []
-    for sub in _stabilizer_subgroup_classes(group, stab):
+    for sub in sorted(subgroup_class_reps(group, within=stab)):
         part = coset_gset(group, sub)
         if part.size <= min(budget, max_corolla):
             types.append(part)
@@ -598,13 +575,7 @@ def enumerate_gtrees(group, max_edges, max_corolla=4, per_stratum=None):
         fresh = []
         for t in frontier:
             budget = max_edges - len(t.tree.edges)
-            seen_orbits = set()
-            for leaf in t.tree.leaves:
-                orbit = t.edge_orbit(leaf)
-                if orbit in seen_orbits:
-                    continue
-                seen_orbits.add(orbit)
-                site = orbit[0]
+            for site in (o.rep for o in t.leaf_gset().orbits()):
                 for corolla, attach in _orbit_graft_options(
                         group, t, site, budget, max_corolla):
                     if corolla.size > 0 and corolla.size > budget:

@@ -379,7 +379,8 @@ def _normal_form(f, src_rows=(), dst_rows=()):
     Returns (degeneracies, iso, inner faces, outer faces); each stage is a
     (kind, orbit, morphism) triple, the orbit naming the merged edges, the
     contracted edges, or the graft sites, in the stage's target.  Raises
-    NotEquivariant when the stages cannot be grouped into orbits.
+    NotEquivariant when the stages cannot be grouped into orbits or the
+    residual renaming does not commute with the rows.
     """
     src, dst = f.src, f.dst
 
@@ -442,6 +443,10 @@ def _normal_form(f, src_rows=(), dst_rows=()):
                        _checked=True)
     if not iso.is_isomorphism():
         raise FactorizationError("residual stage is not an isomorphism")
+    for srow, drow in zip(src_rows, dst_rows):
+        if any(iso.mapping[srow[e]] != drow[v]
+               for e, v in iso.mapping.items()):
+            raise NotEquivariant("residual renaming does not commute")
 
     # outer faces: grow the middle subtree out to the whole target,
     # rootward first, then leafward by site order

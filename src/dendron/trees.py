@@ -549,8 +549,11 @@ def tree_from_json(data):
         edges = data["edges"]
         root = data["root"]
         vertices = [(v["out"], v["in"]) for v in data["vertices"]]
+        names = [root, *edges, *(e for o, ins in vertices for e in (o, *ins))]
     except (KeyError, TypeError) as exc:
         raise TreeError(f"malformed tree document: {exc}") from exc
+    if not all(isinstance(e, (str, int)) for e in names):
+        raise TreeError("edge names must be strings or integers")
     if len(set(edges)) != len(edges):
         raise MultipleParents("duplicate edge name in document")
     return Tree(edges, root, vertices)

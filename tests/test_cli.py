@@ -1,12 +1,16 @@
 import json
+import os
 import re
 
 import pytest
 
 from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
                      tree_from_json, gtree_to_gforest, gforest_dumps,
-                     z4_orbit_contraction_sample)
-from dendron.cli import main, SUITE_RUNNERS
+                     z4_orbit_contraction_sample, enumerate_gtrees,
+                     is_equivariant_morphism, TreeMorphism, identity,
+                     factorize)
+from dendron import cli
+from dendron.cli import main, SUITE_RUNNERS, _workers
 
 
 def run(capsys, *argv):
@@ -113,6 +117,85 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_equivariant_bytes_do_not_depend_on_workers(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        outs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("DENDRON_WORKERS", workers)
+            path = tmp_path / f"w{workers}.json"
+            code, _, _ = run(capsys, "check", "equivariant", "--group", "z2",
+                             "--max-edges", "3", "--output", str(path))
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_worker_count_is_clamped_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for raw, want in (("1000000", 4), ("3", 3), ("0", 1), ("x", 1)):
+            monkeypatch.setenv("DENDRON_WORKERS", raw)
+            assert _workers() == want
+
+
+def _replayed(tree_src, tree_dst, doc):
+    """The tree map a counterexample's string-keyed "map" names."""
+    src = {str(e): e for e in tree_src.edges}
+    dst = {str(e): e for e in tree_dst.edges}
+    return TreeMorphism(tree_src, tree_dst,
+                        {src[k]: dst[v] for k, v in doc.items()})
+
+
+class TestInjectedFaults:
+    """A broken layer under a pairwise suite gives exit 1 and a
+    counterexample naming the failing pair."""
+
+    @pytest.fixture(autouse=True)
+    def in_process(self, monkeypatch):
+        # a patched name reaches the calling process, not spawned workers
+        monkeypatch.setenv("DENDRON_WORKERS", "1")
+
+    def test_factorization_reports_the_map_that_does_not_replay(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "factorize",
+                            lambda f: factorize(identity(f.src)))
+        code, out, err = run(capsys, "check", "factorization",
+                             "--max-edges", "2")
+        report = json.loads(out)
+        assert code == 1 and "FAIL" in err and not report["ok"]
+        ce = report["counterexample"]
+        trees = cli.enumerate_all_trees(2)
+        f = _replayed(trees[ce["src"]], trees[ce["dst"]], ce["map"])
+        assert factorize(f).composite() == f
+        assert factorize(identity(f.src)).composite() != f
+
+    def test_equivalence_reports_a_projection_that_is_not_a_bijection(
+            self, capsys, monkeypatch):
+        fixed = identity(single_edge())
+        monkeypatch.setattr(cli, "F_functor", lambda m: fixed)
+        code, out, _ = run(capsys, "check", "equivalence",
+                           "--max-edges", "2")
+        report = json.loads(out)
+        assert code == 1 and not report["ok"]
+        assert report["counterexample"]["reason"] == \
+            "projection is not a bijection"
+
+    def test_equivariant_reports_the_map_the_filter_misjudged(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_equivariant_morphism",
+                            lambda a, b, f: True)
+        code, out, _ = run(capsys, "check", "equivariant", "--group", "z2",
+                           "--max-edges", "3")
+        report = json.loads(out)
+        assert code == 1 and not report["ok"]
+        ce = report["counterexample"]
+        assert ce["reason"] == \
+            "factorization replay disagrees with the filter"
+        corpus = enumerate_gtrees(cyclic_group(2), 3)
+        a, b = corpus[ce["src"]], corpus[ce["dst"]]
+        assert not is_equivariant_morphism(
+            a, b, _replayed(a.tree, b.tree, ce["map"]))
+
 
 class TestExportDot:
     def test_bare_edge_renders_two_stubs(self, capsys, tmp_path):
@@ -178,6 +261,32 @@ class TestExitCodes:
                            "--group", str(path), "--max-edges", "2")
         assert code == 2 and err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"group": "z2", "components": [tree_to_json(single_edge("e"))],
+         "action": {"x": [0]}, "isos": {"0": [{"e": "e"}]}},
+        {"edges": [["x"]], "root": "x", "vertices": []}])
+    def test_malformed_dot_input_is_a_usage_error(self, capsys, tmp_path,
+                                                  doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export-dot", str(path))
+        assert code == 2 and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "factorization", "--max-edges", "0"],
+        ["check", "factorization", "--max-edges", "-2"],
+        ["check", "coherence", "--max-size", "-1"],
+        ["check", "coherence", "--probe-edges", "0"],
+        ["check", "equivariant", "--per-stratum", "0"],
+        ["enumerate", "--leaves", "-3", "--max-vertices", "1"],
+        ["enumerate", "--leaves", "1", "--max-vertices", "-1"]])
+    def test_vacuous_bounds_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(
