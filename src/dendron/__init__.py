@@ -61,7 +61,7 @@ from .gtrees import (
 from .forests import (
     ForestError, ActionNotFunctorial, ComponentIsoInvalid, Forest,
     ForestMorphism, forest_identity, compose_forests, GForest,
-    validate_gforest, gtree_to_gforest, root_gset, is_genuine,
+    gtree_to_gforest, root_gset, is_genuine,
     is_equivariant_forest_morphism, forest_hom, subgroup_group,
     coset_groupoid, bh_to_coset_groupoid, CosetDiagram, diagram_from_gtree,
     diagram_to_gtree, DiagramMorphism, compose_diagram, diagram_identity,
@@ -69,7 +69,7 @@ from .forests import (
     RetractiveGSet, RetractiveMap, retractive_identity,
     enumerate_retractive_maps, fiber_gset, fiber_pointed_map, GenuineTree,
     self_labeled_genuine, phi_star_genuine, GenuineMorphism, genuine_hom,
-    eta_object, eta_morphism, q_star_diagram, q_star_diagram_morphism,
+    eta_morphism, q_star_diagram, q_star_diagram_morphism,
     q_star_retractive, q_star_retractive_map, q_star_genuine,
     q_star_genuine_morphism, q_star_compare, enumerate_genuine_diagrams,
     genuine_equivalence_check, gforest_to_json, gforest_from_json,

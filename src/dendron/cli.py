@@ -65,18 +65,13 @@ def _emit(report, output):
     print(f"{report['suite']}: {summary}", file=sys.stderr)
 
 
-def _chunks(total, parts):
-    step = -(-total // parts) if total else 1
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _pair_chunk(build, bounds, check, lo, hi, corpus=None):
-    """Run check over the pair indices [lo, hi) of an n x n product; a pool
-    worker builds its own corpus from the bounds."""
+def _pair_stride(build, bounds, check, start, step, corpus=None):
+    """Run check over the pair indices start, start + step, ... of an n x n
+    product; a pool worker builds its own corpus from the bounds."""
     if corpus is None:
         corpus = build(*bounds)
     counts, failures = [], []
-    for k in range(lo, hi):
+    for k in range(start, len(corpus) ** 2, step):
         count, bad = check(corpus, *divmod(k, len(corpus)))
         counts.append(count)
         failures.extend(bad)
@@ -86,23 +81,27 @@ def _pair_chunk(build, bounds, check, lo, hi, corpus=None):
 def _run_pairs(build, bounds, check):
     """Run check(corpus, i, j) over every ordered pair of build(*bounds).
 
-    One chunk of pairs per worker; a corpus is never pickled, since the
-    objects in it cache their hashes.  Returns the corpus, the per-pair
-    counts in pair order and the failures in a fixed order.
+    Worker w of N takes every N-th pair from w, so the heavy pairs at the
+    end of the size-sorted corpus are shared out; a corpus is never
+    pickled, since the objects in it cache their hashes.  Returns the
+    corpus, the per-pair counts in pair order and the failures in a fixed
+    order.
     """
     corpus = build(*bounds)
-    spans = _chunks(len(corpus) ** 2, _workers())
-    if len(spans) <= 1:
-        results = [_pair_chunk(build, bounds, check, lo, hi, corpus)
-                   for lo, hi in spans]
+    total = len(corpus) ** 2
+    parts = max(1, min(_workers(), total))
+    if parts == 1:
+        results = [_pair_stride(build, bounds, check, 0, 1, corpus)]
     else:
         with ProcessPoolExecutor(
-                max_workers=len(spans),
+                max_workers=parts,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            futs = [pool.submit(_pair_chunk, build, bounds, check, lo, hi)
-                    for lo, hi in spans]
+            futs = [pool.submit(_pair_stride, build, bounds, check, w, parts)
+                    for w in range(parts)]
             results = [f.result() for f in futs]
-    counts = [c for cs, _ in results for c in cs]
+    counts = [None] * total
+    for w, (cs, _) in enumerate(results):
+        counts[w::parts] = cs
     failures = sorted((f for _, fs in results for f in fs),
                       key=lambda r: (r["src"], r["dst"], r.get("reason", ""),
                                      json.dumps(r.get("map"),

@@ -12,10 +12,8 @@ small corpora.
 import itertools
 import json
 
-from .trees import Tree, TreeError, relabel, sort_key, tree_to_json, \
-    tree_from_json
-from .morphisms import MorphismError, TreeMorphism, hom_set, compose, \
-    identity
+from .trees import Tree, relabel, sort_key, tree_to_json, tree_from_json
+from .morphisms import TreeMorphism, hom_set, compose, identity
 from .labels import PLUS, LabeledTree, PointedMap, LabelError
 from .substitution import phi_star, iota
 from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
@@ -133,6 +131,50 @@ def compose_forests(first, second):
     return ForestMorphism(first.src, second.dst, idx, comps, _checked=True)
 
 
+def _check_family(group, trees, act, isos):
+    """Raise unless the group acts on an indexed family of trees.
+
+    trees maps each index to a tree, act(g, i) is the action on indices
+    and isos[(g, i)] the edge bijection from trees[i] to trees[act(g, i)].
+    The isos act trivially at the identity and compose as the group exactly
+    when they make the (index, edge) pairs a G-set.
+    """
+    if set(isos) != {(g, i) for g in group.elements for i in trees}:
+        raise ActionNotFunctorial("one iso per element and index")
+    for (g, i), m in isos.items():
+        src, dst = trees[i], trees[act(g, i)]
+        # a bijection matching roots and vertices is a valid edge map
+        if set(m) != src.edges or not TreeMorphism(
+                src, dst, m, _checked=True).is_isomorphism():
+            raise ComponentIsoInvalid(f"iso ({g}, {i}) is not a tree "
+                                      "isomorphism")
+    pairs = [(i, e) for i, t in trees.items() for e in t.edges]
+    check_action(group, {g: {(i, e): (act(g, i), isos[(g, i)][e])
+                             for i, e in pairs}
+                         for g in group.elements},
+                 pairs, ActionNotFunctorial)
+
+
+def _family_map_commutes(group, src_act, src_isos, dst_act, dst_isos, idx,
+                         comps):
+    """Does a map of families commute with both actions?
+
+    Index i goes to idx[i] by the tree map comps[i].  The check runs on
+    (index, edge) pairs, so a coincidence of edge names between different
+    trees cannot mask an index mismatch.
+    """
+    for (g, i), up in src_isos.items():
+        if g == group.identity:
+            continue
+        gi, j = src_act(g, i), idx[i]
+        if idx[gi] != dst_act(g, j):
+            return False
+        fgi, over = comps[gi].mapping, dst_isos[(g, j)]
+        if any(fgi[up[e]] != over[v] for e, v in comps[i].mapping.items()):
+            return False
+    return True
+
+
 class GForest:
     """A forest with a group permuting components through isomorphisms.
 
@@ -153,38 +195,11 @@ class GForest:
         self._validate()
 
     def _validate(self):
-        n = self.forest.n
-        group = self.group
-        check_action(group, {g: dict(enumerate(row))
-                             for g, row in self.index_action.items()},
-                     range(n), ActionNotFunctorial)
-        if set(self.isos) != {(g, i) for g in group.elements
-                              for i in range(n)}:
-            raise ActionNotFunctorial("one component iso per element and "
-                                      "component")
-        for (g, i), m in self.isos.items():
-            j = self.index_action[g][i]
-            src = self.forest.components[i]
-            dst = self.forest.components[j]
-            try:
-                tm = TreeMorphism(src, dst, m)
-            except (TreeError, MorphismError) as exc:
-                raise ComponentIsoInvalid(f"iso ({g}, {i}): {exc}") from exc
-            if not tm.is_isomorphism():
-                raise ComponentIsoInvalid(f"iso ({g}, {i}) is not invertible")
-        for i in range(n):
-            e = self.isos[(group.identity, i)]
-            if any(e[x] != x for x in self.forest.components[i].edges):
-                raise ActionNotFunctorial("identity isos must be trivial")
-        for a in group.elements:
-            for b in group.elements:
-                ab = group.mul(a, b)
-                for i in range(n):
-                    via = {x: self.isos[(a, self.index_action[b][i])][y]
-                           for x, y in self.isos[(b, i)].items()}
-                    if via != self.isos[(ab, i)]:
-                        raise ActionNotFunctorial(
-                            "component isos do not compose as the group")
+        check_action(self.group, {g: dict(enumerate(row))
+                                  for g, row in self.index_action.items()},
+                     range(self.forest.n), ActionNotFunctorial)
+        _check_family(self.group, dict(enumerate(self.forest.components)),
+                      self.act_index, self.isos)
 
     @classmethod
     def trivial(cls, forest, group):
@@ -248,11 +263,6 @@ class GForest:
                f"{self.group.order} group>"
 
 
-def validate_gforest(forest, group, index_action, isos):
-    """Build a GForest, checking every functoriality condition."""
-    return GForest(forest, group, index_action, isos)
-
-
 def gtree_to_gforest(gtree):
     """A single-component forest out of a tree with an action."""
     forest = Forest([gtree.tree])
@@ -279,28 +289,12 @@ def is_genuine(gforest):
 
 
 def is_equivariant_forest_morphism(src, dst, fm):
-    """Does (index map, tree maps) commute with both forest actions?
-
-    The check runs on (index, edge) pairs, so a coincidence of edge names
-    between different components cannot mask an index mismatch.
-    """
+    """Does (index map, tree maps) commute with both forest actions?"""
     if fm.src != src.forest or fm.dst != dst.forest:
         raise ForestError("morphism does not match the actions")
-    for g in src.group.elements:
-        if g == src.group.identity:
-            continue
-        for i in range(src.forest.n):
-            gi = src.index_action[g][i]
-            if fm.index_map[gi] != dst.index_action[g][fm.index_map[i]]:
-                return False
-            fi = fm.components[i].mapping
-            fgi = fm.components[gi].mapping
-            up = src.isos[(g, i)]
-            over = dst.isos[(g, fm.index_map[i])]
-            if any(fgi[up[e]] != over[fi[e]]
-                   for e in src.forest.components[i].edges):
-                return False
-    return True
+    return _family_map_commutes(src.group, src.act_index, src.isos,
+                                dst.act_index, dst.isos, fm.index_map,
+                                fm.components)
 
 
 def _commutes(f, pairs):
@@ -432,58 +426,30 @@ def bh_to_coset_groupoid(group, sub):
 class CosetDiagram:
     """A functor from a coset groupoid to trees.
 
-    One tree per coset, plus an edge bijection for every translation
-    arrow; the bijections must compose like the translations.
+    base is the coset G-set of the subgroup, built once.  One tree per
+    coset, plus an edge bijection for every translation arrow; the
+    bijections must compose like the translations.
     """
 
-    __slots__ = ("group", "sub", "trees", "isos", "_hash")
+    __slots__ = ("group", "sub", "base", "trees", "isos", "_hash")
 
     def __init__(self, group, sub, trees, isos):
         self.group = group
         self.sub = tuple(sorted(sub))
+        self.base = coset_gset(group, self.sub)
         self.trees = dict(trees)
         self.isos = {k: dict(v) for k, v in dict(isos).items()}
         self._hash = None
-        self._validate()
-
-    def _validate(self):
-        base = coset_gset(self.group, self.sub)
-        if set(self.trees) != set(base.elements):
+        if set(self.trees) != set(self.base.elements):
             raise ForestError("one tree per coset")
-        want = {(x, c) for x in self.group.elements for c in base.elements}
-        if set(self.isos) != want:
-            raise ActionNotFunctorial("one iso per translation arrow")
-        for (x, c), m in self.isos.items():
-            try:
-                tm = TreeMorphism(self.trees[c], self.trees[base.act(x, c)],
-                                  m)
-            except (TreeError, MorphismError) as exc:
-                raise ComponentIsoInvalid(f"translation ({x}, {c}): "
-                                          f"{exc}") from exc
-            if not tm.is_isomorphism():
-                raise ComponentIsoInvalid(
-                    f"translation ({x}, {c}) is not invertible")
-        for c in base.elements:
-            e = self.isos[(self.group.identity, c)]
-            if any(e[x] != x for x in self.trees[c].edges):
-                raise ActionNotFunctorial("identity translations must be "
-                                          "trivial")
-        for a in self.group.elements:
-            for b in self.group.elements:
-                ab = self.group.mul(a, b)
-                for c in base.elements:
-                    via = {x: self.isos[(a, base.act(b, c))][y]
-                           for x, y in self.isos[(b, c)].items()}
-                    if via != self.isos[(ab, c)]:
-                        raise ActionNotFunctorial(
-                            "translations do not compose as the group")
+        _check_family(group, self.trees, self.base.act, self.isos)
 
     @property
     def cosets(self):
-        return coset_gset(self.group, self.sub).elements
+        return self.base.elements
 
     def act_coset(self, x, c):
-        return coset_gset(self.group, self.sub).act(x, c)
+        return self.base.act(x, c)
 
     def translation(self, x, c):
         return TreeMorphism(self.trees[c],
@@ -562,16 +528,11 @@ class DiagramMorphism:
         for c, f in self.components.items():
             if f.src != src.trees[c] or f.dst != dst.trees[c]:
                 raise ForestError(f"component at {c!r} has wrong endpoints")
-        for x in src.group.elements:
-            for c in src.trees:
-                d = src.act_coset(x, c)
-                up = src.isos[(x, c)]
-                over = dst.isos[(x, c)]
-                fc = self.components[c].mapping
-                fd = self.components[d].mapping
-                if any(fd[up[e]] != over[fc[e]] for e in src.trees[c].edges):
-                    raise ForestError("components do not commute with "
-                                      "translations")
+        if not _family_map_commutes(src.group, src.base.act, src.isos,
+                                    dst.base.act, dst.isos,
+                                    {c: c for c in src.trees},
+                                    self.components):
+            raise ForestError("components do not commute with translations")
 
     def is_identity(self):
         return (self.src == self.dst
@@ -618,7 +579,7 @@ def diagram_hom(src, dst):
     if (src.group, src.sub) != (dst.group, dst.sub):
         raise ForestError("diagrams live over different groupoids")
     group = src.group
-    base = coset_gset(group, src.sub)
+    base = src.base
     c0 = min(base.elements)
     reps = {c: min(x for x in group.elements if base.act(x, c0) == c)
             for c in base.elements}
@@ -706,16 +667,17 @@ class RetractiveGSet:
     """A G-set split over an orbit: section and retraction compose to the
     identity of the cosets."""
 
-    __slots__ = ("group", "sub", "carrier", "section", "retraction", "_hash")
+    __slots__ = ("group", "sub", "base", "carrier", "section", "retraction",
+                 "_hash")
 
     def __init__(self, group, sub, carrier, section, retraction):
         self.group = group
         self.sub = tuple(sorted(sub))
+        self.base = base = coset_gset(group, self.sub)
         self.carrier = carrier
         self.section = dict(section)
         self.retraction = dict(retraction)
         self._hash = None
-        base = coset_gset(group, self.sub)
         if carrier.group != group:
             raise ForestError("carrier must be over the same group")
         if set(self.section) != set(base.elements):
@@ -734,10 +696,6 @@ class RetractiveGSet:
                 if self.retraction[carrier.act(g, x)] \
                         != base.act(g, self.retraction[x]):
                     raise NotEquivariant("retraction is not equivariant")
-
-    @property
-    def base(self):
-        return coset_gset(self.group, self.sub)
 
     @property
     def labels(self):
@@ -920,7 +878,7 @@ def self_labeled_genuine(diagram):
     section point per coset.
     """
     group = diagram.group
-    base = coset_gset(group, diagram.sub)
+    base = diagram.base
     elems = []
     retraction = {}
     section = {}
@@ -965,7 +923,7 @@ def phi_star_genuine(rm, gt):
         raise ForestError("map must target the tree's labels")
     diagram = gt.diagram
     group = diagram.group
-    base = coset_gset(group, diagram.sub)
+    base = diagram.base
     pieces = {}
     layers = {}
     for c in base.elements:
@@ -1042,11 +1000,6 @@ def genuine_hom(src, dst):
                 continue
             out.append(GenuineMorphism(phi, f, src, dst))
     return tuple(out)
-
-
-def eta_object(gt):
-    """Forget the labels."""
-    return gt.diagram
 
 
 def eta_morphism(gm):
@@ -1237,8 +1190,7 @@ def genuine_equivalence_check(group, max_edges=3, per_stratum=None,
             ycosets = list(Y.cosets)
             report["pairs"] += 1
             fh = set(forest_hom(forests[i], forests[j]))
-            qs = equivariant_maps(coset_gset(group, X.sub),
-                                  coset_gset(group, Y.sub))
+            qs = equivariant_maps(X.base, Y.base)
             pair_count = 0
             triple_count = 0
             assembled = set()

@@ -1,14 +1,18 @@
+import copy
 import json
 import os
 import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
                      tree_from_json, gtree_to_gforest, gforest_dumps,
                      z4_orbit_contraction_sample, enumerate_gtrees,
                      is_equivariant_morphism, TreeMorphism, identity,
-                     factorize)
+                     factorize, builtin_group, enumerate_genuine_diagrams,
+                     assemble_gforest, gforest_to_json)
 from dendron import cli
 from dendron.cli import main, SUITE_RUNNERS, _workers
 
@@ -232,6 +236,67 @@ class TestExportDot:
         first = run(capsys, "export-dot", str(path), "--color-orbits")[1]
         second = run(capsys, "export-dot", str(path), "--color-orbits")[1]
         assert first == second
+
+
+@lru_cache(maxsize=None)
+def _forest_docs():
+    """Documents of the forests assembled from small coset diagrams."""
+    return tuple(gforest_to_json(assemble_gforest(d), group_ref=name)
+                 for name in ("z2", "z4", "s3")
+                 for d in enumerate_genuine_diagrams(builtin_group(name), 3,
+                                                     per_stratum=2))
+
+
+def _containers(node):
+    """node and every dict or list below it."""
+    yield node
+    for child in (node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@st.composite
+def _mutated_forest_docs(draw):
+    """A forest document with entries under "action" and "isos" set,
+    deleted or swapped."""
+    doc = copy.deepcopy(draw(st.sampled_from(_forest_docs())))
+    names = sorted({v for ms in doc["isos"].values() for m in ms
+                    for v in m.values()}) + ["x", "7"]
+    values = st.one_of(st.integers(-1, 6), st.sampled_from(names))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from([c for part in ("action", "isos")
+                                     for c in _containers(doc[part])]))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(("set", "delete", "swap")))
+        if op == "set":
+            fresh = names if isinstance(node, dict) else [len(node)]
+            key = draw(st.sampled_from(keys + fresh))
+            if key == len(node) and isinstance(node, list):
+                node.append(None)
+            node[key] = draw(values)
+        elif keys and op == "delete":
+            del node[draw(st.sampled_from(keys))]
+        elif keys:
+            a, b = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+            node[a], node[b] = node[b], node[a]
+    return doc
+
+
+class TestForestFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_mutated_forest_docs())
+    def test_mutated_forests_exit_cleanly(self, capsys, tmp_path, doc):
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export-dot", str(path),
+                             "--color-orbits")
+        assert code in (0, 2)
+        if code == 0:
+            assert out.startswith("digraph")
+        else:
+            assert err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestExitCodes:

@@ -341,6 +341,52 @@ class TestDiagramRoundTrips:
         assert is_genuine(gf)
 
 
+class TestCosetDiagramValidation:
+    """Two copies of corolla(2) over the cosets of the trivial subgroup of
+    Z/2, with translations bent one at a time."""
+
+    T = corolla(2)
+    SWAP = {"r": "r", "l0": "l1", "l1": "l0"}
+
+    def isos(self, bent=None):
+        out = {(x, c): ident_edges(self.T) for x in range(2) for c in range(2)}
+        out.update(bent or {})
+        return out
+
+    def test_straight_translations_are_accepted(self):
+        d = CosetDiagram(Z2, (0,), {0: self.T, 1: self.T}, self.isos())
+        assert d.base.elements == (0, 1) and d.act_coset(1, 0) == 1
+
+    def test_missing_coset_tree_rejected(self):
+        with pytest.raises(ForestError):
+            CosetDiagram(Z2, (0,), {0: self.T}, self.isos())
+
+    def test_translation_must_be_a_tree_isomorphism(self):
+        folded = {"r": "r", "l0": "l0", "l1": "l0"}
+        with pytest.raises(ComponentIsoInvalid):
+            CosetDiagram(Z2, (0,), {0: self.T, 1: self.T},
+                         self.isos({(1, 0): folded}))
+
+    def test_identity_translation_must_be_trivial(self):
+        with pytest.raises(ActionNotFunctorial):
+            CosetDiagram(Z2, (0,), {0: self.T, 1: self.T},
+                         self.isos({(0, 0): self.SWAP}))
+
+    def test_translations_must_compose_like_the_group(self):
+        with pytest.raises(ActionNotFunctorial):
+            CosetDiagram(Z2, (0,), {0: self.T, 1: self.T},
+                         self.isos({(1, 0): self.SWAP}))
+
+    def test_components_must_commute_with_translations(self):
+        d = CosetDiagram(Z2, (0,), {0: self.T, 1: self.T}, self.isos())
+        swap = next(f for f in hom_set(self.T, self.T)
+                    if f.mapping == self.SWAP)
+        assert DiagramMorphism(d, d, {0: swap, 1: swap}).components
+        with pytest.raises(ForestError):
+            DiagramMorphism(d, d, {0: diagram_identity(d).components[0],
+                                   1: swap})
+
+
 class TestDiagramHom:
     def test_full_subgroup_matches_equivariant_homs(self):
         ds = full_sub_diagrams()
