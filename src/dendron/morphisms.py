@@ -227,6 +227,17 @@ def collapse_unary(tree, out_edge):
     return smaller, TreeMorphism(tree, smaller, mapping, _checked=True)
 
 
+def _injective_images(pools, used=frozenset()):
+    """Yield one pick from each pool, all picks distinct, in product order."""
+    if not pools:
+        yield ()
+        return
+    for z in pools[0]:
+        if z not in used:
+            for rest in _injective_images(pools[1:], used | {z}):
+                yield (z,) + rest
+
+
 def hom_set(src, dst, pins=None):
     """Every map src -> dst, in a deterministic order.
 
@@ -237,12 +248,11 @@ def hom_set(src, dst, pins=None):
     chosen images in advance (used for label-preserving enumeration).
     """
     pins = pins or {}
-    verts = sorted(src.vertices, key=lambda v: (src.depth(v[0]), sort_key(v[0])))
-    desc = {}
-    for y in dst.sorted_edges():
-        desc[y] = tuple(z for z in dst.sorted_edges() if dst.le(z, y))
-    results = []
-    assignment = {}
+    dedges = dst.sorted_edges()
+    # source vertices by depth, then name; in-edges in name order
+    verts = sorted(((o, [e for e in src.sorted_edges() if e in ins])
+                    for o, ins in src.vertices), key=lambda v: src.depth(v[0]))
+    desc = {y: tuple(z for z in dedges if dst.le(z, y)) for y in dedges}
 
     def candidates(edge, pool):
         if edge in pins:
@@ -250,35 +260,44 @@ def hom_set(src, dst, pins=None):
             return (p,) if p in pool else ()
         return pool
 
-    def do_vertex(i):
-        if i == len(verts):
-            results.append(TreeMorphism(src, dst, dict(assignment),
-                                        _checked=True))
-            return
-        out, ins = verts[i]
-        base = assignment[out]
-        ins_sorted = sorted(ins, key=sort_key)
+    # the images a vertex may take depend only on its out-edge's image
+    choices = {}
 
-        def do_in(j, used):
-            if j == len(ins_sorted):
-                images = frozenset(assignment[e] for e in ins_sorted)
-                if spanned_subtree(dst, base, images) is not None:
-                    do_vertex(i + 1)
-                return
-            e = ins_sorted[j]
-            for z in candidates(e, desc[base]):
-                if z in used:
-                    continue
-                assignment[e] = z
-                do_in(j + 1, used | {z})
-                del assignment[e]
+    def vertex_images(i, base):
+        key = (i, base)
+        if key not in choices:
+            pools = [candidates(e, desc[base]) for e in verts[i][1]]
+            choices[key] = [
+                images for images in _injective_images(pools)
+                if spanned_subtree(dst, base, frozenset(images)) is not None]
+        return choices[key]
 
-        do_in(0, frozenset())
-
-    for r in candidates(src.root, dst.sorted_edges()):
+    results = []
+    for r in candidates(src.root, dedges):
         assignment = {src.root: r}
-        do_vertex(0)
-    results.sort(key=TreeMorphism.sort_signature)
+        if not verts:
+            results.append(TreeMorphism(src, dst, assignment, _checked=True))
+            continue
+        # depth-first over the vertices with an explicit stack; vertex i
+        # is placed once its out-edge is, because verts go by depth
+        stack = [iter(vertex_images(0, r))]
+        while stack:
+            images = next(stack[-1], None)
+            if images is None:
+                stack.pop()
+                continue
+            i = len(stack) - 1
+            assignment.update(zip(verts[i][1], images))
+            if i + 1 == len(verts):
+                results.append(TreeMorphism(src, dst, assignment,
+                                            _checked=True))
+            else:
+                out = verts[i + 1][0]
+                stack.append(iter(vertex_images(i + 1, assignment[out])))
+    if len(results) > 1:
+        pos = {e: i for i, e in enumerate(dedges)}
+        order = src.canonical_edge_order()
+        results.sort(key=lambda f: tuple(pos[f.mapping[e]] for e in order))
     return results
 
 
@@ -327,8 +346,8 @@ def _kernel_classes(f):
     for e in f.src.sorted_edges():
         fibers.setdefault(f.mapping[e], []).append(e)
     classes = []
-    for image in sorted(fibers, key=sort_key):
-        members = fibers[image]
+    for image in f.dst.sorted_edges():
+        members = fibers.get(image, ())
         if len(members) > 1:
             members.sort(key=lambda e: -f.src.depth(e))  # topmost first
             classes.append(members)
@@ -465,7 +484,8 @@ def _normal_form(f, src_rows=(), dst_rows=()):
                      if o in cur.edges and o not in have}
             if not sites:
                 raise FactorizationError("outer growth stalled")
-            pick = min(sites, key=lambda o: (dst.depth(o), sort_key(o)))
+            pick = min((o for o in dst.sorted_edges() if o in sites),
+                       key=dst.depth)
             orbit = _edge_orbit(pick, dst_rows)
             if not sites.issuperset(orbit):
                 raise NotEquivariant("graft sites are not a stable set")

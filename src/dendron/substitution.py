@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .trees import Tree, _fresh_layer, sort_key
+from .trees import Tree, _fresh_layer
 from .morphisms import (
     TreeMorphism, MorphismError, SourceTargetMismatch, compose,
 )

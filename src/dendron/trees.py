@@ -66,7 +66,15 @@ def sort_key(edge):
 
 
 class Tree:
-    """Immutable rooted tree.  Validates its input on construction."""
+    """Immutable rooted tree.  Validates its input on construction.
+
+    Derived order data (codes, canonical order, sorted edges, fresh graft
+    layer) is computed on first use and kept, since a tree never changes.
+    """
+
+    __slots__ = ("edges", "root", "vertices", "leaves", "_children",
+                 "_parent", "_ancestors", "_code_cache", "_order_cache",
+                 "_sorted", "_fresh")
 
     def __init__(self, edges, root, vertices):
         self.edges = frozenset(edges)
@@ -77,9 +85,10 @@ class Tree:
         vs.sort(key=lambda v: sort_key(v[0]))
         self.vertices = tuple(vs)
         self._validate()
-        # derived, filled by _validate
         self._code_cache = None
         self._order_cache = None
+        self._sorted = None
+        self._fresh = None
 
     def _validate(self):
         if self.root not in self.edges:
@@ -168,11 +177,15 @@ class Tree:
 
     @property
     def inner_edges(self):
-        return tuple(sorted((e for e in self.edges if self.is_inner(e)),
-                            key=sort_key))
+        return tuple(e for e in self.sorted_edges() if self.is_inner(e))
 
     def sorted_edges(self):
-        return tuple(sorted(self.edges, key=sort_key))
+        """The edges in `sort_key` order.  An edge's index here is its rank
+        among this tree's edges, so edges of one tree can be ordered by
+        position instead of by `sort_key`."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.edges, key=sort_key))
+        return self._sorted
 
     # --- identity --------------------------------------------------------
 
@@ -194,22 +207,21 @@ class Tree:
     def edge_codes(self):
         """Canonical integer-sequence code of the subtree above each edge."""
         if self._code_cache is None:
+            # breadth-first from the root, then coded in reverse, so every
+            # child is coded before its parent
+            order = [self.root]
+            for e in order:
+                order.extend(self._children.get(e, ()))
             codes = {}
-
-            def code(e):
-                if e not in codes:
-                    ins = self._children.get(e)
-                    if ins is None:
-                        codes[e] = (0,)
-                    else:
-                        subs = sorted(code(c) for c in ins)
-                        flat = [1, len(subs)]
-                        for s in subs:
-                            flat.extend(s)
-                        codes[e] = tuple(flat)
-                return codes[e]
-
-            code(self.root)
+            for e in reversed(order):
+                ins = self._children.get(e)
+                if ins is None:
+                    codes[e] = (0,)
+                else:
+                    flat = [1, len(ins)]
+                    for s in sorted(codes[c] for c in ins):
+                        flat.extend(s)
+                    codes[e] = tuple(flat)
             self._code_cache = codes
         return self._code_cache
 
@@ -217,16 +229,16 @@ class Tree:
         """Deterministic edge listing: preorder, children sorted by code."""
         if self._order_cache is None:
             codes = self.edge_codes()
+            pos = {e: i for i, e in enumerate(self.sorted_edges())}
             order = []
-
-            def walk(e):
+            stack = [self.root]
+            while stack:
+                e = stack.pop()
                 order.append(e)
                 ins = self._children.get(e)
                 if ins:
-                    for c in sorted(ins, key=lambda x: (codes[x], sort_key(x))):
-                        walk(c)
-
-            walk(self.root)
+                    stack.extend(sorted(ins, key=lambda x: (codes[x], pos[x]),
+                                        reverse=True))
             self._order_cache = tuple(order)
         return self._order_cache
 
@@ -303,6 +315,8 @@ def all_isomorphisms(src, dst):
     cs, cd = src.edge_codes(), dst.edge_codes()
     if cs[src.root] != cd[dst.root]:
         return
+    spos = {e: i for i, e in enumerate(src.sorted_edges())}
+    dpos = {e: i for i, e in enumerate(dst.sorted_edges())}
 
     def match(es, ed):
         # both subtrees already known to share a code
@@ -316,7 +330,8 @@ def all_isomorphisms(src, dst):
             groups.setdefault(cs[c], [[], []])[0].append(c)
         for c in ins_d:
             groups[cd[c]][1].append(c)
-        group_list = [(sorted(a, key=sort_key), sorted(b, key=sort_key))
+        group_list = [(sorted(a, key=spos.__getitem__),
+                       sorted(b, key=dpos.__getitem__))
                       for _, (a, b) in sorted(groups.items())]
 
         def per_group(idx):
@@ -348,7 +363,8 @@ def spanned_subtree(tree, root_edge, leaf_set):
 
     Growth from the root stops at demanded leaves and otherwise must keep
     climbing, pulling in whole vertices (stumps included).  Failure means no
-    such subtree exists.
+    such subtree exists.  Success gives (edge set, out-edges of its
+    vertices), the out-edges in no particular order.
     """
     leaf_set = frozenset(leaf_set)
     if root_edge not in tree.edges:
@@ -373,7 +389,7 @@ def spanned_subtree(tree, root_edge, leaf_set):
     for e in leaf_set:
         if e in vertex_outs:
             return None
-    return frozenset(included), tuple(sorted(vertex_outs, key=sort_key))
+    return frozenset(included), tuple(vertex_outs)
 
 
 def subtree(tree, new_root, keep):
@@ -393,16 +409,20 @@ def subtree(tree, new_root, keep):
     return Tree(keep, new_root, vs)
 
 
-def _fresh_layer(tree, extra=()):
-    taken = set()
-    for e in itertools.chain(tree.edges, extra):
-        if isinstance(e, tuple) and len(e) == 3 and e[0] == "graft" \
-                and isinstance(e[1], int):
-            taken.add(e[1])
-    layer = 0
-    while layer in taken:
-        layer += 1
-    return layer
+def _fresh_layer(tree):
+    """The least graft layer L such that no edge of `tree` is named
+    ("graft", L, x); scanned once per tree and kept."""
+    if tree._fresh is None:
+        taken = set()
+        for e in tree.edges:
+            if isinstance(e, tuple) and len(e) == 3 and e[0] == "graft" \
+                    and isinstance(e[1], int):
+                taken.add(e[1])
+        layer = 0
+        while layer in taken:
+            layer += 1
+        tree._fresh = layer
+    return tree._fresh
 
 
 def graft(tree, site, arity, below=None):
@@ -478,15 +498,30 @@ def enumerate_trees(leaf_count, max_vertices):
 
 
 def enumerate_all_trees(max_edges):
-    """All isomorphism classes with at most `max_edges` edges."""
-    out = []
-    for leaves in range(0, max_edges + 1):
-        # a tree with k edges has at most k vertices; leaf count <= edges
-        for t in enumerate_trees(leaves, max_edges):
-            if len(t.edges) <= max_edges:
-                out.append(t)
-    out.sort(key=lambda t: (len(t.edges), canonical_form(t).code))
-    return out
+    """All isomorphism classes with at most `max_edges` edges, as
+    canonically named trees ordered by edge count, then canonical code.
+
+    One closure under leaf grafting from the edge-only tree, as in
+    `enumerate_trees`; a graft never removes edges, so arities stop at
+    the remaining edge budget (zero, a stump, always fits).
+    """
+    if max_edges < 1:
+        return []
+    start = single_edge("e0")
+    seen = {canonical_form(start).code: start}
+    frontier = [start]
+    while frontier:
+        tree = frontier.pop()
+        budget = max_edges - len(tree.edges)
+        for site in tree.leaves:
+            for arity in range(budget + 1):
+                bigger, _ = graft(tree, site, arity)
+                key = canonical_form(bigger).code
+                if key not in seen:
+                    seen[key] = bigger
+                    frontier.append(bigger)
+    found = sorted(seen.items(), key=lambda kv: (len(kv[1].edges), kv[0]))
+    return [relabel_canonical(t) for _, t in found]
 
 
 class Rel(Enum):

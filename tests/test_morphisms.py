@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -8,7 +9,7 @@ from dendron import (
     VertexConditionFails, NotInnerEdge, MorphismError, validate_morphism,
     identity, compose, contract_edge, split_edge, collapse_unary, hom_set,
     factorize, single_edge, corolla, linear_tree, canonical_form,
-    enumerate_all_trees, are_isomorphic,
+    enumerate_all_trees, are_isomorphic, spanned_subtree,
 )
 
 from test_trees import random_trees
@@ -101,6 +102,25 @@ class TestHomSets:
     @settings(max_examples=25, deadline=None)
     def test_identity_found(self, t):
         assert any(f.is_identity() for f in hom_set(t, t))
+
+    def test_order_is_the_sort_signature(self):
+        trees = enumerate_all_trees(4)
+        for src in trees:
+            for dst in trees:
+                sigs = [f.sort_signature() for f in hom_set(src, dst)]
+                assert sigs == sorted(set(sigs))
+
+    def test_leaves_no_reference_cycles(self):
+        trees = enumerate_all_trees(4)
+        src, dst = max(((a, b) for a in trees for b in trees),
+                       key=lambda p: len(hom_set(*p)))
+        gc.collect()
+        gc.disable()
+        try:
+            hom_set(src, dst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGenerators:

@@ -9,8 +9,9 @@ from dendron import (
     linear_tree, enumerate_all_trees, hom_set, hom_labeled, compose,
     identity, factorize, phi_star, phi_star_mor, tau_id, tau_comp, iota,
     GrothTreeMorphism, groth_identity, compose_groth, groth_hom, F_functor,
-    lift_morphism, validate_morphism, MorphismError,
+    lift_morphism, validate_morphism, MorphismError, sort_key,
 )
+from dendron.trees import _fresh_layer
 
 
 def four_leaf_tree():
@@ -78,6 +79,32 @@ class TestPhiStar:
         assert len(small.tree.edges) == 10
         assert len(big.tree.edges) == 16
         assert small.tree != big.tree
+
+
+class TestCachedTreeData:
+    """A tree keeps its sorted edges and its fresh graft layer; both must
+    equal a recomputation, also under stacked corolla layers."""
+
+    @staticmethod
+    def scanned_layer(tree):
+        taken = {e[1] for e in tree.edges
+                 if isinstance(e, tuple) and len(e) == 3 and e[0] == "graft"
+                 and isinstance(e[1], int)}
+        return next(k for k in itertools.count() if k not in taken)
+
+    def test_cached_data_matches_a_rescan(self):
+        stacks = [small_labeled(2)]
+        for _ in range(3):
+            stacks.append([phi_star(phi, x) for x in stacks[-1]
+                           for phi in enumerate_pointed_maps((1, 2),
+                                                             x.label_set)])
+        for depth, stack in enumerate(stacks):
+            for x in stack:
+                assert _fresh_layer(x.tree) == depth
+        trees = enumerate_all_trees(5) + [x.tree for s in stacks for x in s]
+        for t in trees:
+            assert t.sorted_edges() == tuple(sorted(t.edges, key=sort_key))
+            assert _fresh_layer(t) == self.scanned_layer(t)
 
 
 class TestPhiStarMor:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from dendron import (
     single_edge, corolla, linear_tree, relabel, relabel_canonical,
     all_isomorphisms, are_isomorphic, spanned_subtree, subtree, graft,
     enumerate_trees, enumerate_all_trees, tree_dumps, tree_loads, tree_to_dot,
+    tree_to_json,
 )
 
 
@@ -164,6 +167,25 @@ class TestSubtree:
         assert spanned_subtree(t, "r", frozenset()) is None
         assert spanned_subtree(t, "r", frozenset({"l0", "l1"})) is not None
 
+    def test_spanned_subtree_matches_the_edge_order(self):
+        # oracle: the edges at or above the root edge and not strictly above
+        # a demanded leaf; each of them but the demanded leaves needs a
+        # vertex on top
+        for t in enumerate_all_trees(4):
+            for root in t.edges:
+                for k in range(len(t.edges) + 1):
+                    for leaves in itertools.combinations(t.sorted_edges(), k):
+                        keep = {e for e in t.edges if t.le(e, root)
+                                and not any(e != l and t.le(e, l)
+                                            for l in leaves)}
+                        outs = keep - set(leaves)
+                        got = spanned_subtree(t, root, leaves)
+                        if set(leaves) <= keep and not any(
+                                t.is_leaf(e) for e in outs):
+                            assert (got[0], set(got[1])) == (keep, outs)
+                        else:
+                            assert got is None
+
     def test_spanned_subtree_single_edge(self):
         t = corolla(2)
         assert spanned_subtree(t, "l0", frozenset({"l0"})) is not None
@@ -252,6 +274,22 @@ class TestEnumerate:
         a = enumerate_all_trees(4)
         b = enumerate_all_trees(4)
         assert a == b
+
+    @pytest.mark.parametrize("max_edges", range(6))
+    def test_one_pass_matches_leaf_by_leaf_union(self, max_edges):
+        # oracle: one closure per leaf count with up to max_edges vertices,
+        # cut to max_edges edges, then merged in (edge count, code) order
+        union = []
+        for leaves in range(max_edges + 1):
+            union += [t for t in enumerate_trees(leaves, max_edges)
+                      if len(t.edges) <= max_edges]
+        union.sort(key=lambda t: (len(t.edges), canonical_form(t).code))
+        assert ([tree_to_json(t) for t in enumerate_all_trees(max_edges)]
+                == [tree_to_json(t) for t in union])
+
+    def test_counts_by_edge_budget(self):
+        assert [len(enumerate_all_trees(m)) for m in range(7)] == \
+            [0, 2, 4, 9, 22, 59, 167]
 
 
 class TestSerialization:
