@@ -629,18 +629,19 @@ def gset_pointed_category(group, max_size):
         for b in objects:
             for pm in enumerate_equivariant_pointed_maps(a, b):
                 mors.append(FcMor(pm, a, b))
+    canon = {m: m for m in mors}
     table = {}
     for f in mors:
         for g in mors:
             if f.dst == g.src:
                 pm = compose_pointed(f.name, g.name)
-                table[(f, g)] = FcMor(
+                table[(f, g)] = canon[FcMor(
                     EquivariantPointedMap(f.src, g.dst, pm.mapping),
-                    f.src, g.dst)
-    idents = {a: FcMor(EquivariantPointedMap(a, a,
-                                             {x: x for x in a.elements}),
-                       a, a)
-              for a in objects}
+                    f.src, g.dst)]
+    idents = {}
+    for a in objects:
+        ident = EquivariantPointedMap(a, a, {x: x for x in a.elements})
+        idents[a] = canon[FcMor(ident, a, a)]
     return FiniteCategory(objects, mors, table, idents)
 
 

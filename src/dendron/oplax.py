@@ -41,11 +41,28 @@ class TauNotInvertible(CategoryError):
 
 @dataclass(frozen=True)
 class FcMor:
-    """A named arrow of a finite category."""
+    """A named arrow of a finite category.
+
+    The hash is computed on first use and kept, so an arrow whose name
+    cannot be hashed can still be built.
+    """
 
     name: object
     src: object
     dst: object
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name, self.src, self.dst))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # a copy rebuilds its hash: another process may seed str hashes
+        # differently
+        return FcMor, (self.name, self.src, self.dst)
 
     def __repr__(self):
         return f"{self.name!r}: {self.src!r}->{self.dst!r}"
@@ -370,10 +387,6 @@ class CoherenceReport:
     def ok(self):
         return not self.failures
 
-    def as_dict(self):
-        return {"ok": self.ok, "squares": self.squares,
-                "failures": [repr(w) for w in self.failures[:20]]}
-
 
 def check_all_coherence(F, max_failures=20):
     """Check every unit triangle and every associativity square.
@@ -400,11 +413,15 @@ def check_all_coherence(F, max_failures=20):
         for x in F.fiber_objects(f.dst):
             units(f, x)
     for f, g, h in base.composable_triples():
-        for x in F.fiber_objects(h.dst):
+        probes = F.fiber_objects(h.dst)
+        if not probes:
+            continue
+        hg = base.compose(g, h)
+        for x in probes:
             report.squares += 1
             units(h, x)
             units(g, F.app_obj(h, x))
-            units(f, F.app_obj(base.compose(g, h), x))
+            units(f, F.app_obj(hg, x))
             if not check_coherence_square(F, f, g, h, x):
                 if len(report.failures) < max_failures:
                     report.failures.append(("square", f, g, h, x))
@@ -595,12 +612,6 @@ class EquivalenceReport:
     @property
     def ok(self):
         return self.full and self.faithful and self.essentially_surjective
-
-    def as_dict(self):
-        return {"full": self.full, "faithful": self.faithful,
-                "essentially_surjective": self.essentially_surjective,
-                "ok": self.ok,
-                "witnesses": {k: repr(v) for k, v in self.witnesses.items()}}
 
 
 def check_equivalence(functor):

@@ -264,13 +264,14 @@ def pointed_category(max_size):
             for p in enumerate_pointed_maps(range(1, m + 1),
                                             range(1, n + 1)):
                 mors.append(FcMor(p, m, n))
+    canon = {m: m for m in mors}
     table = {}
     for f in mors:
         for g in mors:
             if f.dst == g.src:
-                table[(f, g)] = FcMor(compose_pointed(f.name, g.name),
-                                      f.src, g.dst)
-    idents = {n: FcMor(PointedMap.identity_on(range(1, n + 1)), n, n)
+                table[(f, g)] = canon[FcMor(compose_pointed(f.name, g.name),
+                                            f.src, g.dst)]
+    idents = {n: canon[FcMor(PointedMap.identity_on(range(1, n + 1)), n, n)]
               for n in range(max_size + 1)}
     return FiniteCategory(range(max_size + 1), mors, table, idents)
 
@@ -282,7 +283,7 @@ def _oplax_data(base, probes, app_obj, fiber_hom):
     probes maps each base object to the labeled trees used as sample
     objects of its fiber; app_obj acts on them along a base arrow and
     fiber_hom lists the fiber arrows between two of them.  Every probe
-    needs `tree`, `label_set` and `leaf_of`.
+    needs `tree`, `label_set` and `leaf_of`, and must be hashable.
 
     Fiber arrows are passed around as plain edge-mapping dicts rather
     than validated morphism objects, and the comparison cells are
@@ -293,6 +294,10 @@ def _oplax_data(base, probes, app_obj, fiber_hom):
     and triply substituted trees whose mappings it compares.  The
     shortcut formulas are asserted against the validated builders
     above in the test suite.
+
+    A composition cell depends only on the source labels of its first
+    arrow and on the probe, so each is built once per returned data and
+    shared between calls; callers must not mutate it.
     """
     from .oplax import OplaxFunctorData
 
@@ -308,13 +313,20 @@ def _oplax_data(base, probes, app_obj, fiber_hom):
         pushed[("graft", src_layer, "root")] = ("graft", dst_layer, "root")
         return pushed
 
+    cells = {}
+
     def data_tau_comp(f, g, x):
+        key = (f.name.src_labels, x)
+        cell = cells.get(key)
+        if cell is not None:
+            return cell
         layer = _fresh_layer(x.tree)
         cell = {e: e for e in x.tree.edges}
         for j in f.name.src_labels:
             cell[("graft", layer, ("leaf", j))] = \
                 ("graft", layer + 1, ("leaf", j))
         cell[("graft", layer, "root")] = ("graft", layer + 1, "root")
+        cells[key] = cell
         return cell
 
     def data_tau_id(a, x):

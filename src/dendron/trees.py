@@ -311,46 +311,71 @@ def relabel_canonical(tree, prefix="e"):
 
 
 def all_isomorphisms(src, dst):
-    """Yield every root-preserving structure bijection src -> dst as a dict."""
+    """Yield every root-preserving structure bijection src -> dst as a dict.
+
+    At each matched pair of edges the children fall into classes of equal
+    code, taken in code order; each class is matched by a permutation, and
+    its children are matched through before the next class is chosen.
+    Bijections come in lexicographic order of these choices.  The search
+    runs on an explicit stack, so it leaves no reference cycles.
+    """
     cs, cd = src.edge_codes(), dst.edge_codes()
     if cs[src.root] != cd[dst.root]:
         return
     spos = {e: i for i, e in enumerate(src.sorted_edges())}
     dpos = {e: i for i, e in enumerate(dst.sorted_edges())}
 
-    def match(es, ed):
-        # both subtrees already known to share a code
-        ins_s = src.children_of(es)
-        ins_d = dst.children_of(ed)
-        if ins_s is None:
-            yield {es: ed}
+    def classes(tree, codes, pos):
+        out = {}
+        for e in tree.edges:
+            by_code = {}
+            for c in tree.children_of(e) or ():
+                by_code.setdefault(codes[c], []).append(c)
+            out[e] = [sorted(by_code[k], key=pos.__getitem__)
+                      for k in sorted(by_code)]
+        return out
+
+    src_classes = classes(src, cs, spos)
+    dst_classes = classes(dst, cd, dpos)
+    # the key order of every yielded dict: an edge, then the children of
+    # its last class, ..., then those of its first, each with its subtree
+    order = []
+    stack = [src.root]
+    while stack:
+        e = stack.pop()
+        order.append(e)
+        stack.extend(c for cls in src_classes[e] for c in reversed(cls))
+
+    # `agenda` is the work still to do, as a linked list (item, rest) so a
+    # choice point can keep the agenda below it; an item is (False, es, ed),
+    # an edge pair to match, or (True, srcs, dsts), a class to permute.
+    # `choices` holds, per open class, its permutations still to try.
+    image = {}
+    choices = []
+    agenda = ((False, src.root, dst.root), None)
+    while True:
+        while agenda is not None:
+            (is_class, a, b), agenda = agenda
+            if is_class:
+                choices.append((itertools.permutations(b), a, agenda))
+                break
+            image[a] = b
+            pairs = zip(src_classes[a], dst_classes[b])
+            for pair in reversed(tuple(pairs)):
+                agenda = ((True, *pair), agenda)
+        else:
+            yield {e: image[e] for e in order}
+        # the next permutation of the innermost class that has one left
+        while choices:
+            perms, a, agenda = choices[-1]
+            perm = next(perms, None)
+            if perm is not None:
+                for pair in reversed(tuple(zip(a, perm))):
+                    agenda = ((False, *pair), agenda)
+                break
+            choices.pop()
+        else:
             return
-        groups = {}
-        for c in ins_s:
-            groups.setdefault(cs[c], [[], []])[0].append(c)
-        for c in ins_d:
-            groups[cd[c]][1].append(c)
-        group_list = [(sorted(a, key=spos.__getitem__),
-                       sorted(b, key=dpos.__getitem__))
-                      for _, (a, b) in sorted(groups.items())]
-
-        def per_group(idx):
-            if idx == len(group_list):
-                yield {es: ed}
-                return
-            a, b = group_list[idx]
-            for perm in itertools.permutations(b):
-                child_iters = [match(x, y) for x, y in zip(a, perm)]
-                for combo in itertools.product(*child_iters):
-                    for rest in per_group(idx + 1):
-                        out = dict(rest)
-                        for d in combo:
-                            out.update(d)
-                        yield out
-
-        yield from per_group(0)
-
-    yield from match(src.root, dst.root)
 
 
 def are_isomorphic(src, dst):

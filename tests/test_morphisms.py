@@ -9,7 +9,7 @@ from dendron import (
     VertexConditionFails, NotInnerEdge, MorphismError, validate_morphism,
     identity, compose, contract_edge, split_edge, collapse_unary, hom_set,
     factorize, single_edge, corolla, linear_tree, canonical_form,
-    enumerate_all_trees, are_isomorphic, spanned_subtree,
+    enumerate_all_trees, all_isomorphisms, are_isomorphic, spanned_subtree,
 )
 
 from test_trees import random_trees
@@ -118,6 +118,19 @@ class TestHomSets:
         gc.disable()
         try:
             hom_set(src, dst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_isomorphisms_leave_no_reference_cycles(self):
+        trees = enumerate_all_trees(4)
+        gc.collect()
+        gc.disable()
+        try:
+            for src in trees:
+                for dst in trees:
+                    for _ in all_isomorphisms(src, dst):
+                        pass
             assert gc.collect() == 0
         finally:
             gc.enable()

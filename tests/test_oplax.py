@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from dendron import (
     pointed_category, tree_oplax_data, canonical_labeling,
     enumerate_all_trees, hom_labeled, phi_star_mor,
     tau_comp as built_tau_comp, tau_id as built_tau_id,
+    cyclic_group, gset_pointed_category,
 )
 
 
@@ -96,6 +98,36 @@ class TestFiniteCategory:
         cat = FiniteCategory([0, 1], [i0, i1, u], table, {0: i0, 1: i1})
         with pytest.raises(CategoryError):
             cat.validate()
+
+
+class TestCanonicalArrows:
+    BUILDERS = {"pointed": lambda: pointed_category(3),
+                "gset_z2": lambda: gset_pointed_category(cyclic_group(2), 2)}
+
+    @pytest.mark.parametrize("which", sorted(BUILDERS))
+    def test_table_and_identities_hold_the_listed_arrows(self, which):
+        cat = self.BUILDERS[which]()
+        listed = {id(m) for m in cat.morphisms}
+        assert all(id(h) in listed for h in cat.table.values())
+        assert all(id(i) in listed for i in cat.identities.values())
+        cat.validate()
+
+    @pytest.mark.parametrize("which", sorted(BUILDERS))
+    def test_equal_arrows_hash_equal(self, which):
+        first = self.BUILDERS[which]().morphisms
+        second = self.BUILDERS[which]().morphisms
+        for a, b in zip(first, second):
+            assert a == b and a is not b
+            assert hash(a) == hash(b) == hash(a)
+        clone = pickle.loads(pickle.dumps(first[-1]))
+        assert clone == first[-1] and hash(clone) == hash(first[-1])
+
+    def test_an_unhashable_name_still_builds(self):
+        m = FcMor([1], 0, 0)
+        assert m == FcMor([1], 0, 0)
+        assert repr(m) == "[1]: 0->0"
+        with pytest.raises(TypeError):
+            hash(m)
 
 
 class TestFunctorsAndNaturality:
@@ -325,6 +357,33 @@ class TestTreeDataAgreesWithBuilders:
             x = rng.choice(probes[g.dst])
             built = built_tau_comp(f.name, g.name, x)
             assert F.tau_comp(f, g, x) == built.mapping
+
+    def test_every_cell_at_the_coherence_bounds(self):
+        # after a full sweep, so a wrong memo key or a shared cell mutated
+        # during the sweep would show
+        probes = tree_probes(4)
+        F = tree_oplax_data(3, probes)
+        assert check_all_coherence(F).ok
+        cells = 0
+        for f, g in F.base.composable_pairs():
+            for x in probes.get(g.dst, ()):
+                built = built_tau_comp(f.name, g.name, x)
+                assert F.tau_comp(f, g, x) == built.mapping
+                cells += 1
+        assert cells == 25978
+        maps = 0
+        for f in F.base.morphisms:
+            for x in probes.get(f.dst, ()):
+                for y in probes.get(f.dst, ()):
+                    for m in hom_labeled(x, y):
+                        built = phi_star_mor(f.name, m, x, y)
+                        assert F.app_mor(f, dict(m.mapping), x, y) \
+                            == built.mapping
+                        maps += 1
+        assert maps == 3131
+        for n, xs in probes.items():
+            for x in xs:
+                assert F.tau_id(n, x) == built_tau_id(x).mapping
 
     def test_naturality_of_the_cells_on_samples(self):
         probes = tree_probes(4)
