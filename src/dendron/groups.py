@@ -29,11 +29,15 @@ class FiniteGroup:
     """A group structure on 0..n-1 encoded by its multiplication table.
 
     mult[a][b] is the product a*b and index 0 is the identity.  The optional
-    names are display sugar only; they do not take part in equality.
+    names are display sugar only; they do not take part in equality.  The
+    elements and a generating set (each element, in order, that the ones
+    kept before it do not generate) are derived once, on construction.
     """
 
     mult: tuple
     names: tuple = field(default=None, compare=False)
+    elements: tuple = field(init=False, repr=False, compare=False)
+    generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.mult)
@@ -58,14 +62,17 @@ class FiniteGroup:
                         raise GroupError("table is not associative")
         if self.names is not None and len(self.names) != n:
             raise GroupError("one name per element, please")
+        object.__setattr__(self, "elements", tuple(rng))
+        gens, reached = [], {0}
+        for a in rng:
+            if a not in reached:
+                gens.append(a)
+                reached = mulclose(self, gens)
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def order(self):
         return len(self.mult)
-
-    @property
-    def elements(self):
-        return tuple(range(self.order))
 
     @property
     def identity(self):
@@ -164,7 +171,14 @@ def subgroup_class_reps(group, within=None):
 
 def check_action(group, action, carrier, error):
     """Raise `error` unless action holds one permutation of the carrier
-    per group element, composing as the group with the identity trivial."""
+    per group element, composing as the group with the identity trivial.
+
+    Composition is checked for a in the group's generators and every b:
+    with the identity row trivial, the a for which row(a*b) = row(a) o
+    row(b) holds for every b are closed under products, so they are the
+    whole group, and this accepts exactly what the check over all pairs
+    accepts.
+    """
     carrier = set(carrier)
     if set(action) != set(group.elements):
         raise error("need one action row per group element")
@@ -175,7 +189,7 @@ def check_action(group, action, carrier, error):
     for x in carrier:
         if ident[x] != x:
             raise error("identity must act trivially")
-    for a in group.elements:
+    for a in group.generators:
         row_a = action[a]
         for b in group.elements:
             row_ab, row_b = action[group.mul(a, b)], action[b]

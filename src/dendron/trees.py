@@ -14,6 +14,7 @@ codes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from enum import Enum
@@ -47,12 +48,18 @@ class SiteNotLeafOrRoot(TreeError):
     """Grafting was requested at an edge that is neither a leaf nor the root."""
 
 
+@functools.lru_cache(maxsize=1 << 16, typed=True)
 def sort_key(edge):
     """Total order on edge names of mixed types.
 
     Ints sort before strings before tuples before everything else; tuples
     compare componentwise through the same key.  Used everywhere iteration
     order must be reproducible across runs.
+
+    Keys are cached per name: a run meets a few hundred distinct names and
+    asks for their keys millions of times.  The cache is bounded and keyed
+    by equality, so names equal to each other but sorting apart inside a
+    tuple, such as (1,) and (1.0,), would share one key.
     """
     if isinstance(edge, bool):
         return (0, int(edge))
@@ -68,8 +75,10 @@ def sort_key(edge):
 class Tree:
     """Immutable rooted tree.  Validates its input on construction.
 
-    Derived order data (codes, canonical order, sorted edges, fresh graft
-    layer) is computed on first use and kept, since a tree never changes.
+    The edges are sorted once, on construction; that order also gives the
+    vertices and the leaves.  Other derived order data (codes, canonical
+    order, fresh graft layer) is computed on first use and kept, since a
+    tree never changes.
     """
 
     __slots__ = ("edges", "root", "vertices", "leaves", "_children",
@@ -79,15 +88,21 @@ class Tree:
     def __init__(self, edges, root, vertices):
         self.edges = frozenset(edges)
         self.root = root
-        vs = []
-        for out, ins in vertices:
-            vs.append((out, frozenset(ins)))
-        vs.sort(key=lambda v: sort_key(v[0]))
+        # one sort of the edges orders the vertices (by out-edge), the
+        # leaves and `sorted_edges()`
+        self._sorted = tuple(sorted(self.edges, key=sort_key))
+        vs = [(out, frozenset(ins)) for out, ins in vertices]
+        by_out = {v[0]: v for v in vs}
+        if len(by_out) == len(vs) and by_out.keys() <= self.edges:
+            vs = [by_out[e] for e in self._sorted if e in by_out]
+        else:
+            # a repeated out-edge, or one outside the edge set: a stable
+            # sort by name, so validation meets the faults in the same order
+            vs.sort(key=lambda v: sort_key(v[0]))
         self.vertices = tuple(vs)
         self._validate()
         self._code_cache = None
         self._order_cache = None
-        self._sorted = None
         self._fresh = None
 
     def _validate(self):
@@ -122,7 +137,7 @@ class Tree:
                 seen.add(c)
                 frontier.append(c)
         if seen != self.edges:
-            stray = min(self.edges - seen, key=sort_key)
+            stray = next(e for e in self._sorted if e not in seen)
             walked = set()
             e = stray
             while e in parent and e not in walked:
@@ -131,8 +146,7 @@ class Tree:
             if e in walked:
                 raise Cyclic(f"edge {stray!r} sits on an out-edge cycle")
             raise Disconnected(f"edge {stray!r} never reaches the root")
-        self.leaves = tuple(sorted((e for e in self.edges if e not in children),
-                                   key=sort_key))
+        self.leaves = tuple(e for e in self._sorted if e not in children)
         anc = {}
 
         def ancestors_of(e):
@@ -183,8 +197,6 @@ class Tree:
         """The edges in `sort_key` order.  An edge's index here is its rank
         among this tree's edges, so edges of one tree can be ordered by
         position instead of by `sort_key`."""
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.edges, key=sort_key))
         return self._sorted
 
     # --- identity --------------------------------------------------------

@@ -11,7 +11,7 @@ from dendron import (
     equivariant_bijections, are_isomorphic_gsets, BUILTIN_GROUPS,
     builtin_group, group_to_json, group_from_json, gset_dumps, gset_loads,
 )
-from dendron.groups import mulclose
+from dendron.groups import check_action, mulclose
 
 
 class TestGroupValidation:
@@ -129,6 +129,91 @@ class TestGSetValidation:
         assert a.act(2, "w") == "y"
         assert a.act(3, "x") == "w"
         assert a.is_transitive()
+
+
+def check_action_on_all_pairs(group, action, carrier, error):
+    """`check_action` with composition checked for every pair (a, b)."""
+    carrier = set(carrier)
+    if set(action) != set(group.elements):
+        raise error("need one action row per group element")
+    for g, row in action.items():
+        if set(row) != carrier or set(row.values()) != carrier:
+            raise error(f"row of {g} is not a permutation")
+    if any(action[group.identity][x] != x for x in carrier):
+        raise error("identity must act trivially")
+    for a, b in itertools.product(group.elements, repeat=2):
+        if any(action[group.mul(a, b)][x] != action[a][action[b][x]]
+               for x in carrier):
+            raise error("rows do not compose as the group")
+
+
+def verdict(check, group, action, carrier):
+    try:
+        check(group, action, carrier, GSetError)
+    except GSetError as exc:
+        return str(exc)
+    return None
+
+
+KLEIN_FOUR = {"order": 4, "mult": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                   [2, 3, 0, 1], [3, 2, 1, 0]]}
+
+
+class TestActionOnGenerators:
+    @pytest.mark.parametrize("name", ["trivial", "z2", "z3", "z4", "s3"])
+    def test_generator_check_is_the_full_check(self, name):
+        group = builtin_group(name)
+        rejected = 0
+        for gset in skeletal_gsets(group, 3):
+            tables = [gset.action]
+            for g in group.elements[1:]:
+                for x, y in itertools.combinations(gset.elements, 2):
+                    row = dict(gset.action[g])
+                    row[x], row[y] = row[y], row[x]
+                    tables.append({**gset.action, g: row})
+            for table in tables:
+                got = verdict(check_action, group, table, gset.elements)
+                assert got == verdict(check_action_on_all_pairs, group,
+                                      table, gset.elements)
+                rejected += got is not None
+        assert rejected > 0 or name == "trivial"
+
+    @pytest.mark.parametrize("name,homs", [("z2", 4), ("z3", 3), ("z4", 4),
+                                           ("s3", 10)])
+    def test_generator_check_is_the_full_check_on_three_points(self, name,
+                                                                homs):
+        # every table with the identity row trivial and any permutation of
+        # three points in each other row; the accepted ones are the
+        # homomorphisms into S3
+        group = builtin_group(name)
+        carrier = ("x", "y", "z")
+        perms = [dict(zip(carrier, p))
+                 for p in itertools.permutations(carrier)]
+        accepted = 0
+        for rows in itertools.product(perms, repeat=group.order - 1):
+            table = dict(zip(group.elements, (perms[0], *rows)))
+            got = verdict(check_action, group, table, carrier)
+            assert got == verdict(check_action_on_all_pairs, group, table,
+                                  carrier)
+            accepted += got is None
+        assert accepted == homs
+
+    @pytest.mark.parametrize("group", [f() for f in BUILTIN_GROUPS.values()]
+                             + [group_from_json(KLEIN_FOUR)])
+    def test_generators_generate(self, group):
+        assert mulclose(group, group.generators) == set(group.elements)
+
+    def test_generator_counts(self):
+        counts = {name: len(builtin_group(name).generators)
+                  for name in BUILTIN_GROUPS}
+        assert counts == {"trivial": 0, "z2": 1, "z3": 1, "z4": 1, "s3": 2}
+        assert group_from_json(KLEIN_FOUR).generators == (1, 2)
+
+    def test_derived_fields_stay_out_of_equality(self):
+        g = group_from_json(group_to_json(symmetric_group_3()))
+        assert g == symmetric_group_3()
+        assert hash(g) == hash(symmetric_group_3())
+        assert g.elements == tuple(range(6))
 
 
 class TestOrbitsAndStabilizers:

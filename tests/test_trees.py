@@ -9,7 +9,8 @@ from dendron import (
     single_edge, corolla, linear_tree, relabel, relabel_canonical,
     all_isomorphisms, are_isomorphic, spanned_subtree, subtree, graft,
     enumerate_trees, enumerate_all_trees, tree_dumps, tree_loads, tree_to_dot,
-    tree_to_json,
+    tree_to_json, sort_key, PLUS, PointedMap, canonical_labeling, phi_star,
+    builtin_group, enumerate_gtrees,
 )
 
 
@@ -70,6 +71,83 @@ class TestValidation:
     def test_self_loop(self):
         with pytest.raises((Cyclic, MultipleParents, RootHasParent)):
             validate_tree(["r", "a"], "r", [("r", ["a"]), ("a", ["a"])])
+
+    def test_dangling_out_edge_with_the_root_present(self):
+        with pytest.raises(DanglingEdge, match="out-edge 'ghost'"):
+            validate_tree(["r", "a"], "r", [("r", ["a"]), ("ghost", [])])
+
+    def test_shared_out_edge_where_one_copy_dangles(self):
+        # vertices sharing an out-edge are met in input order
+        with pytest.raises(DanglingEdge, match="in-edge 'ghost'"):
+            validate_tree(["r", "a"], "r", [("r", ["ghost"]), ("r", ["a"])])
+        with pytest.raises(MultipleParents, match="out-edge of two"):
+            validate_tree(["r", "a"], "r", [("r", ["a"]), ("r", ["ghost"])])
+
+
+def stacked_phi_star(max_edges=4, layers=3):
+    """Every tree of phi_star applied `layers` times over, starting from
+    each canonically labeled tree; each map has two source labels, sent to
+    the first and last target labels, or to "+" when there are none."""
+    out = []
+    for t in enumerate_all_trees(max_edges):
+        lt = canonical_labeling(t)
+        for _ in range(layers):
+            ends = lt.label_set or (PLUS,)
+            lt = phi_star(PointedMap((1, 2), lt.label_set,
+                                     {1: ends[0], 2: ends[-1]}), lt)
+            out.append(lt)
+    return out
+
+
+def gtree_corpus(max_edges=6):
+    return [gt.tree for name in ("z4", "s3")
+            for gt in enumerate_gtrees(builtin_group(name), max_edges)]
+
+
+class TestSortKeyCache:
+    def test_cached_keys_equal_computed_ones(self):
+        trees = enumerate_all_trees(6) + gtree_corpus()
+        stacked = stacked_phi_star()
+        names = {e for t in trees + [lt.tree for lt in stacked]
+                 for e in t.edges}
+        names |= {a for lt in stacked for a in lt.label_set}
+        # names nest: ("graft", layer, ("leaf", label))
+        assert any(isinstance(e, tuple) and any(isinstance(x, tuple)
+                                                for x in e)
+                   for e in names)
+        for e in names:
+            assert sort_key(e) == sort_key.__wrapped__(e)
+
+    def test_pinned_keys(self):
+        assert sort_key(True) == (0, 1)
+        assert sort_key(1) == (0, 1)
+        assert sort_key("1") == (1, "1")
+        assert sort_key((1, "a")) == (2, ((0, 1), (1, "a")))
+
+    def test_cache_is_bounded(self):
+        assert sort_key.cache_info().maxsize is not None
+
+
+class TestOnePassTree:
+    """The orders a tree takes from its one sort equal those of sorting
+    each by `sort_key` on its own."""
+
+    @pytest.mark.parametrize("source", ["all_trees", "phi_star", "gtrees"])
+    def test_orders_match_separate_sorts(self, source):
+        trees = {"all_trees": lambda: enumerate_all_trees(6),
+                 "phi_star": lambda: [lt.tree for lt in stacked_phi_star()],
+                 "gtrees": gtree_corpus}[source]()
+        for t in trees:
+            given_order = t.vertices[::-1]
+            rebuilt = Tree(t.edges, t.root, given_order)
+            assert rebuilt.vertices == tuple(sorted(
+                ((o, frozenset(ins)) for o, ins in given_order),
+                key=lambda v: sort_key(v[0])))
+            assert rebuilt.leaves == tuple(sorted(
+                (e for e in t.edges if t.children_of(e) is None),
+                key=sort_key))
+            assert rebuilt.sorted_edges() == tuple(sorted(t.edges,
+                                                          key=sort_key))
 
 
 class TestCanonical:
