@@ -75,10 +75,8 @@ def sort_key(edge):
 class Tree:
     """Immutable rooted tree.  Validates its input on construction.
 
-    The edges are sorted once, on construction; that order also gives the
-    vertices and the leaves.  Other derived order data (codes, canonical
-    order, fresh graft layer) is computed on first use and kept, since a
-    tree never changes.
+    Derived order data (codes, canonical order, sorted edges, fresh graft
+    layer) is computed on first use and kept, since a tree never changes.
     """
 
     __slots__ = ("edges", "root", "vertices", "leaves", "_children",
@@ -88,21 +86,15 @@ class Tree:
     def __init__(self, edges, root, vertices):
         self.edges = frozenset(edges)
         self.root = root
-        # one sort of the edges orders the vertices (by out-edge), the
-        # leaves and `sorted_edges()`
-        self._sorted = tuple(sorted(self.edges, key=sort_key))
-        vs = [(out, frozenset(ins)) for out, ins in vertices]
-        by_out = {v[0]: v for v in vs}
-        if len(by_out) == len(vs) and by_out.keys() <= self.edges:
-            vs = [by_out[e] for e in self._sorted if e in by_out]
-        else:
-            # a repeated out-edge, or one outside the edge set: a stable
-            # sort by name, so validation meets the faults in the same order
-            vs.sort(key=lambda v: sort_key(v[0]))
+        vs = []
+        for out, ins in vertices:
+            vs.append((out, frozenset(ins)))
+        vs.sort(key=lambda v: sort_key(v[0]))
         self.vertices = tuple(vs)
         self._validate()
         self._code_cache = None
         self._order_cache = None
+        self._sorted = None
         self._fresh = None
 
     def _validate(self):
@@ -137,7 +129,7 @@ class Tree:
                 seen.add(c)
                 frontier.append(c)
         if seen != self.edges:
-            stray = next(e for e in self._sorted if e not in seen)
+            stray = min(self.edges - seen, key=sort_key)
             walked = set()
             e = stray
             while e in parent and e not in walked:
@@ -146,7 +138,8 @@ class Tree:
             if e in walked:
                 raise Cyclic(f"edge {stray!r} sits on an out-edge cycle")
             raise Disconnected(f"edge {stray!r} never reaches the root")
-        self.leaves = tuple(e for e in self._sorted if e not in children)
+        self.leaves = tuple(sorted((e for e in self.edges if e not in children),
+                                   key=sort_key))
         anc = {}
 
         def ancestors_of(e):
@@ -197,6 +190,8 @@ class Tree:
         """The edges in `sort_key` order.  An edge's index here is its rank
         among this tree's edges, so edges of one tree can be ordered by
         position instead of by `sort_key`."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.edges, key=sort_key))
         return self._sorted
 
     # --- identity --------------------------------------------------------

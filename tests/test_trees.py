@@ -128,9 +128,9 @@ class TestSortKeyCache:
         assert sort_key.cache_info().maxsize is not None
 
 
-class TestOnePassTree:
-    """The orders a tree takes from its one sort equal those of sorting
-    each by `sort_key` on its own."""
+class TestTreeOrders:
+    """A tree's vertices, leaves and sorted edges are in `sort_key` order,
+    whatever order its vertices are given in."""
 
     @pytest.mark.parametrize("source", ["all_trees", "phi_star", "gtrees"])
     def test_orders_match_separate_sorts(self, source):
