@@ -2,36 +2,27 @@
 
 from .trees import (
     Tree, TreeError, DanglingEdge, MultipleParents, RootHasParent,
-    Disconnected, Cyclic, SiteNotLeafOrRoot, CanonicalForm, EdgePoset, Rel,
-    validate_tree, canonical_form, single_edge, corolla, linear_tree,
-    relabel, relabel_canonical, all_isomorphisms, are_isomorphic,
-    spanned_subtree, subtree, graft, enumerate_trees, enumerate_all_trees,
-    tree_to_json, tree_from_json, tree_dumps, tree_loads, tree_to_dot,
-    sort_key,
+    Disconnected, Cyclic, SiteNotLeafOrRoot, CanonicalForm, canonical_form,
+    single_edge, corolla, linear_tree, relabel, relabel_canonical,
+    all_isomorphisms, are_isomorphic, spanned_subtree, subtree, graft,
+    enumerate_trees, enumerate_all_trees, tree_to_json, tree_from_json,
+    tree_to_dot, sort_key,
 )
 from .morphisms import (
     MorphismError, SourceTargetMismatch, NotMonotone, VertexConditionFails,
-    NotInnerEdge, TreeMorphism, validate_morphism, identity, compose,
-    contract_edge, split_edge, collapse_unary, hom_set, GeneratorStep,
-    Factorization, FactorizationError, factorize,
+    NotInnerEdge, TreeMorphism, identity, compose, contract_edge, split_edge,
+    collapse_unary, hom_set, GeneratorStep, Factorization, FactorizationError,
+    factorize,
 )
 from .labels import (
     PLUS, LabelError, LabeledTree, canonical_labeling, PointedMap,
     compose_pointed, enumerate_pointed_maps, is_label_preserving, hom_labeled,
 )
 from .oplax import (
-    CategoryError, NotComposable, EndpointMismatch, TauNotInvertible,
-    FcMor, FiniteCategory, discrete_category, group_category, FcFunctor,
-    identity_functor, compose_functors, is_natural, whisker_functor_nat,
-    whisker_nat_functor, OplaxFunctorData, strict_oplax_data,
-    check_oplax_units, check_coherence_square, check_oplax_coherence,
-    CoherenceReport,
-    check_all_coherence, check_tau_naturality, GrothMorphism,
-    groth_identity as groth_cell_identity,
-    groth_compose as groth_cell_compose,
-    groth_identity_pseudo, groth_compose_pseudo, groth_objects,
-    groth_category, groth_category_pseudo, precompose_oplax, reindex,
-    EquivalenceReport, check_equivalence,
+    CategoryError, NotComposable, FcMor, FiniteCategory, discrete_category,
+    group_category, FcFunctor, OplaxFunctorData, check_oplax_units,
+    check_coherence_square, CoherenceReport, check_all_coherence,
+    check_tau_naturality, EquivalenceReport, check_equivalence,
 )
 from .substitution import (
     phi_star, phi_star_mor, tau_id, tau_comp, iota, GrothTreeMorphism,
@@ -41,11 +32,9 @@ from .substitution import (
 from .groups import (
     GroupError, GSetError, FiniteGroup, trivial_group, cyclic_group,
     symmetric_group_3, subgroups, conjugate_subgroup, subgroup_conjugacy_key,
-    Orbit, GSet, trivial_gset, regular_gset, coset_gset, disjoint_union_gsets,
-    transitive_gsets, skeletal_gsets, equivariant_maps, equivariant_bijections,
-    are_isomorphic_gsets, BUILTIN_GROUPS, builtin_group,
-    group_to_json, group_from_json, gset_to_json, gset_from_json,
-    gset_dumps, gset_loads,
+    Orbit, GSet, trivial_gset, coset_gset, disjoint_union_gsets,
+    transitive_gsets, skeletal_gsets, equivariant_maps, BUILTIN_GROUPS,
+    builtin_group, group_to_json, group_from_json,
 )
 from .gtrees import (
     NotEquivariant, SiteInvalid, RootGraftLeafNotFixed, GTree, GLabeledTree,
@@ -60,20 +49,16 @@ from .gtrees import (
 )
 from .forests import (
     ForestError, ActionNotFunctorial, ComponentIsoInvalid, Forest,
-    ForestMorphism, forest_identity, compose_forests, GForest,
-    gtree_to_gforest, root_gset, is_genuine,
+    ForestMorphism, GForest, gtree_to_gforest, root_gset, is_genuine,
     is_equivariant_forest_morphism, forest_hom, subgroup_group,
     coset_groupoid, bh_to_coset_groupoid, CosetDiagram, diagram_from_gtree,
-    diagram_to_gtree, DiagramMorphism, compose_diagram, diagram_identity,
-    diagram_hom, assemble_gforest, split_gforest, orbit_category,
-    RetractiveGSet, RetractiveMap, retractive_identity,
-    enumerate_retractive_maps, fiber_gset, fiber_pointed_map, GenuineTree,
-    self_labeled_genuine, phi_star_genuine, GenuineMorphism, genuine_hom,
-    eta_morphism, q_star_diagram, q_star_diagram_morphism,
+    DiagramMorphism, diagram_hom, assemble_gforest, RetractiveGSet,
+    RetractiveMap, enumerate_retractive_maps, fiber_pointed_map,
+    GenuineTree, self_labeled_genuine, phi_star_genuine, GenuineMorphism,
+    genuine_hom, eta_morphism, q_star_diagram, q_star_diagram_morphism,
     q_star_retractive, q_star_retractive_map, q_star_genuine,
     q_star_genuine_morphism, q_star_compare, enumerate_genuine_diagrams,
     genuine_equivalence_check, gforest_to_json, gforest_from_json,
-    gforest_dumps, gforest_loads,
 )
 
 __all__ = [n for n in dir() if not n.startswith("_")]

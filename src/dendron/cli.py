@@ -16,7 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .trees import (Tree, TreeError, enumerate_trees, enumerate_all_trees,
+from .trees import (TreeError, enumerate_trees, enumerate_all_trees,
                     tree_to_json, tree_from_json, tree_to_dot)
 from .morphisms import hom_set, factorize
 from .labels import canonical_labeling
@@ -29,7 +29,7 @@ from .gtrees import (GLabeledTree, NotEquivariant, enumerate_gtrees,
                      is_equivariant_morphism, equivariant_factorize,
                      groth_hom_G, F_G, lift_G)
 from .forests import (ForestError, bh_to_coset_groupoid, gforest_from_json,
-                      gtree_to_gforest, genuine_equivalence_check)
+                      genuine_equivalence_check)
 
 SUITES = ("factorization", "coherence", "equivalence", "equivariant",
           "genuine")

@@ -10,10 +10,9 @@ small corpora.
 """
 
 import itertools
-import json
 
 from .trees import Tree, relabel, sort_key, tree_to_json, tree_from_json
-from .morphisms import TreeMorphism, hom_set, compose, identity
+from .morphisms import TreeMorphism, hom_set, compose
 from .labels import PLUS, LabeledTree, PointedMap, LabelError
 from .substitution import phi_star, iota
 from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
@@ -21,7 +20,7 @@ from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
 from .groups import FiniteGroup, GSet, GroupError, check_action, \
     close_table, coset_gset, equivariant_maps, group_from_ref, \
     maps_by_orbit_reps, subgroup_class_reps
-from .gtrees import GTree, NotEquivariant, enumerate_gtrees
+from .gtrees import NotEquivariant, enumerate_gtrees
 
 
 class ForestError(ValueError):
@@ -112,23 +111,6 @@ class ForestMorphism:
 
     def __repr__(self):
         return f"<ForestMorphism {self.index_map}>"
-
-
-def forest_identity(forest):
-    return ForestMorphism(forest, forest, range(forest.n),
-                          [identity(t) for t in forest.components],
-                          _checked=True)
-
-
-def compose_forests(first, second):
-    """Diagrammatic composition of forest morphisms."""
-    if first.dst != second.src:
-        raise ForestError("forest morphisms do not compose")
-    idx = [second.index_map[j] for j in first.index_map]
-    comps = [compose(first.components[i],
-                     second.components[first.index_map[i]])
-             for i in range(first.src.n)]
-    return ForestMorphism(first.src, second.dst, idx, comps, _checked=True)
 
 
 def _check_family(group, trees, act, isos):
@@ -237,12 +219,6 @@ class GForest:
 
     def act_index(self, g, i):
         return self.index_action[g][i]
-
-    def component_iso(self, g, i):
-        j = self.index_action[g][i]
-        return TreeMorphism(self.forest.components[i],
-                            self.forest.components[j],
-                            self.isos[(g, i)], _checked=True)
 
     def __eq__(self, other):
         if not isinstance(other, GForest):
@@ -451,11 +427,6 @@ class CosetDiagram:
     def act_coset(self, x, c):
         return self.base.act(x, c)
 
-    def translation(self, x, c):
-        return TreeMorphism(self.trees[c],
-                            self.trees[self.act_coset(x, c)],
-                            self.isos[(x, c)], _checked=True)
-
     def __eq__(self, other):
         if not isinstance(other, CosetDiagram):
             return NotImplemented
@@ -498,14 +469,6 @@ def diagram_from_gtree(gtree, group, sub):
                 raise NotEquivariant("coset representatives are broken")
             isos[(x, c)] = dict(gtree.action[pos[h]])
     return CosetDiagram(group, sub, trees, isos)
-
-
-def diagram_to_gtree(diagram):
-    """The tree at the identity coset with its subgroup action."""
-    hgrp, elems = subgroup_group(diagram.group, diagram.sub)
-    c0 = min(diagram.cosets)
-    rows = {i: dict(diagram.isos[(x, c0)]) for i, x in enumerate(elems)}
-    return GTree(diagram.trees[c0], hgrp, rows)
 
 
 class DiagramMorphism:
@@ -555,20 +518,6 @@ class DiagramMorphism:
         return f"<DiagramMorphism over {len(self.components)} cosets>"
 
 
-def compose_diagram(first, second):
-    if first.dst != second.src:
-        raise ForestError("diagram morphisms do not compose")
-    comps = {c: compose(first.components[c], second.components[c])
-             for c in first.components}
-    return DiagramMorphism(first.src, second.dst, comps, _checked=True)
-
-
-def diagram_identity(diagram):
-    return DiagramMorphism(diagram, diagram,
-                           {c: identity(t) for c, t in diagram.trees.items()},
-                           _checked=True)
-
-
 def diagram_hom(src, dst):
     """All natural transformations src => dst.
 
@@ -608,55 +557,6 @@ def assemble_gforest(diagram):
     isos = {(g, pos[c]): dict(diagram.isos[(g, c)])
             for g in diagram.group.elements for c in cosets}
     return GForest(forest, diagram.group, rows, isos)
-
-
-def split_gforest(gforest):
-    """Present a genuine forest as a coset diagram.
-
-    The subgroup is the stabilizer of component 0; the coset named c picks
-    out the component c.0.  Returns the diagram together with that map
-    from cosets to component indices.
-    """
-    if not is_genuine(gforest):
-        raise ForestError("only a transitive root action splits")
-    group = gforest.group
-    sub = tuple(g for g in group.elements
-                if gforest.index_action[g][0] == 0)
-    base = coset_gset(group, sub)
-    component_of = {c: gforest.index_action[c][0] for c in base.elements}
-    trees = {c: gforest.forest.components[i]
-             for c, i in component_of.items()}
-    isos = {(x, c): dict(gforest.isos[(x, component_of[c])])
-            for x in group.elements for c in base.elements}
-    return CosetDiagram(group, sub, trees, isos), component_of
-
-
-def orbit_category(group):
-    """Transitive G-sets, one per subgroup conjugacy class, and all maps.
-
-    Arrows are named by their full graph so the table can be assembled by
-    composing the underlying functions.
-    """
-    objects = [coset_gset(group, s)
-               for s in sorted(subgroup_class_reps(group),
-                               key=lambda s: (-len(s), s))]
-    mors = {}
-    for a, b in itertools.product(objects, repeat=2):
-        for m in equivariant_maps(a, b):
-            graph = tuple(sorted(m.items()))
-            mors[(a, b, graph)] = FcMor(graph, a, b)
-    table = {}
-    for (a, b, g1), m1 in mors.items():
-        d1 = dict(g1)
-        for (b2, c, g2), m2 in mors.items():
-            if b2 != b:
-                continue
-            d2 = dict(g2)
-            graph = tuple(sorted((x, d2[y]) for x, y in d1.items()))
-            table[(m1, m2)] = mors[(a, c, graph)]
-    idents = {a: mors[(a, a, tuple((x, x) for x in a.elements))]
-              for a in objects}
-    return FiniteCategory(objects, mors.values(), table, idents).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -774,10 +674,6 @@ class RetractiveMap:
         return f"<RetractiveMap on {len(self.mapping)} elements>"
 
 
-def retractive_identity(ret):
-    return RetractiveMap(ret, ret, {x: x for x in ret.carrier.elements})
-
-
 def enumerate_retractive_maps(src, dst):
     """All maps of retractive sets src -> dst, deterministically.
 
@@ -798,16 +694,6 @@ def enumerate_retractive_maps(src, dst):
     return tuple(RetractiveMap(src, dst, m)
                  for m in maps_by_orbit_reps(src.carrier, choices,
                                              dst.carrier.act))
-
-
-def fiber_gset(ret):
-    """The labels over the identity coset as a set with a subgroup action."""
-    hgrp, elems = subgroup_group(ret.group, ret.sub)
-    c0 = min(ret.base.elements)
-    fib = ret.fiber(c0)
-    rows = {i: {x: ret.carrier.act(h, x) for x in fib}
-            for i, h in enumerate(elems)}
-    return GSet(hgrp, fib, rows)
 
 
 def fiber_pointed_map(rm, c):
@@ -1281,12 +1167,3 @@ def gforest_from_json(data, registry=None):
     maps = {(int(g), i): dict(ms[i])
             for g, ms in isos.items() for i in range(forest.n)}
     return GForest(forest, group, rows, maps)
-
-
-def gforest_dumps(gforest, group_ref=None):
-    return json.dumps(gforest_to_json(gforest, group_ref=group_ref),
-                      sort_keys=True, indent=2) + "\n"
-
-
-def gforest_loads(text, registry=None):
-    return gforest_from_json(json.loads(text), registry=registry)

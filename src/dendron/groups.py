@@ -9,7 +9,6 @@ stabilizers are large enough.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -342,12 +341,6 @@ def trivial_gset(group, elements, basepoint=None):
     return GSet(group, elements, rows, basepoint=basepoint)
 
 
-def regular_gset(group):
-    rows = {g: {x: group.mul(g, x) for x in group.elements}
-            for g in group.elements}
-    return GSet(group, group.elements, rows)
-
-
 def coset_gset(group, sub):
     """Left cosets of a subgroup under left translation.
 
@@ -425,18 +418,6 @@ def equivariant_maps(src, dst):
     return tuple(maps_by_orbit_reps(src, choices, dst.act))
 
 
-def equivariant_bijections(src, dst):
-    if src.size != dst.size:
-        return ()
-    return tuple(f for f in equivariant_maps(src, dst)
-                 if len(set(f.values())) == src.size)
-
-
-def are_isomorphic_gsets(src, dst):
-    return (src.group == dst.group
-            and src.orbit_signature() == dst.orbit_signature())
-
-
 BUILTIN_GROUPS = {
     "trivial": trivial_group,
     "z2": lambda: cyclic_group(2),
@@ -466,10 +447,10 @@ def group_from_json(data):
     if not {"order", "mult"} <= set(data):
         raise GroupError("group data needs \"order\" and \"mult\"")
     mult, names = data["mult"], data.get("names")
-    if not isinstance(data["order"], int):
+    if type(data["order"]) is not int:
         raise GroupError("\"order\" must be an integer")
     if not isinstance(mult, list) or not all(
-            isinstance(r, list) and all(isinstance(v, int) for v in r)
+            isinstance(r, list) and all(type(v) is int for v in r)
             for r in mult):
         raise GroupError("\"mult\" must be a list of integer rows")
     if names is not None and not isinstance(names, list):
@@ -490,42 +471,3 @@ def group_from_ref(ref, registry=None):
     if ref not in table:
         raise GroupError(f"unknown group {ref!r}")
     return table[ref]()
-
-
-def gset_to_json(gset, group_ref=None):
-    data = {
-        "elements": [str(x) for x in gset.elements],
-        "action": {str(g): {str(x): str(gset.act(g, x))
-                            for x in gset.elements}
-                   for g in gset.group.elements},
-    }
-    if group_ref is not None:
-        data["group"] = group_ref
-    else:
-        data["group"] = group_to_json(gset.group)
-    if gset.basepoint is not None:
-        data["basepoint"] = str(gset.basepoint)
-    return data
-
-
-def gset_from_json(data, registry=None):
-    """Rebuild a GSet; "group" is a builtin name or an inline table.
-
-    Carriers round-trip through strings, so this format is for string-named
-    elements (which is what the command line traffics in).
-    """
-    group = group_from_ref(data["group"], registry)
-    elements = list(data["elements"])
-    rows = {int(g): {x: row[x] for x in elements}
-            for g, row in data["action"].items()}
-    basepoint = data.get("basepoint")
-    return GSet(group, elements, rows, basepoint=basepoint)
-
-
-def gset_dumps(gset, group_ref=None):
-    return json.dumps(gset_to_json(gset, group_ref=group_ref),
-                      sort_keys=True, indent=2)
-
-
-def gset_loads(text, registry=None):
-    return gset_from_json(json.loads(text), registry=registry)

@@ -42,12 +42,6 @@ class LabeledTree:
     def leaf_of(self, label):
         return self.labels[label]
 
-    def label_of(self, leaf):
-        for k, v in self.labels.items():
-            if v == leaf:
-                return k
-        raise KeyError(leaf)
-
     def __eq__(self, other):
         if not isinstance(other, LabeledTree):
             return NotImplemented

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import (Tree, TreeError, sort_key, spanned_subtree)
+from .trees import Tree, sort_key, spanned_subtree
 
 
 class MorphismError(ValueError):
@@ -121,11 +121,6 @@ def _check_edge_map(src, dst, mapping):
         if spanned_subtree(dst, mapping[out], frozenset(images)) is None:
             raise VertexConditionFails(
                 f"vertex over {out!r} has no matching subtree in the target")
-
-
-def validate_morphism(src, dst, mapping):
-    """Typed-error validation; returns the morphism when the map is legal."""
-    return TreeMorphism(src, dst, mapping)
 
 
 def identity(tree):

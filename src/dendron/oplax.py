@@ -1,18 +1,13 @@
-"""Finite categories, Cat-valued oplax functors, and Grothendieck gluings.
+"""Finite categories and Cat-valued oplax functors.
 
 A FiniteCategory is a composition table over named morphisms; it is the
 carrier both for small base categories and for toy fiber categories.  An
 oplax functor into Cat is represented by callbacks (apply to an object,
 apply to a morphism, comparison cells) plus a finite probe set per base
 object, so that fibers may well be infinite while every check stays finite.
-
-Two Grothendieck constructions are provided.  The first glues an oplax
-functor with fiber arrows F(f)(x) -> y and base arrows running against the
-pair direction; the second needs invertible comparison cells and uses fiber
-arrows x -> F(f)(y) with base arrows running along it.  Both can be
-materialized as finite categories from the probe sets, and a checker
-verifies functors between finite categories for fullness, faithfulness and
-essential surjectivity, reporting witnesses for whatever fails.
+A checker verifies functors between finite categories for fullness,
+faithfulness and essential surjectivity, reporting witnesses for whatever
+fails.
 """
 
 from __future__ import annotations
@@ -20,22 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .trees import sort_key
-
 
 class CategoryError(ValueError):
     pass
 
 
 class NotComposable(CategoryError):
-    pass
-
-
-class EndpointMismatch(CategoryError):
-    pass
-
-
-class TauNotInvertible(CategoryError):
     pass
 
 
@@ -107,9 +92,6 @@ class FiniteCategory:
             for h in self._by_src.get(g.dst, ()):
                 yield f, g, h
 
-    def is_identity_mor(self, f):
-        return f.src == f.dst and self.identities.get(f.src) == f
-
     def inverse(self, f):
         """Two-sided inverse, or None."""
         for g in self.hom(f.dst, f.src):
@@ -154,13 +136,6 @@ class FiniteCategory:
                     != self.compose(f, self.compose(g, h)):
                 raise CategoryError(f"associativity fails at {f!r};{g!r};{h!r}")
         return self
-
-    def opposite(self):
-        flip = {m: FcMor(m.name, m.dst, m.src) for m in self.morphisms}
-        table = {(flip[g], flip[f]): flip[h]
-                 for (f, g), h in self.table.items()}
-        idents = {a: flip[i] for a, i in self.identities.items()}
-        return FiniteCategory(self.objects, flip.values(), table, idents)
 
     def __repr__(self):
         return (f"<FiniteCategory {len(self.objects)} objects "
@@ -218,43 +193,6 @@ class FcFunctor:
         return self
 
 
-def identity_functor(cat):
-    return FcFunctor(cat, cat, {a: a for a in cat.objects},
-                     {m: m for m in cat.morphisms})
-
-
-def compose_functors(first, second):
-    """Diagrammatic: first, then second."""
-    if first.dst_cat is not second.src_cat:
-        raise EndpointMismatch("functors do not compose")
-    return FcFunctor(first.src_cat, second.dst_cat,
-                     {a: second.ob[fa] for a, fa in first.ob.items()},
-                     {m: second.mor[fm] for m, fm in first.mor.items()})
-
-
-def is_natural(first, second, components):
-    """Check a family of arrows as a natural transformation first => second."""
-    cat = first.src_cat
-    for a in cat.objects:
-        c = components[a]
-        if c.src != first.ob[a] or c.dst != second.ob[a]:
-            return False
-    dst = first.dst_cat
-    return all(dst.compose(first.mor[m], components[m.dst])
-               == dst.compose(components[m.src], second.mor[m])
-               for m in cat.morphisms)
-
-
-def whisker_functor_nat(functor, components):
-    """Precompose: the component at a is the original one at functor(a)."""
-    return {a: components[functor.ob[a]] for a in functor.src_cat.objects}
-
-
-def whisker_nat_functor(components, functor):
-    """Postcompose: apply the functor to every component."""
-    return {a: functor.mor[c] for a, c in components.items()}
-
-
 @dataclass
 class OplaxFunctorData:
     """An oplax assignment of categories to a finite base, via callbacks.
@@ -276,49 +214,6 @@ class OplaxFunctorData:
     fiber_compose: callable
     fiber_identity: callable
     fiber_hom: callable
-    tau_comp_inv: callable = None
-
-    def tau_inverse(self, f, g, x):
-        """Invert the comparison cell at x, searching if no inverse given."""
-        if self.tau_comp_inv is not None:
-            return self.tau_comp_inv(f, g, x)
-        fwd = self.tau_comp(f, g, x)
-        a = f.src
-        gf = self.base.compose(f, g)
-        lo = self.app_obj(gf, x)
-        hi = self.app_obj(f, self.app_obj(g, x))
-        for cand in self.fiber_hom(a, hi, lo):
-            if self.fiber_compose(a, fwd, cand) == self.fiber_identity(a, lo) \
-                    and self.fiber_compose(a, cand, fwd) \
-                    == self.fiber_identity(a, hi):
-                return cand
-        raise TauNotInvertible(f"no inverse for tau at {f!r},{g!r},{x!r}")
-
-
-def strict_oplax_data(base, fibers, ob_maps, mor_maps):
-    """Wrap a strict Cat-valued functor: all comparison cells identities.
-
-    fibers: base object -> FiniteCategory; ob_maps/mor_maps: base arrow ->
-    dict giving the functor F(f): fibers[f.dst] -> fibers[f.src].
-    """
-    def app_obj(f, x):
-        return ob_maps[f][x]
-
-    def app_mor(f, m, x=None, y=None):
-        return mor_maps[f][m]
-
-    return OplaxFunctorData(
-        base=base,
-        fiber_objects=lambda a: tuple(fibers[a].objects),
-        app_obj=app_obj,
-        app_mor=app_mor,
-        tau_comp=lambda f, g, x: fibers[f.src].identity(
-            app_obj(f, app_obj(g, x))),
-        tau_id=lambda a, x: fibers[a].identity(x),
-        fiber_compose=lambda a, m1, m2: fibers[a].compose(m1, m2),
-        fiber_identity=lambda a, x: fibers[a].identity(x),
-        fiber_hom=lambda a, x, y: fibers[a].hom(x, y),
-    )
 
 
 def check_oplax_units(F, f, x):
@@ -358,23 +253,6 @@ def check_coherence_square(F, f, g, h, x):
     two = F.fiber_compose(a, F.tau_comp(f, hg, x),
                           F.app_mor(f, cell, lo, hi))
     return one == two
-
-
-def check_oplax_coherence(F, f, g, h, x):
-    """The coherence square for f,g,h plus unit triangles for all three.
-
-    f: a -> b, g: b -> c, h: c -> d must be composable; x is a probe over d.
-    The triangles are taken at the objects the square itself visits: x for
-    h, the image of x under h for g, and the image under the composite of
-    g and h for f.
-    """
-    if not check_coherence_square(F, f, g, h, x):
-        return False
-    hx = F.app_obj(h, x)
-    lo = F.app_obj(F.base.compose(g, h), x)
-    return (check_oplax_units(F, h, x)
-            and check_oplax_units(F, g, hx)
-            and check_oplax_units(F, f, lo))
 
 
 @dataclass
@@ -438,168 +316,6 @@ def check_tau_naturality(F, f, g, m, x, y):
     two = F.fiber_compose(a, F.tau_comp(f, g, x),
                           F.app_mor(f, gm, F.app_obj(g, x), F.app_obj(g, y)))
     return one == two
-
-
-@dataclass(frozen=True)
-class GrothMorphism:
-    """An arrow of a glued category: a base arrow plus a fiber arrow."""
-
-    src: tuple
-    dst: tuple
-    base: FcMor
-    fiber: object
-
-
-def groth_identity(F, a, x):
-    """Identity on (a, x): the identity base arrow with the tau_id fiber."""
-    return GrothMorphism((a, x), (a, x), F.base.identity(a), F.tau_id(a, x))
-
-
-def groth_compose(F, first, second):
-    """Glued composition, fiber arrows pointing F(f)(x) -> y.
-
-    The base arrows run against the pair direction, so the composite's base
-    arrow is second.base then first.base; the fiber is the comparison cell
-    followed by the pushed first fiber, followed by the second fiber.
-    """
-    if first.dst != second.src:
-        raise EndpointMismatch("glued morphisms do not compose")
-    (a, x), (b, y) = first.src, first.dst
-    c, z = second.dst
-    f, g = first.base, second.base
-    fg = F.base.compose(g, f)
-    cell = F.tau_comp(g, f, x)
-    pushed = F.app_mor(g, first.fiber, F.app_obj(f, x), y)
-    fiber = F.fiber_compose(c, F.fiber_compose(c, cell, pushed), second.fiber)
-    return GrothMorphism((a, x), (c, z), fg, fiber)
-
-
-def groth_identity_pseudo(F, a, x):
-    """Identity on (a, x) in the along-direction gluing.
-
-    The fiber arrow must run x -> F(id_a)(x), so it is the inverse of the
-    tau_id component; for a strict-on-identities functor that is id_x.
-    """
-    ida = F.base.identity(a)
-    fwd = F.tau_id(a, x)
-    lo = F.app_obj(ida, x)
-    if fwd == F.fiber_identity(a, x) and lo == x:
-        return GrothMorphism((a, x), (a, x), ida, fwd)
-    for cand in F.fiber_hom(a, x, lo):
-        if F.fiber_compose(a, fwd, cand) == F.fiber_identity(a, lo) \
-                and F.fiber_compose(a, cand, fwd) == F.fiber_identity(a, x):
-            return GrothMorphism((a, x), (a, x), ida, cand)
-    raise TauNotInvertible(f"identity cell not invertible at {a!r},{x!r}")
-
-
-def groth_compose_pseudo(F, first, second):
-    """Glued composition, fiber arrows pointing x -> F(f)(y)."""
-    if first.dst != second.src:
-        raise EndpointMismatch("glued morphisms do not compose")
-    (a, x), (b, y) = first.src, first.dst
-    c, z = second.dst
-    f, g = first.base, second.base
-    gf = F.base.compose(f, g)
-    gz = F.app_obj(g, z)
-    pushed = F.app_mor(f, second.fiber, y, gz)
-    back = F.tau_inverse(f, g, z)
-    fiber = F.fiber_compose(a, F.fiber_compose(a, first.fiber, pushed), back)
-    return GrothMorphism((a, x), (c, z), gf, fiber)
-
-
-def _materialize(F, objects, arrows, identity_of, compose_raw):
-    by_name = {}
-    mors = []
-    for gm in arrows:
-        m = FcMor((gm.base, gm.fiber), gm.src, gm.dst)
-        if m.name in by_name:
-            raise CategoryError(f"duplicate glued arrow {m!r}")
-        by_name[m.name] = m
-        mors.append(m)
-    table = {}
-    for m1 in mors:
-        for m2 in mors:
-            if m1.dst != m2.src:
-                continue
-            g1 = GrothMorphism(m1.src, m1.dst, m1.name[0], m1.name[1])
-            g2 = GrothMorphism(m2.src, m2.dst, m2.name[0], m2.name[1])
-            out = compose_raw(F, g1, g2)
-            key = (out.base, out.fiber)
-            if key not in by_name:
-                raise CategoryError(
-                    f"composite {key!r} missing from the glued arrows")
-            table[(m1, m2)] = by_name[key]
-    idents = {}
-    for ob in objects:
-        gm = identity_of(F, *ob)
-        idents[ob] = by_name[(gm.base, gm.fiber)]
-    return FiniteCategory(objects, mors, table, idents)
-
-
-def groth_objects(F):
-    return tuple((a, x) for a in F.base.objects for x in F.fiber_objects(a))
-
-
-def groth_category(F):
-    """Materialize the against-direction gluing over the probe objects."""
-    objects = groth_objects(F)
-    arrows = []
-    for (a, x) in objects:
-        for (b, y) in objects:
-            for f in F.base.hom(b, a):
-                for alpha in F.fiber_hom(b, F.app_obj(f, x), y):
-                    arrows.append(GrothMorphism((a, x), (b, y), f, alpha))
-    return _materialize(F, objects, arrows, groth_identity, groth_compose)
-
-
-def groth_category_pseudo(F):
-    """Materialize the along-direction gluing over the probe objects."""
-    objects = groth_objects(F)
-    arrows = []
-    for (a, x) in objects:
-        for (b, y) in objects:
-            for f in F.base.hom(a, b):
-                for alpha in F.fiber_hom(a, x, F.app_obj(f, y)):
-                    arrows.append(GrothMorphism((a, x), (b, y), f, alpha))
-    return _materialize(F, objects, arrows, groth_identity_pseudo,
-                        groth_compose_pseudo)
-
-
-def precompose_oplax(F, G):
-    """Pull an oplax assignment back along a base functor G: J -> I."""
-    return OplaxFunctorData(
-        base=G.src_cat,
-        fiber_objects=lambda j: F.fiber_objects(G.ob[j]),
-        app_obj=lambda f, x: F.app_obj(G.mor[f], x),
-        app_mor=lambda f, m, x=None, y=None: F.app_mor(G.mor[f], m, x, y),
-        tau_comp=lambda f, g, x: F.tau_comp(G.mor[f], G.mor[g], x),
-        tau_id=lambda j, x: F.tau_id(G.ob[j], x),
-        fiber_compose=lambda j, m1, m2: F.fiber_compose(G.ob[j], m1, m2),
-        fiber_identity=lambda j, x: F.fiber_identity(G.ob[j], x),
-        fiber_hom=lambda j, x, y: F.fiber_hom(G.ob[j], x, y),
-        tau_comp_inv=None if F.tau_comp_inv is None else
-        (lambda f, g, x: F.tau_comp_inv(G.mor[f], G.mor[g], x)),
-    )
-
-
-def reindex(G, F):
-    """The change-of-base functor between glued categories.
-
-    Sends (j, x) to (G(j), x) and keeps the fiber arrow; returns the
-    functor from the gluing of the pullback to the gluing of F.
-    """
-    pulled = precompose_oplax(F, G)
-    src = groth_category(pulled)
-    dst = groth_category(F)
-    ob = {(j, x): (G.ob[j], x) for (j, x) in src.objects}
-    mor = {}
-    for m in src.morphisms:
-        f, alpha = m.name
-        mor[m] = FcMor((G.mor[f], alpha), ob[m.src], ob[m.dst])
-    missing = set(mor.values()) - set(dst.morphisms)
-    if missing:
-        raise CategoryError(f"reindexed arrows missing: {sorted(missing, key=repr)[:3]}")
-    return FcFunctor(src, dst, ob, mor)
 
 
 @dataclass

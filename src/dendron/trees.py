@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from enum import Enum
 
 
 class TreeError(ValueError):
@@ -182,10 +181,6 @@ class Tree:
         """Inner edges touch a vertex on both ends."""
         return edge in self._children and edge in self._parent
 
-    @property
-    def inner_edges(self):
-        return tuple(e for e in self.sorted_edges() if self.is_inner(e))
-
     def sorted_edges(self):
         """The edges in `sort_key` order.  An edge's index here is its rank
         among this tree's edges, so edges of one tree can be ordered by
@@ -271,11 +266,6 @@ class CanonicalForm:
 
     def __repr__(self):
         return f"CanonicalForm{self.code!r}"
-
-
-def validate_tree(edges, root, vertices):
-    """Build a Tree, raising a typed TreeError on malformed input."""
-    return Tree(edges, root, vertices)
 
 
 def canonical_form(tree):
@@ -556,35 +546,6 @@ def enumerate_all_trees(max_edges):
     return [relabel_canonical(t) for _, t in found]
 
 
-class Rel(Enum):
-    EQUAL = "equal"
-    LE = "le"
-    GE = "ge"
-    INCOMPARABLE = "incomparable"
-
-
-class EdgePoset:
-    """The order where x <= y means y lies on x's path to the root."""
-
-    def __init__(self, tree):
-        self.tree = tree
-        table = {}
-        for x in tree.edges:
-            for y in tree.edges:
-                if x == y:
-                    table[(x, y)] = Rel.EQUAL
-                elif tree.le(x, y):
-                    table[(x, y)] = Rel.LE
-                elif tree.le(y, x):
-                    table[(x, y)] = Rel.GE
-                else:
-                    table[(x, y)] = Rel.INCOMPARABLE
-        self.table = table
-
-    def relation(self, x, y):
-        return self.table[(x, y)]
-
-
 # --- serialization ---------------------------------------------------------
 
 
@@ -612,26 +573,26 @@ def tree_to_json(tree):
 
 
 def tree_from_json(data):
+    """Read a document written by `tree_to_json`, exactly as written: the
+    edges and each in-edge list are lists, names are str or int (not
+    bool), and no name repeats."""
     try:
         edges = data["edges"]
         root = data["root"]
         vertices = [(v["out"], v["in"]) for v in data["vertices"]]
-        names = [root, *edges, *(e for o, ins in vertices for e in (o, *ins))]
     except (KeyError, TypeError) as exc:
         raise TreeError(f"malformed tree document: {exc}") from exc
-    if not all(isinstance(e, (str, int)) for e in names):
+    if not isinstance(edges, list) \
+            or not all(isinstance(ins, list) for _, ins in vertices):
+        raise TreeError("edges and in-edges must be lists")
+    names = [root, *edges, *(e for o, ins in vertices for e in (o, *ins))]
+    if not all(type(e) in (str, int) for e in names):
         raise TreeError("edge names must be strings or integers")
     if len(set(edges)) != len(edges):
         raise MultipleParents("duplicate edge name in document")
+    if any(len(set(ins)) != len(ins) for _, ins in vertices):
+        raise MultipleParents("repeated in-edge in document")
     return Tree(edges, root, vertices)
-
-
-def tree_dumps(tree):
-    return json.dumps(tree_to_json(tree), sort_keys=True, indent=2) + "\n"
-
-
-def tree_loads(text):
-    return tree_from_json(json.loads(text))
 
 
 def tree_to_dot(tree, edge_colors=None, name="tree"):

@@ -2,17 +2,19 @@ import copy
 import json
 import os
 import re
+import time
 from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
-                     tree_from_json, gtree_to_gforest, gforest_dumps,
+                     tree_from_json, gtree_to_gforest,
                      z4_orbit_contraction_sample, enumerate_gtrees,
                      is_equivariant_morphism, TreeMorphism, identity,
                      factorize, builtin_group, enumerate_genuine_diagrams,
-                     assemble_gforest, gforest_to_json)
+                     assemble_gforest, gforest_to_json, enumerate_all_trees,
+                     BUILTIN_GROUPS)
 from dendron import cli
 from dendron.cli import main, SUITE_RUNNERS, _workers
 
@@ -79,6 +81,19 @@ class TestCheckSuites:
         assert report["trees"] == 11
         assert report["plain_homs"] == 219
         assert report["equivariant_homs"] == report["groth_homs"] == 173
+
+    def test_equivariant_s3_counts(self, capsys):
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "check", "equivariant",
+                           "--group", "s3", "--max-edges", "4")
+        elapsed = time.monotonic() - t0
+        report = json.loads(out)
+        assert code == 0 and report["ok"]
+        assert report["bounds"] == {"max_edges": 4, "per_stratum": None}
+        assert report["trees"] == 32
+        assert report["plain_homs"] == 2463
+        assert report["equivariant_homs"] == report["groth_homs"] == 1504
+        assert elapsed < 30, f"s3 equivariant took {elapsed:.1f}s"
 
     def test_genuine(self, capsys):
         code, out, _ = run(capsys, "check", "genuine", "--group", "z2",
@@ -215,7 +230,7 @@ class TestExportDot:
         sample = z4_orbit_contraction_sample()
         gf = gtree_to_gforest(sample.big.gtree)
         path = tmp_path / "z4.json"
-        path.write_text(gforest_dumps(gf, group_ref="z4"))
+        path.write_text(json.dumps(gforest_to_json(gf, group_ref="z4")))
         code, out, _ = run(capsys, "export-dot", str(path),
                            "--color-orbits")
         assert code == 0
@@ -232,7 +247,7 @@ class TestExportDot:
         sample = z4_orbit_contraction_sample()
         gf = gtree_to_gforest(sample.big.gtree)
         path = tmp_path / "z4.json"
-        path.write_text(gforest_dumps(gf, group_ref="z4"))
+        path.write_text(json.dumps(gforest_to_json(gf, group_ref="z4")))
         first = run(capsys, "export-dot", str(path), "--color-orbits")[1]
         second = run(capsys, "export-dot", str(path), "--color-orbits")[1]
         assert first == second
@@ -255,17 +270,12 @@ def _containers(node):
             yield from _containers(child)
 
 
-@st.composite
-def _mutated_forest_docs(draw):
-    """A forest document with entries under "action" and "isos" set,
-    deleted or swapped."""
-    doc = copy.deepcopy(draw(st.sampled_from(_forest_docs())))
-    names = sorted({v for ms in doc["isos"].values() for m in ms
-                    for v in m.values()}) + ["x", "7"]
-    values = st.one_of(st.integers(-1, 6), st.sampled_from(names))
+def _mutate(draw, roots, names, values):
+    """Set, delete or swap entries of the containers under roots, one to
+    three times; a set may add a key drawn from names."""
     for _ in range(draw(st.integers(1, 3))):
-        node = draw(st.sampled_from([c for part in ("action", "isos")
-                                     for c in _containers(doc[part])]))
+        node = draw(st.sampled_from([c for root in roots
+                                     for c in _containers(root)]))
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         op = draw(st.sampled_from(("set", "delete", "swap")))
         if op == "set":
@@ -279,6 +289,47 @@ def _mutated_forest_docs(draw):
         elif keys:
             a, b = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
             node[a], node[b] = node[b], node[a]
+
+
+@st.composite
+def _mutated_forest_docs(draw):
+    """A forest document with entries under "action" and "isos" set,
+    deleted or swapped."""
+    doc = copy.deepcopy(draw(st.sampled_from(_forest_docs())))
+    names = sorted({v for ms in doc["isos"].values() for m in ms
+                    for v in m.values()}) + ["x", "7"]
+    values = st.one_of(st.integers(-1, 6), st.sampled_from(names))
+    _mutate(draw, [doc["action"], doc["isos"]], names, values)
+    return doc
+
+
+@st.composite
+def _mutated_tree_docs(draw):
+    """A tree document with any of its entries set, deleted or swapped;
+    a value may be a name, a string of names, a list, a bool or null."""
+    doc = tree_to_json(draw(st.sampled_from(enumerate_all_trees(4))))
+    names = sorted(doc["edges"]) + ["edges", "root", "vertices", "in",
+                                    "out", "x"]
+    values = st.one_of(st.integers(-1, 3), st.booleans(), st.none(),
+                       st.sampled_from(names + ["".join(doc["edges"])]),
+                       st.lists(st.sampled_from(names), max_size=3))
+    _mutate(draw, [doc], names, values)
+    return doc
+
+
+@st.composite
+def _mutated_group_docs(draw):
+    """A builtin group's document, some with element names, with any of
+    its entries set, deleted or swapped."""
+    doc = group_to_json(builtin_group(draw(st.sampled_from(
+        sorted(BUILTIN_GROUPS)))))
+    if draw(st.booleans()):
+        doc["names"] = [f"g{k}" for k in range(doc["order"])]
+    keys = ["order", "mult", "names", "x"]
+    values = st.one_of(st.integers(-1, 6), st.booleans(), st.none(),
+                       st.sampled_from(keys),
+                       st.lists(st.integers(-1, 6), max_size=3))
+    _mutate(draw, [doc], keys, values)
     return doc
 
 
@@ -289,14 +340,57 @@ class TestForestFuzz:
     def test_mutated_forests_exit_cleanly(self, capsys, tmp_path, doc):
         path = tmp_path / "forest.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "export-dot", str(path),
-                             "--color-orbits")
-        assert code in (0, 2)
-        if code == 0:
-            assert out.startswith("digraph")
-        else:
-            assert err.startswith("error:")
-            assert len(err.strip().splitlines()) == 1
+        _assert_clean_exit(*run(capsys, "export-dot", str(path),
+                                "--color-orbits"), "digraph")
+
+
+def _assert_clean_exit(code, out, err, head):
+    assert code in (0, 2)
+    if code == 0:
+        assert out.startswith(head)
+    else:
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
+
+# tree documents an earlier reader took for something else: a string of
+# in-edges, a repeated in-edge, a string of edges, a bool edge name
+MISREAD_TREES = [
+    {"edges": ["r", "x", "y"], "root": "r",
+     "vertices": [{"out": "r", "in": "xy"}]},
+    {"edges": ["r", "b"], "root": "r",
+     "vertices": [{"out": "r", "in": ["b", "b"]}]},
+    {"edges": "rb", "root": "r", "vertices": [{"out": "r", "in": ["b"]}]},
+    {"edges": ["r", True], "root": "r",
+     "vertices": [{"out": "r", "in": [True]}]},
+]
+
+
+class TestTreeFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_mutated_tree_docs())
+    @example(MISREAD_TREES[0])
+    @example(MISREAD_TREES[1])
+    @example(MISREAD_TREES[2])
+    @example(MISREAD_TREES[3])
+    def test_mutated_trees_exit_cleanly(self, capsys, tmp_path, doc):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        _assert_clean_exit(*run(capsys, "export-dot", str(path)), "digraph")
+
+
+class TestGroupFuzz:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_mutated_group_docs())
+    def test_mutated_groups_exit_cleanly(self, capsys, tmp_path,
+                                         monkeypatch, doc):
+        monkeypatch.setenv("DENDRON_WORKERS", "1")
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(doc))
+        _assert_clean_exit(*run(capsys, "check", "equivariant", "--group",
+                                str(path), "--max-edges", "1"), "{")
 
 
 class TestExitCodes:
@@ -317,7 +411,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("doc", [{"order": 2},
                                      {"order": 2, "mult": 5},
-                                     {"order": 0, "mult": []}])
+                                     {"order": 0, "mult": []},
+                                     {"order": 1, "mult": [[False]]}])
     def test_malformed_group_file_is_a_usage_error(self, capsys, tmp_path,
                                                    doc):
         path = tmp_path / "g.json"
@@ -330,7 +425,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc", [
         {"group": "z2", "components": [tree_to_json(single_edge("e"))],
          "action": {"x": [0]}, "isos": {"0": [{"e": "e"}]}},
-        {"edges": [["x"]], "root": "x", "vertices": []}])
+        {"edges": [["x"]], "root": "x", "vertices": []}, *MISREAD_TREES])
     def test_malformed_dot_input_is_a_usage_error(self, capsys, tmp_path,
                                                   doc):
         path = tmp_path / "doc.json"

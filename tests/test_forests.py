@@ -1,26 +1,26 @@
 import itertools
+import json
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dendron import (
-    Forest, ForestMorphism, forest_identity, compose_forests, GForest,
-    ForestError, ActionNotFunctorial, ComponentIsoInvalid, gtree_to_gforest,
-    root_gset, is_genuine, is_equivariant_forest_morphism, forest_hom,
-    subgroup_group, coset_groupoid, bh_to_coset_groupoid, CosetDiagram,
-    diagram_from_gtree, diagram_to_gtree, DiagramMorphism, compose_diagram,
-    diagram_identity, diagram_hom, assemble_gforest, split_gforest,
-    orbit_category, RetractiveGSet, RetractiveMap, retractive_identity,
-    enumerate_retractive_maps, fiber_gset, fiber_pointed_map,
+    Forest, ForestMorphism, GForest, ForestError, ActionNotFunctorial,
+    ComponentIsoInvalid, gtree_to_gforest, root_gset, is_genuine,
+    is_equivariant_forest_morphism, forest_hom, subgroup_group,
+    coset_groupoid, bh_to_coset_groupoid, CosetDiagram, diagram_from_gtree,
+    DiagramMorphism, diagram_hom, assemble_gforest, RetractiveGSet,
+    RetractiveMap, enumerate_retractive_maps, fiber_pointed_map,
     self_labeled_genuine, phi_star_genuine, genuine_hom, eta_morphism,
     q_star_diagram, q_star_diagram_morphism, q_star_genuine,
     q_star_genuine_morphism, q_star_compare, enumerate_genuine_diagrams,
-    genuine_equivalence_check, gforest_dumps, gforest_loads, gforest_to_json,
-    Tree, corolla, single_edge, linear_tree, are_isomorphic, hom_set,
+    genuine_equivalence_check, gforest_to_json, gforest_from_json, corolla,
+    single_edge, linear_tree, are_isomorphic, hom_set, identity, compose,
     LabeledTree, phi_star, groth_hom, GTree, GLabeledTree, enumerate_gtrees,
     equivariant_hom, groth_hom_G, cyclic_group, symmetric_group_3,
-    trivial_group, subgroups, coset_gset, equivariant_maps, GSet,
+    trivial_group, subgroups, coset_gset, equivariant_maps, transitive_gsets,
+    GSet,
 )
 
 Z2 = cyclic_group(2)
@@ -61,10 +61,44 @@ def trivial_sub_diagrams():
                  for t in trees)
 
 
+def identity_coset_gtree(diagram):
+    """The tree at the identity coset with its subgroup action."""
+    hgrp, elems = subgroup_group(diagram.group, diagram.sub)
+    c0 = min(diagram.cosets)
+    rows = {i: dict(diagram.isos[(x, c0)]) for i, x in enumerate(elems)}
+    return GTree(diagram.trees[c0], hgrp, rows)
+
+
+def identity_coset_fiber(ret):
+    """The labels over the identity coset as a set with a subgroup action."""
+    hgrp, elems = subgroup_group(ret.group, ret.sub)
+    fib = ret.fiber(min(ret.base.elements))
+    rows = {i: {x: ret.carrier.act(h, x) for x in fib}
+            for i, h in enumerate(elems)}
+    return GSet(hgrp, fib, rows)
+
+
+def identity_retractive_map(ret):
+    return RetractiveMap(ret, ret, {x: x for x in ret.carrier.elements})
+
+
+def compose_forest_maps(first, second):
+    """Diagrammatic composite of two forest morphisms, built by hand."""
+    idx = [second.index_map[j] for j in first.index_map]
+    comps = [compose(f, second.components[j])
+             for f, j in zip(first.components, first.index_map)]
+    return ForestMorphism(first.src, second.dst, idx, comps)
+
+
+def identity_diagram_map(diagram):
+    return DiagramMorphism(diagram, diagram,
+                           {c: identity(t) for c, t in diagram.trees.items()})
+
+
 def fiber_glabeled(gt_obj):
     """The identity-coset component as a labeled tree with a subgroup action."""
-    gtree = diagram_to_gtree(gt_obj.diagram)
-    fib = fiber_gset(gt_obj.labels)
+    gtree = identity_coset_gtree(gt_obj.diagram)
+    fib = identity_coset_fiber(gt_obj.labels)
     c0 = min(gt_obj.diagram.cosets)
     labels = {a: gt_obj.leaf_map[a] for a in gt_obj.labels.fiber(c0)}
     return GLabeledTree(gtree, fib, labels)
@@ -84,9 +118,10 @@ class TestForestBasics:
 
     def test_identity_composes_to_itself(self):
         f = Forest([corolla(2), corolla(3)])
-        ide = forest_identity(f)
+        ide = ForestMorphism(f, f, range(f.n),
+                             [identity(t) for t in f.components])
         assert ide.is_identity()
-        assert compose_forests(ide, ide) == ide
+        assert compose_forest_maps(ide, ide) == ide
 
     def test_bad_index_map_rejected(self):
         f = Forest([corolla(2)])
@@ -240,7 +275,7 @@ class TestForestHom:
             return
         f = data.draw(st.sampled_from(fst))
         g = data.draw(st.sampled_from(snd))
-        comp = compose_forests(f, g)
+        comp = compose_forest_maps(f, g)
         assert is_equivariant_forest_morphism(a, c, comp)
         assert comp in set(forest_hom(a, c))
 
@@ -283,25 +318,31 @@ class TestCosetGroupoid:
             assert report.ok
 
 
+def orbit_arrow_count(group):
+    """Equivariant maps between the transitive G-sets, one per subgroup
+    conjugacy class: the arrows of the orbit category."""
+    objs = transitive_gsets(group)
+    return sum(len(equivariant_maps(a, b)) for a in objs for b in objs)
+
+
 class TestOrbitCategory:
     def test_z2_shape(self):
-        cat = orbit_category(Z2)
-        sizes = sorted(len(o.elements) for o in cat.objects)
-        assert sizes == [1, 2]
-        assert len(cat.morphisms) == 4
-        by_size = {len(o.elements): o for o in cat.objects}
-        assert len(cat.hom(by_size[2], by_size[1])) == 1
-        assert len(cat.hom(by_size[1], by_size[2])) == 0
+        objs = transitive_gsets(Z2)
+        assert sorted(len(o.elements) for o in objs) == [1, 2]
+        assert orbit_arrow_count(Z2) == 4
+        by_size = {len(o.elements): o for o in objs}
+        assert len(equivariant_maps(by_size[2], by_size[1])) == 1
+        assert len(equivariant_maps(by_size[1], by_size[2])) == 0
 
     def test_z4_shape(self):
-        cat = orbit_category(Z4)
-        assert sorted(len(o.elements) for o in cat.objects) == [1, 2, 4]
-        assert len(cat.morphisms) == 11
+        objs = transitive_gsets(Z4)
+        assert sorted(len(o.elements) for o in objs) == [1, 2, 4]
+        assert orbit_arrow_count(Z4) == 11
 
     def test_s3_shape(self):
-        cat = orbit_category(S3)
-        assert sorted(len(o.elements) for o in cat.objects) == [1, 2, 3, 6]
-        assert len(cat.morphisms) == 18
+        objs = transitive_gsets(S3)
+        assert sorted(len(o.elements) for o in objs) == [1, 2, 3, 6]
+        assert orbit_arrow_count(S3) == 18
 
 
 class TestDiagramRoundTrips:
@@ -311,14 +352,14 @@ class TestDiagramRoundTrips:
     def test_full_subgroup_round_trip(self):
         for g in z2_gtrees():
             d = diagram_from_gtree(g, Z2, (0, 1))
-            assert diagram_to_gtree(d) == g
+            assert identity_coset_gtree(d) == g
 
     def test_trivial_subgroup_spreads_over_cosets(self):
         g = GTree.trivial(corolla(2), TRIV)
         d = diagram_from_gtree(g, Z2, (0,))
         assert sorted(d.trees) == [0, 1]
         assert d.trees[0] == d.trees[1] == corolla(2)
-        back = diagram_to_gtree(d)
+        back = identity_coset_gtree(d)
         assert back.tree == corolla(2)
         assert back.group.order == 1
 
@@ -326,14 +367,6 @@ class TestDiagramRoundTrips:
         from dendron import NotEquivariant
         with pytest.raises(NotEquivariant):
             diagram_from_gtree(z2_gtrees()[0], Z2, (0,))
-
-    def test_assemble_then_split(self):
-        for d in list(full_sub_diagrams()[:3]) + list(trivial_sub_diagrams()):
-            gf = assemble_gforest(d)
-            d2, component_of = split_gforest(gf)
-            assert d2 == d
-            assert assemble_gforest(d2) == gf
-            assert component_of == {c: i for i, c in enumerate(sorted(d.cosets))}
 
     def test_assembled_trivial_subgroup_forest_is_genuine(self):
         gf = assemble_gforest(trivial_sub_diagrams()[1])
@@ -383,8 +416,7 @@ class TestCosetDiagramValidation:
                     if f.mapping == self.SWAP)
         assert DiagramMorphism(d, d, {0: swap, 1: swap}).components
         with pytest.raises(ForestError):
-            DiagramMorphism(d, d, {0: diagram_identity(d).components[0],
-                                   1: swap})
+            DiagramMorphism(d, d, {0: identity(self.T), 1: swap})
 
 
 class TestDiagramHom:
@@ -403,13 +435,15 @@ class TestDiagramHom:
     def test_identity_and_composition(self):
         ds = trivial_sub_diagrams()
         for d in ds:
-            assert diagram_identity(d) in set(diagram_hom(d, d))
+            assert identity_diagram_map(d) in set(diagram_hom(d, d))
         fst = diagram_hom(ds[0], ds[1])
         snd = diagram_hom(ds[1], ds[2])
         allowed = set(diagram_hom(ds[0], ds[2]))
         for f in fst:
             for g in snd:
-                assert compose_diagram(f, g) in allowed
+                comps = {c: compose(f.components[c], g.components[c])
+                         for c in f.components}
+                assert DiagramMorphism(ds[0], ds[2], comps) in allowed
 
 
 class TestRetractive:
@@ -424,7 +458,7 @@ class TestRetractive:
                              {"p0": 0, "p1": 1, "a0": 0, "a1": 1})
         assert sorted(ret.labels) == ["a0", "a1"]
         assert sorted(ret.fiber(0)) == ["a0"]
-        fib = fiber_gset(ret)
+        fib = identity_coset_fiber(ret)
         assert set(fib.elements) == {"a0"}
 
     def test_retraction_must_split_the_section(self):
@@ -435,7 +469,7 @@ class TestRetractive:
     def test_identity_map_and_enumeration(self):
         ret = RetractiveGSet(Z2, (0,), self.carrier(), {0: "p0", 1: "p1"},
                              {"p0": 0, "p1": 1, "a0": 0, "a1": 1})
-        ide = retractive_identity(ret)
+        ide = identity_retractive_map(ret)
         assert ide.is_identity()
         maps = enumerate_retractive_maps(ret, ret)
         assert ide in set(maps)
@@ -458,7 +492,7 @@ class TestGenuineTrees:
 
     def test_identity_substitution_grows_graft_collars(self):
         x, _ = self.x_and_y()
-        out = phi_star_genuine(retractive_identity(x.labels), x)
+        out = phi_star_genuine(identity_retractive_map(x.labels), x)
         assert {c: len(t.edges) for c, t in out.diagram.trees.items()} == {0: 5}
         assert {c: len(t.edges) for c, t in x.diagram.trees.items()} == {0: 3}
 
@@ -619,18 +653,23 @@ class TestEquivalenceReports:
         assert len(enumerate_genuine_diagrams(Z3, 3)) == 18
 
 
+def forest_roundtrip(gforest, group_ref=None):
+    text = json.dumps(gforest_to_json(gforest, group_ref=group_ref))
+    return gforest_from_json(json.loads(text))
+
+
 class TestForestJson:
     def test_string_named_round_trip_is_exact(self):
         d = diagram_from_gtree(GTree.trivial(corolla(2), TRIV), Z2, (0,))
         gf = assemble_gforest(d)
-        assert gforest_loads(gforest_dumps(gf, group_ref="z2")) == gf
+        assert forest_roundtrip(gf, group_ref="z2") == gf
         assert sorted(gforest_to_json(gf)) == [
             "action", "components", "group", "isos"]
 
     def test_generated_names_round_trip_up_to_renaming(self):
         gf = assemble_gforest(
             diagram_from_gtree(z2_gtrees()[4], Z2, (0, 1)))
-        back = gforest_loads(gforest_dumps(gf, group_ref="z2"))
+        back = forest_roundtrip(gf, group_ref="z2")
         assert back.forest.n == gf.forest.n
         assert all(are_isomorphic(a, b) for a, b in
                    zip(back.forest.components, gf.forest.components))
@@ -638,5 +677,5 @@ class TestForestJson:
 
     def test_inline_group_round_trip(self):
         gf = swap_gforest(corolla(2))
-        back = gforest_loads(gforest_dumps(gf))
+        back = forest_roundtrip(gf)
         assert back == gf

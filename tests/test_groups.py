@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 from dendron import (
     GroupError, GSetError, FiniteGroup, trivial_group, cyclic_group,
     symmetric_group_3, subgroups, conjugate_subgroup, subgroup_conjugacy_key,
-    GSet, trivial_gset, regular_gset, coset_gset, disjoint_union_gsets,
-    transitive_gsets, skeletal_gsets, equivariant_maps,
-    equivariant_bijections, are_isomorphic_gsets, BUILTIN_GROUPS,
-    builtin_group, group_to_json, group_from_json, gset_dumps, gset_loads,
+    GSet, trivial_gset, coset_gset, disjoint_union_gsets, transitive_gsets,
+    skeletal_gsets, equivariant_maps, BUILTIN_GROUPS, builtin_group,
+    group_to_json, group_from_json,
 )
-from dendron.groups import check_action, mulclose
+from dendron.groups import check_action, group_from_ref, mulclose
+
+
+def regular(group):
+    """The group acting on itself: the cosets of the trivial subgroup."""
+    return coset_gset(group, (group.identity,))
 
 
 class TestGroupValidation:
@@ -219,7 +223,7 @@ class TestActionOnGenerators:
 class TestOrbitsAndStabilizers:
     def test_regular_is_free(self):
         g = symmetric_group_3()
-        a = regular_gset(g)
+        a = regular(g)
         assert a.is_transitive()
         assert all(a.stabilizer(x) == (0,) for x in a.elements)
 
@@ -233,17 +237,16 @@ class TestOrbitsAndStabilizers:
 
     def test_disjoint_union_orbits(self):
         g = cyclic_group(2)
-        u = disjoint_union_gsets([regular_gset(g), coset_gset(g, (0, 1))])
+        u = disjoint_union_gsets([regular(g), coset_gset(g, (0, 1))])
         sizes = sorted(len(o.members) for o in u.orbits())
         assert sizes == [1, 2]
 
     def test_signature_separates(self):
         g = cyclic_group(4)
-        free = regular_gset(g)
+        free = regular(g)
         halves = disjoint_union_gsets([coset_gset(g, (0, 2))] * 2)
         assert free.size == halves.size == 4
         assert free.orbit_signature() != halves.orbit_signature()
-        assert not are_isomorphic_gsets(free, halves)
 
 
 class TestSkeleta:
@@ -262,22 +265,23 @@ class TestSkeleta:
     def test_skeletal_no_repeats_up_to_iso(self):
         out = skeletal_gsets(cyclic_group(4), 4)
         for a, b in itertools.combinations(out, 2):
-            assert not are_isomorphic_gsets(a, b)
+            assert a.orbit_signature() != b.orbit_signature()
 
 
 class TestEquivariantMaps:
     def test_counts_z2(self):
         g = cyclic_group(2)
-        free = regular_gset(g)
+        free = regular(g)
         point = coset_gset(g, (0, 1))
         assert len(equivariant_maps(free, free)) == 2
         assert len(equivariant_maps(free, point)) == 1
         assert len(equivariant_maps(point, free)) == 0
-        assert len(equivariant_bijections(free, free)) == 2
+        assert sum(len(set(m.values())) == free.size
+                   for m in equivariant_maps(free, free)) == 2
 
     def test_every_map_is_equivariant(self):
         g = cyclic_group(3)
-        free = regular_gset(g)
+        free = regular(g)
         both = disjoint_union_gsets([free, coset_gset(g, (0, 1, 2))])
         for m in equivariant_maps(both, free):
             for h in g.elements:
@@ -296,7 +300,7 @@ class TestEquivariantMaps:
     def test_burnside_count(self, n):
         # maps G/H -> X correspond to H-fixed points of X
         g = cyclic_group(n)
-        x = disjoint_union_gsets([regular_gset(g),
+        x = disjoint_union_gsets([regular(g),
                                   coset_gset(g, tuple(g.elements))])
         for sub in subgroups(g):
             fixed = [p for p in x.elements
@@ -315,36 +319,10 @@ class TestSerialization:
         with pytest.raises(GroupError):
             group_from_json({"order": 1, "mult": [[0]], "extra": True})
 
-    def test_gset_round_trip_string_names(self):
-        g = cyclic_group(2)
-        a = GSet(g, ["a", "b", "c"],
-                 {0: {"a": "a", "b": "b", "c": "c"},
-                  1: {"a": "b", "b": "a", "c": "c"}}, basepoint="c")
-        back = gset_loads(gset_dumps(a, group_ref="z2"))
-        assert back == a
-        assert back.basepoint == "c"
-
-    def test_gset_inline_group(self):
-        g = cyclic_group(3)
-        a = GSet(g, ["u", "v", "w"],
-                 {0: {"u": "u", "v": "v", "w": "w"},
-                  1: {"u": "v", "v": "w", "w": "u"},
-                  2: {"u": "w", "v": "u", "w": "v"}})
-        back = gset_loads(gset_dumps(a))
-        assert back == a
-
-    def test_gset_unknown_group_ref(self):
-        g = cyclic_group(2)
-        text = gset_dumps(regular_gset(g), group_ref="z2")
+    def test_unknown_group_ref(self):
+        assert group_from_ref("z2") == cyclic_group(2)
         with pytest.raises(GroupError):
-            gset_loads(text.replace('"z2"', '"nope"'))
-
-    def test_int_carriers_round_trip_up_to_iso(self):
-        # carriers pass through strings, so equality is only up to iso
-        a = regular_gset(cyclic_group(4))
-        back = gset_loads(gset_dumps(a, group_ref="z4"))
-        assert back.elements == ("0", "1", "2", "3")
-        assert are_isomorphic_gsets(a, back)
+            group_from_ref("nope")
 
 
 class TestTrivialGroup:

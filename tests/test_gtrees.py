@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dendron import (
     PLUS, Tree, TreeError, NotInnerEdge, corolla, single_edge, relabel,
     all_isomorphisms, hom_set, hom_labeled, compose, contract_edge,
-    factorize, validate_morphism, TreeMorphism, PointedMap, compose_pointed,
+    factorize, TreeMorphism, PointedMap, compose_pointed,
     tau_id, tau_comp, phi_star, phi_star_mor,
     NotEquivariant, SiteInvalid, RootGraftLeafNotFixed, GTree, GLabeledTree,
     is_equivariant_morphism, equivariant_hom, equivariant_isomorphisms,
@@ -19,7 +19,8 @@ from dendron import (
     gtree_oplax_data, z4_orbit_contraction_sample,
     cyclic_group, trivial_group, coset_gset, skeletal_gsets, GSet,
     enumerate_all_trees,
-    FcMor, FiniteCategory, check_all_coherence, check_oplax_coherence,
+    FcMor, FiniteCategory, check_all_coherence, check_coherence_square,
+    check_oplax_units,
 )
 
 SAMPLE = z4_orbit_contraction_sample()
@@ -214,7 +215,7 @@ class TestOrbitGraft:
         assert grown.edge_orbits() == (
             ("r",), (("graft", 0, 0), ("graft", 0, 1)))
         assert all(k == v for k, v in inc.mapping.items())
-        validate_morphism(inc.src, inc.dst, inc.mapping)
+        TreeMorphism(inc.src, inc.dst, inc.mapping)
 
     def test_moving_site_needs_attach(self):
         grown, _ = equivariant_graft_orbit(self.base, "r", self.two)
@@ -606,7 +607,11 @@ class TestOplaxCoherenceG:
         fdata = gtree_oplax_data(Z2, 4, probes, base=cat)
         for f, g, h in cat.composable_triples():
             for x in fdata.fiber_objects(h.dst):
-                assert check_oplax_coherence(fdata, f, g, h, x)
+                assert check_coherence_square(fdata, f, g, h, x)
+                assert check_oplax_units(fdata, h, x)
+                assert check_oplax_units(fdata, g, fdata.app_obj(h, x))
+                assert check_oplax_units(
+                    fdata, f, fdata.app_obj(cat.compose(g, h), x))
 
 
 class TestCorollaProbes:

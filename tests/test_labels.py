@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from dendron import (
     PLUS, LabelError, LabeledTree, canonical_labeling, PointedMap,
     compose_pointed, enumerate_pointed_maps, is_label_preserving, hom_labeled,
-    hom_set, corolla, single_edge, linear_tree, Tree, validate_morphism,
+    hom_set, corolla, single_edge, linear_tree, Tree, TreeMorphism,
 )
 
 from test_trees import random_trees
@@ -116,4 +116,4 @@ class TestHomLabeled:
         # swapping roles: collapse is label-preserving
         back = hom_labeled(lc, le)
         assert len(back) == 1
-        validate_morphism(lc.tree, le.tree, back[0].mapping)
+        TreeMorphism(lc.tree, le.tree, back[0].mapping)

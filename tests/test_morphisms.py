@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dendron import (
     Tree, TreeMorphism, SourceTargetMismatch, NotMonotone,
-    VertexConditionFails, NotInnerEdge, MorphismError, validate_morphism,
-    identity, compose, contract_edge, split_edge, collapse_unary, hom_set,
-    factorize, single_edge, corolla, linear_tree, canonical_form,
-    enumerate_all_trees, all_isomorphisms, are_isomorphic, spanned_subtree,
+    VertexConditionFails, NotInnerEdge, MorphismError, identity, compose,
+    contract_edge, split_edge, collapse_unary, hom_set, factorize,
+    single_edge, corolla, linear_tree, canonical_form, enumerate_all_trees,
+    all_isomorphisms,
 )
 
 from test_trees import random_trees
@@ -22,7 +22,7 @@ def brute_force_homs(src, dst):
     for images in itertools.product(dst.sorted_edges(), repeat=len(src_edges)):
         mapping = dict(zip(src_edges, images))
         try:
-            found.append(validate_morphism(src, dst, mapping))
+            found.append(TreeMorphism(src, dst, mapping))
         except MorphismError:
             pass
     return found
@@ -36,34 +36,34 @@ class TestValidate:
     def test_collapse_to_edge_only_fails(self):
         c2, eta = corolla(2), single_edge("e")
         with pytest.raises((VertexConditionFails, NotMonotone)):
-            validate_morphism(c2, eta, {"r": "e", "l0": "e", "l1": "e"})
+            TreeMorphism(c2, eta, {"r": "e", "l0": "e", "l1": "e"})
 
     def test_degeneracy_is_valid(self):
         lin = linear_tree(1)  # e0 under e1
         eta = single_edge("e")
-        f = validate_morphism(lin, eta, {"e0": "e", "e1": "e"})
+        f = TreeMorphism(lin, eta, {"e0": "e", "e1": "e"})
         assert not f.is_injective()
 
     def test_not_monotone(self):
         lin = linear_tree(2)
         with pytest.raises(NotMonotone):
-            validate_morphism(lin, lin, {"e0": "e0", "e1": "e2", "e2": "e1"})
+            TreeMorphism(lin, lin, {"e0": "e0", "e1": "e2", "e2": "e1"})
 
     def test_partial_map_rejected(self):
         t = corolla(1)
         with pytest.raises(SourceTargetMismatch):
-            validate_morphism(t, t, {"r": "r"})
+            TreeMorphism(t, t, {"r": "r"})
 
     def test_stray_image_rejected(self):
         t = single_edge("e")
         with pytest.raises(SourceTargetMismatch):
-            validate_morphism(t, t, {"e": "nope"})
+            TreeMorphism(t, t, {"e": "nope"})
 
     def test_stump_needs_leafless_subtree(self):
         stump = corolla(0)
         c2 = corolla(2)
         with pytest.raises(VertexConditionFails):
-            validate_morphism(stump, c2, {"r": "r"})
+            TreeMorphism(stump, c2, {"r": "r"})
         assert len(hom_set(stump, stump)) == 1
 
 
@@ -96,7 +96,7 @@ class TestHomSets:
     @settings(max_examples=25, deadline=None)
     def test_all_results_validate(self, src, dst):
         for f in hom_set(src, dst):
-            validate_morphism(src, dst, f.mapping)
+            TreeMorphism(src, dst, f.mapping)
 
     @given(random_trees(max_vertices=3))
     @settings(max_examples=25, deadline=None)
@@ -157,7 +157,7 @@ class TestGenerators:
                  [("r", ["m", "z"]), ("m", ["x", "y"])])
         smaller, face = contract_edge(t, "m")
         assert canonical_form(smaller) == canonical_form(corolla(3))
-        validate_morphism(face.src, face.dst, face.mapping)
+        TreeMorphism(face.src, face.dst, face.mapping)
 
     def test_split_edge_only(self):
         bigger, collapse = split_edge(single_edge("e"), "e")
@@ -177,7 +177,7 @@ class TestGenerators:
         t = Tree(["r", "m", "x"], "r", [("r", ["m"]), ("m", ["x"])])
         bigger, sigma = split_edge(t, "m")
         assert len(bigger.edges) == 4
-        validate_morphism(bigger, t, sigma.mapping)
+        TreeMorphism(bigger, t, sigma.mapping)
 
 
 class TestCompose:
@@ -198,7 +198,7 @@ class TestCompose:
         f = fs[i % len(fs)]
         g = gs[j % len(gs)]
         h = compose(f, g)
-        validate_morphism(h.src, h.dst, h.mapping)
+        TreeMorphism(h.src, h.dst, h.mapping)
 
 
 def contract_fixture():
@@ -210,7 +210,7 @@ def contract_fixture():
 class TestFactorize:
     def test_edge_to_corolla_root(self):
         eta, c2 = single_edge("e"), corolla(2)
-        f = validate_morphism(eta, c2, {"e": "r"})
+        f = TreeMorphism(eta, c2, {"e": "r"})
         fact = factorize(f)
         assert len(fact.degeneracies) == 0
         assert fact.iso.is_isomorphism()
@@ -220,7 +220,7 @@ class TestFactorize:
 
     def test_edge_to_corolla_leaf(self):
         eta, c2 = single_edge("e"), corolla(2)
-        f = validate_morphism(eta, c2, {"e": "l0"})
+        f = TreeMorphism(eta, c2, {"e": "l0"})
         fact = factorize(f)
         assert [s.kind for s in fact.outer_faces] == ["outer"]
         assert fact.composite() == f
@@ -228,7 +228,7 @@ class TestFactorize:
     def test_pure_degeneracy(self):
         lin = linear_tree(2)
         eta = single_edge("e")
-        f = validate_morphism(lin, eta, {"e0": "e", "e1": "e", "e2": "e"})
+        f = TreeMorphism(lin, eta, {"e0": "e", "e1": "e", "e2": "e"})
         fact = factorize(f)
         assert len(fact.degeneracies) == 2
         assert len(fact.inner_faces) == 0
@@ -247,7 +247,7 @@ class TestFactorize:
         # unary tree into a corolla whose other branch is capped
         src = corolla(1)
         dst = Tree(["r", "a", "b"], "r", [("r", ["a", "b"]), ("a", [])])
-        f = validate_morphism(src, dst, {"r": "r", "l0": "b"})
+        f = TreeMorphism(src, dst, {"r": "r", "l0": "b"})
         fact = factorize(f)
         assert len(fact.outer_faces) == 0
         assert [s.tag for s in fact.inner_faces] == ["a"]

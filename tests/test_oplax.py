@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dendron import (
-    CategoryError, TauNotInvertible, FcMor, FiniteCategory,
-    discrete_category, group_category, FcFunctor, identity_functor,
-    compose_functors, is_natural, whisker_functor_nat, whisker_nat_functor,
-    OplaxFunctorData, strict_oplax_data, check_oplax_units,
-    check_coherence_square, check_oplax_coherence, check_all_coherence,
-    check_tau_naturality, groth_category, groth_category_pseudo,
-    groth_objects, precompose_oplax, reindex, check_equivalence,
+    CategoryError, FcMor, FiniteCategory, discrete_category, group_category,
+    FcFunctor, OplaxFunctorData, check_oplax_units, check_coherence_square,
+    check_all_coherence, check_tau_naturality, check_equivalence,
     pointed_category, tree_oplax_data, canonical_labeling,
     enumerate_all_trees, hom_labeled, phi_star_mor,
     tau_comp as built_tau_comp, tau_id as built_tau_id,
@@ -22,15 +18,6 @@ from dendron import (
 
 def cyclic_cat(n, obj="*"):
     return group_category(range(n), lambda a, b: (a + b) % n, 0, obj=obj)
-
-
-def arrow_order(cat, m):
-    acc = m
-    for k in range(1, 32):
-        if cat.is_identity_mor(acc):
-            return k
-        acc = cat.compose(acc, m)
-    raise AssertionError("order larger than expected")
 
 
 def walking_iso():
@@ -60,11 +47,6 @@ class TestFiniteCategory:
         cat = pointed_category(3)
         assert len(cat.morphisms) == 144
         assert sum(1 for _ in cat.composable_pairs()) == 9866
-
-    def test_opposite_validates(self):
-        cat = pointed_category(2).opposite()
-        cat.validate()
-        assert len(cat.morphisms) == 23
 
     def test_discrete(self):
         cat = discrete_category("abc")
@@ -132,38 +114,16 @@ class TestCanonicalArrows:
 
 class TestFunctorsAndNaturality:
     def test_identity_functor_validates(self):
-        ident = identity_functor(walking_iso().validate())
-        ident.validate()
+        cat = walking_iso().validate()
+        FcFunctor(cat, cat, {a: a for a in cat.objects},
+                  {m: m for m in cat.morphisms}).validate()
 
     def test_swap_functor_and_involution(self):
         cat = walking_iso().validate()
         swap = swap_functor(cat)
         swap.validate()
-        twice = compose_functors(swap, swap)
-        assert twice.ob == identity_functor(cat).ob
-        assert twice.mor == identity_functor(cat).mor
-
-    def test_natural_iso_to_swap(self):
-        cat = walking_iso().validate()
-        swap = swap_functor(cat)
-        comp = components_to_swap(cat)
-        assert is_natural(identity_functor(cat), swap, comp)
-
-    def test_wrong_endpoints_not_natural(self):
-        cat = walking_iso().validate()
-        swap = swap_functor(cat)
-        bad = {0: cat.identity(0), 1: cat.identity(1)}
-        assert not is_natural(identity_functor(cat), swap, bad)
-
-    def test_whiskering_both_sides(self):
-        cat = walking_iso().validate()
-        swap = swap_functor(cat)
-        comp = components_to_swap(cat)
-        twice = compose_functors(swap, swap)
-        pre = whisker_functor_nat(swap, comp)
-        post = whisker_nat_functor(comp, swap)
-        assert is_natural(swap, twice, pre)
-        assert is_natural(swap, twice, post)
+        assert all(swap(swap(a)) == a for a in cat.objects)
+        assert all(swap(swap(m)) == m for m in cat.morphisms)
 
 
 def swap_functor(cat):
@@ -172,11 +132,6 @@ def swap_functor(cat):
            by_name[("id", 1)]: by_name[("id", 0)],
            by_name["u"]: by_name["v"], by_name["v"]: by_name["u"]}
     return FcFunctor(cat, cat, {0: 1, 1: 0}, mor)
-
-
-def components_to_swap(cat):
-    by_name = {m.name: m for m in cat.morphisms}
-    return {0: by_name["u"], 1: by_name["v"]}
 
 
 def twisted_data(base_order, fiber_order, cocycle):
@@ -210,21 +165,6 @@ class TestTwistedGluing:
         assert rep.ok
         assert rep.squares == 8
 
-    def test_twist_one_glues_to_an_eight_cycle(self):
-        F = twisted_data(2, 4, {(1, 1): 1})
-        glued = groth_category(F)
-        glued.validate()
-        assert len(glued.morphisms) == 8
-        orders = sorted(arrow_order(glued, m) for m in glued.morphisms)
-        assert max(orders) == 8
-
-    def test_twist_two_glues_to_max_order_four(self):
-        F = twisted_data(2, 4, {(1, 1): 2})
-        glued = groth_category(F)
-        glued.validate()
-        assert len(glued.morphisms) == 8
-        assert max(arrow_order(glued, m) for m in glued.morphisms) == 4
-
     def test_unit_corruption_is_detected(self):
         F = twisted_data(2, 4, {(0, 1): 1})
         rep = check_all_coherence(F)
@@ -246,69 +186,32 @@ class TestTwistedGluing:
 
 
 def strict_swap_data():
+    """Z/2 acting on the walking isomorphism by the swap, strictly: every
+    comparison cell is an identity."""
     base = cyclic_cat(2, obj="*")
     cat = walking_iso()
     swap = swap_functor(cat)
-    e = next(m for m in base.morphisms if m.name == 0)
-    s = next(m for m in base.morphisms if m.name == 1)
-    ob_maps = {e: {0: 0, 1: 1}, s: dict(swap.ob)}
-    mor_maps = {e: {m: m for m in cat.morphisms}, s: dict(swap.mor)}
-    return base, cat, strict_oplax_data(base, {"*": cat}, ob_maps, mor_maps)
+
+    def app_obj(f, x):
+        return swap(x) if f.name else x
+
+    return OplaxFunctorData(
+        base=base,
+        fiber_objects=lambda a: cat.objects,
+        app_obj=app_obj,
+        app_mor=lambda f, m, x=None, y=None: swap(m) if f.name else m,
+        tau_comp=lambda f, g, x: cat.identity(app_obj(f, app_obj(g, x))),
+        tau_id=lambda a, x: cat.identity(x),
+        fiber_compose=lambda a, m1, m2: cat.compose(m1, m2),
+        fiber_identity=lambda a, x: cat.identity(x),
+        fiber_hom=lambda a, x, y: cat.hom(x, y),
+    )
 
 
 class TestStrictGluingBothDirections:
     def test_strict_data_is_coherent(self):
-        _, _, F = strict_swap_data()
-        rep = check_all_coherence(F)
+        rep = check_all_coherence(strict_swap_data())
         assert rep.ok and rep.squares == 8 * 2
-
-    def test_both_gluings_are_groupoids_of_the_same_size(self):
-        _, _, F = strict_swap_data()
-        against = groth_category(F).validate()
-        along = groth_category_pseudo(F).validate()
-        assert len(against.morphisms) == len(along.morphisms) == 8
-        assert all(against.is_iso(m) for m in against.morphisms)
-        assert groth_objects(F) == against.objects == along.objects
-
-    def test_inverting_fibers_compares_the_two_gluings(self):
-        _, cat, F = strict_swap_data()
-        against = groth_category(F).validate()
-        flipped = groth_category_pseudo(F).opposite().validate()
-        ob = {o: o for o in against.objects}
-        mor = {}
-        for m in against.morphisms:
-            f, alpha = m.name
-            mor[m] = FcMor((f, cat.inverse(alpha)), m.src, m.dst)
-        functor = FcFunctor(against, flipped, ob, mor)
-        functor.validate()
-        report = check_equivalence(functor)
-        assert report.ok
-
-
-class TestReindexing:
-    def test_reindex_along_the_identity(self):
-        base, _, F = strict_swap_data()
-        functor = reindex(identity_functor(base), F)
-        functor.validate()
-        assert check_equivalence(functor).ok
-
-    def test_reindex_along_a_point_is_faithful_not_full(self):
-        base, _, F = strict_swap_data()
-        point = discrete_category(["t"])
-        G = FcFunctor(point, base, {"t": "*"},
-                      {point.identity("t"): base.identity("*")})
-        G.validate()
-        functor = reindex(G, F)
-        functor.validate()
-        report = check_equivalence(functor)
-        assert report.faithful
-        assert not report.full
-        assert "full" in report.witnesses
-
-    def test_precompose_keeps_coherence(self):
-        base, _, F = strict_swap_data()
-        pulled = precompose_oplax(F, identity_functor(base))
-        assert check_all_coherence(pulled).ok
 
 
 class TestTreeDataAgreesWithBuilders:
@@ -416,8 +319,10 @@ class TestTreeDataCoherence:
         f, g, h = next(iter(F.base.composable_triples()))
         for x in F.fiber_objects(h.dst):
             assert check_coherence_square(F, f, g, h, x)
-            assert check_oplax_coherence(F, f, g, h, x)
             assert check_oplax_units(F, h, x)
+            assert check_oplax_units(F, g, F.app_obj(h, x))
+            assert check_oplax_units(
+                F, f, F.app_obj(F.base.compose(g, h), x))
 
     def test_twisted_cell_is_detected(self):
         probes = tree_probes(3)
@@ -442,8 +347,14 @@ class TestTreeDataCoherence:
         F = tree_oplax_data(1, probes)
         ident = F.base.identity(1)
         eta = probes[1][0]
-        with pytest.raises(TauNotInvertible):
-            F.tau_inverse(ident, ident, eta)
+        cell = F.tau_comp(ident, ident, eta)
+        lo = F.app_obj(ident, eta)
+        hi = F.app_obj(ident, lo)
+        assert cell != F.fiber_identity(1, lo)
+        assert not any(
+            F.fiber_compose(1, cell, inv) == F.fiber_identity(1, lo)
+            and F.fiber_compose(1, inv, cell) == F.fiber_identity(1, hi)
+            for inv in F.fiber_hom(1, hi, lo))
 
 
 class TestEquivalenceChecker:

@@ -1,0 +1,63 @@
+"""Every exported name is reached by the library or by the acceptance tests.
+
+A name that only its own unit tests call is dead surface: it costs lines
+and review, and nothing the verifier reports depends on it.  Names kept on
+purpose are listed below, each with its reason.
+"""
+
+import ast
+import inspect
+import pathlib
+
+import dendron
+
+KEEP = {
+    "are_equivariant_isomorphic": "decides G-tree isomorphism, a paper "
+                                  "notion the unit tests check",
+    "are_isomorphic": "test fixture: compares trees up to renaming",
+    "check_tau_naturality": "naturality of the tree comparison cells",
+    "compose_groth": "functoriality of F, checked on the Grothendieck "
+                     "construction",
+    "discrete_category": "the only builder of check_equivalence test inputs",
+    "gforest_to_json": "the CLI tests write forest files with it",
+    "groth_identity": "functoriality of F, checked on the Grothendieck "
+                      "construction",
+    "gtree_oplax_data": "the Omega^G oplax data a coherence suite will run",
+    "gtree_to_gforest": "test fixture: one-component forests for export-dot",
+    "is_equivariant_forest_morphism": "brute-force reference for forest_hom",
+    "is_genuine": "decides genuineness, a paper notion the unit tests check",
+    "linear_tree": "test fixture: the linear tree with k edges",
+    "q_star_compare": "composite pullbacks along orbit maps",
+    "standard_probes": "the probes a G-coherence suite will run",
+    "subtree": "awaiting a decision: no caller outside its unit tests",
+}
+
+
+def _used_names(path):
+    """Names loaded in a module, a top-level definition's references to
+    itself not counted."""
+    used = set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = {n.id for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def _unreached():
+    package = pathlib.Path(dendron.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources.append(pathlib.Path(__file__).parent / "test_acceptance.py")
+    used = set().union(*map(_used_names, sources))
+    return {n for n in dendron.__all__
+            if not inspect.ismodule(getattr(dendron, n)) and n not in used}
+
+
+def test_every_export_is_reached_or_kept_on_purpose():
+    assert sorted(_unreached() - set(KEEP)) == []
+
+
+def test_the_keep_list_holds_only_unreached_exports():
+    assert sorted(set(KEEP) - _unreached()) == []

@@ -9,7 +9,7 @@ from dendron import (
     linear_tree, enumerate_all_trees, hom_set, hom_labeled, compose,
     identity, factorize, phi_star, phi_star_mor, tau_id, tau_comp, iota,
     GrothTreeMorphism, groth_identity, compose_groth, groth_hom, F_functor,
-    lift_morphism, validate_morphism, MorphismError, sort_key,
+    lift_morphism, TreeMorphism, MorphismError, sort_key,
 )
 from dendron.trees import _fresh_layer
 
@@ -288,11 +288,11 @@ class TestLift:
         # include the edge into a 2-corolla at the root
         eta = canonical_labeling(single_edge("e"))
         c2 = canonical_labeling(corolla(2))
-        f = validate_morphism(eta.tree, c2.tree, {"e": c2.tree.root})
+        f = TreeMorphism(eta.tree, c2.tree, {"e": c2.tree.root})
         lifted = lift_morphism(f, eta, c2)
         assert lifted.phi.mapping == {1: 1, 2: 1}
         # and into a leaf: everything else escapes to the basepoint
-        g = validate_morphism(eta.tree, c2.tree, {"e": c2.labels[1]})
+        g = TreeMorphism(eta.tree, c2.tree, {"e": c2.labels[1]})
         glift = lift_morphism(g, eta, c2)
         assert sorted(glift.phi.mapping.values(), key=str) == [1, PLUS] \
             or sorted(glift.phi.mapping.values(), key=str) == [PLUS, 1]

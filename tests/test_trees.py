@@ -1,16 +1,16 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dendron import (
     Tree, DanglingEdge, MultipleParents, RootHasParent, Disconnected, Cyclic,
-    SiteNotLeafOrRoot, Rel, EdgePoset, validate_tree, canonical_form,
-    single_edge, corolla, linear_tree, relabel, relabel_canonical,
-    all_isomorphisms, are_isomorphic, spanned_subtree, subtree, graft,
-    enumerate_trees, enumerate_all_trees, tree_dumps, tree_loads, tree_to_dot,
-    tree_to_json, sort_key, PLUS, PointedMap, canonical_labeling, phi_star,
-    builtin_group, enumerate_gtrees,
+    SiteNotLeafOrRoot, canonical_form, single_edge, corolla, linear_tree,
+    relabel, relabel_canonical, all_isomorphisms, are_isomorphic,
+    spanned_subtree, subtree, graft, enumerate_trees, enumerate_all_trees,
+    tree_to_dot, tree_to_json, tree_from_json, sort_key, PLUS, PointedMap,
+    canonical_labeling, phi_star, builtin_group, enumerate_gtrees,
 )
 
 
@@ -42,46 +42,46 @@ class TestValidation:
 
     def test_root_missing(self):
         with pytest.raises(DanglingEdge):
-            validate_tree(["a"], "r", [])
+            Tree(["a"], "r", [])
 
     def test_dangling_in_edge(self):
         with pytest.raises(DanglingEdge):
-            validate_tree(["r"], "r", [("r", ["ghost"])])
+            Tree(["r"], "r", [("r", ["ghost"])])
 
     def test_two_vertices_share_out(self):
         with pytest.raises(MultipleParents):
-            validate_tree(["r", "a", "b"], "r", [("r", ["a"]), ("r", ["b"])])
+            Tree(["r", "a", "b"], "r", [("r", ["a"]), ("r", ["b"])])
 
     def test_edge_under_two_vertices(self):
         with pytest.raises(MultipleParents):
-            validate_tree(["r", "a", "b"], "r", [("r", ["b"]), ("a", ["b"])])
+            Tree(["r", "a", "b"], "r", [("r", ["b"]), ("a", ["b"])])
 
     def test_root_has_parent(self):
         with pytest.raises(RootHasParent):
-            validate_tree(["r", "a"], "r", [("a", ["r"])])
+            Tree(["r", "a"], "r", [("a", ["r"])])
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            validate_tree(["r", "a"], "r", [])
+            Tree(["r", "a"], "r", [])
 
     def test_cycle(self):
         with pytest.raises((Cyclic, RootHasParent)):
-            validate_tree(["r", "a", "b"], "r", [("a", ["b"]), ("b", ["a"])])
+            Tree(["r", "a", "b"], "r", [("a", ["b"]), ("b", ["a"])])
 
     def test_self_loop(self):
         with pytest.raises((Cyclic, MultipleParents, RootHasParent)):
-            validate_tree(["r", "a"], "r", [("r", ["a"]), ("a", ["a"])])
+            Tree(["r", "a"], "r", [("r", ["a"]), ("a", ["a"])])
 
     def test_dangling_out_edge_with_the_root_present(self):
         with pytest.raises(DanglingEdge, match="out-edge 'ghost'"):
-            validate_tree(["r", "a"], "r", [("r", ["a"]), ("ghost", [])])
+            Tree(["r", "a"], "r", [("r", ["a"]), ("ghost", [])])
 
     def test_shared_out_edge_where_one_copy_dangles(self):
         # vertices sharing an out-edge are met in input order
         with pytest.raises(DanglingEdge, match="in-edge 'ghost'"):
-            validate_tree(["r", "a"], "r", [("r", ["ghost"]), ("r", ["a"])])
+            Tree(["r", "a"], "r", [("r", ["ghost"]), ("r", ["a"])])
         with pytest.raises(MultipleParents, match="out-edge of two"):
-            validate_tree(["r", "a"], "r", [("r", ["a"]), ("r", ["ghost"])])
+            Tree(["r", "a"], "r", [("r", ["a"]), ("r", ["ghost"])])
 
 
 def stacked_phi_star(max_edges=4, layers=3):
@@ -189,11 +189,9 @@ class TestCanonical:
 class TestPoset:
     def test_relations(self):
         t = corolla(2)
-        p = EdgePoset(t)
-        assert p.relation("l0", "r") == Rel.LE
-        assert p.relation("r", "l0") == Rel.GE
-        assert p.relation("l0", "l1") == Rel.INCOMPARABLE
-        assert p.relation("r", "r") == Rel.EQUAL
+        assert t.le("l0", "r") and not t.le("r", "l0")
+        assert not t.le("l0", "l1") and not t.le("l1", "l0")
+        assert t.le("r", "r")
 
     @given(random_trees())
     @settings(max_examples=40, deadline=None)
@@ -370,15 +368,19 @@ class TestEnumerate:
             [0, 2, 4, 9, 22, 59, 167]
 
 
+def roundtrip(tree):
+    return tree_from_json(json.loads(json.dumps(tree_to_json(tree))))
+
+
 class TestSerialization:
     def test_roundtrip(self):
         t = Tree(["r", "a", "b"], "r", [("r", ["a", "b"]), ("a", [])])
-        assert tree_loads(tree_dumps(t)) == t
+        assert roundtrip(t) == t
 
     @given(random_trees())
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_random(self, t):
-        back = tree_loads(tree_dumps(t))
+        back = roundtrip(t)
         assert are_isomorphic(t, back) is not None
 
     def test_dot_output_stable(self):
