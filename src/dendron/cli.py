@@ -4,17 +4,15 @@ Exit codes: 0 all checks pass, 1 a check failed (counterexample in the
 report), 2 usage or input error.  Reports are JSON with sorted keys and
 record the exact bounds used, so reruns produce identical bytes.  The
 DENDRON_WORKERS environment variable caps worker processes, at most one
-per CPU, for the three pairwise suites (factorization, equivalence,
-equivariant); results are merged in a fixed order, so the worker count
-never changes the report.
+per CPU, for the four pairwise suites (factorization, equivalence,
+equivariant, genuine; only coherence runs in one process); results are
+merged in a fixed order, so the worker count never changes the report.
 """
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .trees import (TreeError, enumerate_trees, enumerate_all_trees,
                     tree_to_json, tree_from_json, tree_to_dot)
@@ -30,6 +28,7 @@ from .gtrees import (GLabeledTree, NotEquivariant, enumerate_gtrees,
                      groth_hom_G, F_G, lift_G)
 from .forests import (ForestError, bh_to_coset_groupoid, gforest_from_json,
                       genuine_equivalence_check)
+from .pairs import _run_pairs
 
 SUITES = ("factorization", "coherence", "equivalence", "equivariant",
           "genuine")
@@ -37,15 +36,6 @@ SUITES = ("factorization", "coherence", "equivalence", "equivariant",
 PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910",
            "#148f77", "#884ea0", "#2e4053", "#a04000", "#5d6d7e",
            "#7d6608", "#633974")
-
-
-def _workers():
-    """DENDRON_WORKERS, clamped to between 1 and the CPU count."""
-    try:
-        wanted = int(os.environ.get("DENDRON_WORKERS", ""))
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def _write_atomic(path, text):
@@ -63,50 +53,6 @@ def _emit(report, output):
         sys.stdout.write(text)
     summary = "pass" if report["ok"] else "FAIL"
     print(f"{report['suite']}: {summary}", file=sys.stderr)
-
-
-def _pair_stride(build, bounds, check, start, step, corpus=None):
-    """Run check over the pair indices start, start + step, ... of an n x n
-    product; a pool worker builds its own corpus from the bounds."""
-    if corpus is None:
-        corpus = build(*bounds)
-    counts, failures = [], []
-    for k in range(start, len(corpus) ** 2, step):
-        count, bad = check(corpus, *divmod(k, len(corpus)))
-        counts.append(count)
-        failures.extend(bad)
-    return counts, failures
-
-
-def _run_pairs(build, bounds, check):
-    """Run check(corpus, i, j) over every ordered pair of build(*bounds).
-
-    Worker w of N takes every N-th pair from w, so the heavy pairs at the
-    end of the size-sorted corpus are shared out; a corpus is never
-    pickled, since the objects in it cache their hashes.  Returns the
-    corpus, the per-pair counts in pair order and the failures in a fixed
-    order.
-    """
-    corpus = build(*bounds)
-    total = len(corpus) ** 2
-    parts = max(1, min(_workers(), total))
-    if parts == 1:
-        results = [_pair_stride(build, bounds, check, 0, 1, corpus)]
-    else:
-        with ProcessPoolExecutor(
-                max_workers=parts,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            futs = [pool.submit(_pair_stride, build, bounds, check, w, parts)
-                    for w in range(parts)]
-            results = [f.result() for f in futs]
-    counts = [None] * total
-    for w, (cs, _) in enumerate(results):
-        counts[w::parts] = cs
-    failures = sorted((f for _, fs in results for f in fs),
-                      key=lambda r: (r["src"], r["dst"], r.get("reason", ""),
-                                     json.dumps(r.get("map"),
-                                                sort_keys=True)))
-    return corpus, counts, failures
 
 
 def _mapping_doc(f):
@@ -254,20 +200,18 @@ def suite_genuine(args):
     group = _load_group(args.group)
     inner = genuine_equivalence_check(group, max_edges=args.max_edges,
                                       per_stratum=args.per_stratum)
-    inner = {**inner, "mismatches": [str(m) for m in inner["mismatches"]]}
+    failures = inner["mismatches"]
     bh = {}
     for sub in subgroups(group):
         _, rep = bh_to_coset_groupoid(group, sub)
         bh[",".join(map(str, sub))] = rep.ok
-    ok = bool(inner["ok"]) and all(bh.values())
     return {"suite": "genuine",
             "bounds": {"max_edges": args.max_edges,
                        "per_stratum": args.per_stratum},
             "group": args.group, "forest_check": inner,
             "one_object_groupoid_equivalences": bh,
-            "ok": ok,
-            "counterexample": (inner["mismatches"][0]
-                               if inner["mismatches"] else None)}
+            "ok": inner["ok"] and all(bh.values()),
+            "counterexample": failures[0] if failures else None}
 
 
 SUITE_RUNNERS = {"factorization": suite_factorization,

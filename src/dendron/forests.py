@@ -21,6 +21,7 @@ from .groups import FiniteGroup, GSet, GroupError, check_action, \
     close_table, coset_gset, equivariant_maps, group_from_ref, \
     maps_by_orbit_reps, subgroup_class_reps
 from .gtrees import NotEquivariant, enumerate_gtrees
+from .pairs import _run_pairs
 
 
 class ForestError(ValueError):
@@ -914,11 +915,10 @@ def q_star_diagram(q, src_sub, diagram):
     if _is_identity_map(q, src_sub, diagram.sub):
         return diagram
     group = diagram.group
-    src_sub = tuple(sorted(src_sub))
-    base = coset_gset(group, src_sub)
-    trees = {c: diagram.trees[q[c]] for c in base.elements}
+    cosets = sorted(q)  # q is a map out of the coset G-set of src_sub
+    trees = {c: diagram.trees[q[c]] for c in cosets}
     isos = {(x, c): dict(diagram.isos[(x, q[c])])
-            for x in group.elements for c in base.elements}
+            for x in group.elements for c in cosets}
     return CosetDiagram(group, src_sub, trees, isos)
 
 
@@ -1043,68 +1043,58 @@ def enumerate_genuine_diagrams(group, max_edges, per_stratum=None):
     return tuple(out)
 
 
-def _assemble_forest_morphism(q, alpha, fx, fy, xcosets, ycosets):
-    """Turn (orbit map, transformation) into a morphism of the assembled
-    forests."""
-    ypos = {c: k for k, c in enumerate(ycosets)}
-    idx = [ypos[q[c]] for c in xcosets]
-    comps = [alpha.components[c] for c in xcosets]
-    return ForestMorphism(fx.forest, fy.forest, idx, comps, _checked=True)
+def _genuine_corpus(group, max_edges, per_stratum):
+    """(diagram, assembled forest, self-labeled genuine tree) triples."""
+    return [(d, assemble_gforest(d), self_labeled_genuine(d))
+            for d in enumerate_genuine_diagrams(group, max_edges,
+                                                per_stratum=per_stratum)]
 
 
-def genuine_equivalence_check(group, max_edges=3, per_stratum=None,
-                              diagrams=None):
-    """Compare the three faces of the bounded genuine-tree category.
+def _genuine_pair(corpus, i, j):
+    """Match up three hom-sets from object i to object j.
 
-    For every ordered pair of diagrams the report matches up morphisms of
-    the assembled forests, pairs (orbit map, natural transformation), and
-    triples (orbit map, retractive map, fiber transformation) through the
-    label-forgetting map, checking that assembly and forgetting are
-    bijections onto the respective hom-sets.
+    Assembly must be a bijection from pairs (orbit map q, natural
+    transformation) onto the forest homs, and forgetting labels one from
+    the triples (q, retractive map, fiber transformation) over each q onto
+    the transformations over q.
     """
-    if diagrams is None:
-        diagrams = enumerate_genuine_diagrams(group, max_edges,
-                                              per_stratum=per_stratum)
-    forests = [assemble_gforest(d) for d in diagrams]
-    labeled = [self_labeled_genuine(d) for d in diagrams]
-    report = {"group_order": group.order, "objects": len(diagrams),
-              "pairs": 0, "forest_homs": 0, "pair_homs": 0,
-              "triple_homs": 0, "mismatches": []}
-    for i, X in enumerate(diagrams):
-        xcosets = list(X.cosets)
-        for j, Y in enumerate(diagrams):
-            ycosets = list(Y.cosets)
-            report["pairs"] += 1
-            fh = set(forest_hom(forests[i], forests[j]))
-            qs = equivariant_maps(X.base, Y.base)
-            pair_count = 0
-            triple_count = 0
-            assembled = set()
-            eta_ok = True
-            for q in qs:
-                pulled = q_star_diagram(q, X.sub, Y)
-                alphas = diagram_hom(X, pulled)
-                pair_count += len(alphas)
-                for al in alphas:
-                    assembled.add(_assemble_forest_morphism(
-                        q, al, forests[i], forests[j], xcosets, ycosets))
-                pulled_lab = q_star_genuine(q, X.sub, labeled[j])
-                gms = genuine_hom(labeled[i], pulled_lab)
-                triple_count += len(gms)
-                ems = {eta_morphism(gm) for gm in gms}
-                if len(ems) != len(gms) or ems != set(alphas):
-                    eta_ok = False
-            ok = (assembled == fh and len(assembled) == pair_count
-                  and eta_ok)
-            report["forest_homs"] += len(fh)
-            report["pair_homs"] += pair_count
-            report["triple_homs"] += triple_count
-            if not ok:
-                report["mismatches"].append(
-                    {"src": i, "dst": j, "forest": len(fh),
-                     "pairs": pair_count, "triples": triple_count})
-    report["ok"] = not report["mismatches"]
-    return report
+    (x, fx, lx), (y, fy, ly) = corpus[i], corpus[j]
+    fh = set(forest_hom(fx, fy))
+    ypos = {c: k for k, c in enumerate(y.cosets)}
+    pair_count = triple_count = 0
+    assembled = set()
+    failures = []
+    for q in equivariant_maps(x.base, y.base):
+        alphas = diagram_hom(x, q_star_diagram(q, x.sub, y))
+        pair_count += len(alphas)
+        idx = [ypos[q[c]] for c in x.cosets]
+        for al in alphas:
+            assembled.add(ForestMorphism(
+                fx.forest, fy.forest, idx,
+                [al.components[c] for c in x.cosets], _checked=True))
+        gms = genuine_hom(lx, q_star_genuine(q, x.sub, ly))
+        triple_count += len(gms)
+        ems = {eta_morphism(gm) for gm in gms}
+        if len(ems) != len(gms) or ems != set(alphas):
+            failures.append({"src": i, "dst": j,
+                             "reason": "forgetting labels is not a bijection",
+                             "map": {str(c): str(d) for c, d in q.items()}})
+    if assembled != fh or len(assembled) != pair_count:
+        failures.append({"src": i, "dst": j, "reason":
+                         "assembly is not a bijection onto the forest homs"})
+    return (len(fh), pair_count, triple_count), failures
+
+
+def genuine_equivalence_check(group, max_edges=3, per_stratum=None):
+    """Compare the three faces of the bounded genuine-tree category,
+    forest homs, pairs and triples, on every ordered pair of diagrams."""
+    corpus, counts, failures = _run_pairs(
+        _genuine_corpus, (group, max_edges, per_stratum), _genuine_pair)
+    forest, pair, triple = (sum(c) for c in zip(*counts))
+    return {"group_order": group.order, "objects": len(corpus),
+            "pairs": len(counts), "forest_homs": forest, "pair_homs": pair,
+            "triple_homs": triple, "mismatches": failures,
+            "ok": not failures}
 
 
 # ---------------------------------------------------------------------------

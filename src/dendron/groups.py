@@ -453,8 +453,12 @@ def group_from_json(data):
             isinstance(r, list) and all(type(v) is int for v in r)
             for r in mult):
         raise GroupError("\"mult\" must be a list of integer rows")
-    if names is not None and not isinstance(names, list):
-        raise GroupError("\"names\" must be a list")
+    if names is not None and (
+            not isinstance(names, list) or len(names) != data["order"]
+            or not all(type(n) is str for n in names)
+            or len(set(names)) != len(names)):
+        raise GroupError(f"\"names\" must be a list of {data['order']} "
+                         "distinct strings")
     g = FiniteGroup(tuple(tuple(r) for r in mult),
                     names=tuple(names) if names is not None else None)
     if g.order != data["order"]:

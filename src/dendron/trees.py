@@ -414,23 +414,6 @@ def spanned_subtree(tree, root_edge, leaf_set):
     return frozenset(included), tuple(vertex_outs)
 
 
-def subtree(tree, new_root, keep):
-    """Restrict to an edge subset; includes every vertex whose edges all stay.
-
-    The kept set must induce a valid tree rooted at `new_root` (connected and
-    closed under taking a vertex's in-edges); stump vertices sitting on kept
-    edges are kept with them.
-    """
-    keep = frozenset(keep)
-    if new_root not in keep:
-        raise DanglingEdge(f"new root {new_root!r} is not among the kept edges")
-    if not keep <= tree.edges:
-        raise DanglingEdge("kept edges must be a subset of the tree's edges")
-    vs = [(o, ins) for o, ins in tree.vertices
-          if o in keep and ins <= keep and tree.le(o, new_root)]
-    return Tree(keep, new_root, vs)
-
-
 def _fresh_layer(tree):
     """The least graft layer L such that no edge of `tree` is named
     ("graft", L, x); scanned once per tree and kept."""

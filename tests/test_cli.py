@@ -2,6 +2,8 @@ import copy
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from functools import lru_cache
 
@@ -15,8 +17,9 @@ from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
                      factorize, builtin_group, enumerate_genuine_diagrams,
                      assemble_gforest, gforest_to_json, enumerate_all_trees,
                      BUILTIN_GROUPS)
-from dendron import cli
-from dendron.cli import main, SUITE_RUNNERS, _workers
+from dendron import cli, forests
+from dendron.cli import main, SUITE_RUNNERS
+from dendron.pairs import _workers
 
 
 def run(capsys, *argv):
@@ -105,6 +108,21 @@ class TestCheckSuites:
         assert report["one_object_groupoid_equivalences"] == {
             "0": True, "0,1": True}
 
+    def test_genuine_s3_counts(self, capsys):
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "check", "genuine",
+                           "--group", "s3", "--max-edges", "3")
+        elapsed = time.monotonic() - t0
+        report = json.loads(out)
+        assert code == 0 and report["ok"]
+        fc = report["forest_check"]
+        assert (fc["objects"], fc["pairs"]) == (40, 1600)
+        assert fc["forest_homs"] == fc["pair_homs"] == fc["triple_homs"] \
+            == 3124
+        bh = report["one_object_groupoid_equivalences"]
+        assert len(bh) == 6 and all(bh.values())
+        assert elapsed < 120, f"s3 genuine took {elapsed:.1f}s"
+
     def test_group_file_input(self, capsys, tmp_path):
         path = tmp_path / "z3.json"
         path.write_text(json.dumps(group_to_json(cyclic_group(3))))
@@ -145,6 +163,19 @@ class TestDeterminism:
             monkeypatch.setenv("DENDRON_WORKERS", workers)
             path = tmp_path / f"w{workers}.json"
             code, _, _ = run(capsys, "check", "equivariant", "--group", "z2",
+                             "--max-edges", "3", "--output", str(path))
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_genuine_bytes_do_not_depend_on_workers(self, capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DENDRON_WORKERS", workers)
+            path = tmp_path / f"w{workers}.json"
+            code, _, _ = run(capsys, "check", "genuine", "--group", "z2",
                              "--max-edges", "3", "--output", str(path))
             assert code == 0
             outs.append(path.read_bytes())
@@ -214,6 +245,40 @@ class TestInjectedFaults:
         a, b = corpus[ce["src"]], corpus[ce["dst"]]
         assert not is_equivariant_morphism(
             a, b, _replayed(a.tree, b.tree, ce["map"]))
+
+    def _genuine_counterexample(self, capsys, monkeypatch, name, fake):
+        """The counterexample of the genuine suite with forests.name
+        patched to fake; _genuine_pair replays it only while the patch
+        holds."""
+        monkeypatch.setattr(forests, name, fake)
+        code, out, _ = run(capsys, "check", "genuine", "--group", "z2",
+                           "--max-edges", "2")
+        report = json.loads(out)
+        assert code == 1 and not report["ok"]
+        ce = report["counterexample"]
+        assert {"src", "dst", "reason"} <= set(ce)
+        corpus = forests._genuine_corpus(cyclic_group(2), 2, None)
+        _, bad = forests._genuine_pair(corpus, ce["src"], ce["dst"])
+        assert ce in bad
+        monkeypatch.undo()
+        assert forests._genuine_pair(corpus, ce["src"], ce["dst"])[1] == []
+        return ce, corpus
+
+    def test_genuine_reports_assembly_that_misses_forest_homs(
+            self, capsys, monkeypatch):
+        ce, _ = self._genuine_counterexample(
+            capsys, monkeypatch, "forest_hom", lambda src, dst: ())
+        assert ce["reason"] == \
+            "assembly is not a bijection onto the forest homs"
+
+    def test_genuine_reports_the_orbit_map_label_forgetting_breaks(
+            self, capsys, monkeypatch):
+        ce, corpus = self._genuine_counterexample(
+            capsys, monkeypatch, "eta_morphism", lambda gm: None)
+        assert ce["reason"] == "forgetting labels is not a bijection"
+        x, y = corpus[ce["src"]][0], corpus[ce["dst"]][0]
+        assert set(ce["map"]) == set(map(str, x.cosets))
+        assert set(ce["map"].values()) <= set(map(str, y.cosets))
 
 
 class TestExportDot:
@@ -412,7 +477,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc", [{"order": 2},
                                      {"order": 2, "mult": 5},
                                      {"order": 0, "mult": []},
-                                     {"order": 1, "mult": [[False]]}])
+                                     {"order": 1, "mult": [[False]]},
+                                     {"order": 2, "mult": [[0, 1], [1, 0]],
+                                      "names": [[1], [2]]},
+                                     {"order": 2, "mult": [[0, 1], [1, 0]],
+                                      "names": ["a", "a"]},
+                                     {"order": 2, "mult": [[0, 1], [1, 0]],
+                                      "names": [None, {}]}])
     def test_malformed_group_file_is_a_usage_error(self, capsys, tmp_path,
                                                    doc):
         path = tmp_path / "g.json"
@@ -456,3 +527,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "check", "coherence")
         assert code == 1 and "FAIL" in err
         assert json.loads(out)["counterexample"] == "forced"
+
+
+class TestModuleEntryPoint:
+    def test_runs_without_import_order_warnings(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "DENDRON_WORKERS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dendron.cli", "check",
+             "genuine", "--max-edges", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"]

@@ -29,7 +29,6 @@ KEEP = {
     "linear_tree": "test fixture: the linear tree with k edges",
     "q_star_compare": "composite pullbacks along orbit maps",
     "standard_probes": "the probes a G-coherence suite will run",
-    "subtree": "awaiting a decision: no caller outside its unit tests",
 }
 
 

@@ -8,7 +8,7 @@ from dendron import (
     Tree, DanglingEdge, MultipleParents, RootHasParent, Disconnected, Cyclic,
     SiteNotLeafOrRoot, canonical_form, single_edge, corolla, linear_tree,
     relabel, relabel_canonical, all_isomorphisms, are_isomorphic,
-    spanned_subtree, subtree, graft, enumerate_trees, enumerate_all_trees,
+    spanned_subtree, graft, enumerate_trees, enumerate_all_trees,
     tree_to_dot, tree_to_json, tree_from_json, sort_key, PLUS, PointedMap,
     canonical_labeling, phi_star, builtin_group, enumerate_gtrees,
 )
@@ -212,22 +212,6 @@ class TestPoset:
 
 
 class TestSubtree:
-    def test_single_edge_subtree(self):
-        t = corolla(2)
-        s = subtree(t, "l0", {"l0"})
-        assert s.edges == frozenset({"l0"})
-        assert s.vertices == ()
-
-    def test_subtree_keeps_stump(self):
-        t = Tree(["r", "a"], "r", [("r", ["a"]), ("a", [])])
-        s = subtree(t, "a", {"a"})
-        assert s.vertices == (("a", frozenset()),)
-
-    def test_disconnected_keep_rejected(self):
-        t = corolla(2)
-        with pytest.raises(Disconnected):
-            subtree(t, "l0", {"l0", "l1"})
-
     def test_spanned_subtree_grows_through_stumps(self):
         # target keeps its stump branch when growing root -> {b}
         t = Tree(["r", "a", "b"], "r", [("r", ["a", "b"]), ("a", [])])
