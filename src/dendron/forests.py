@@ -19,7 +19,7 @@ from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
     check_equivalence
 from .groups import FiniteGroup, GSet, GroupError, check_action, \
     close_table, coset_gset, equivariant_maps, group_from_ref, \
-    maps_by_orbit_reps, subgroup_class_reps
+    is_equivariant, maps_by_orbit_reps, subgroup_class_reps
 from .gtrees import NotEquivariant, enumerate_gtrees
 from .pairs import _run_pairs
 
@@ -120,15 +120,16 @@ def _check_family(group, trees, act, isos):
     trees maps each index to a tree, act(g, i) is the action on indices
     and isos[(g, i)] the edge bijection from trees[i] to trees[act(g, i)].
     The isos act trivially at the identity and compose as the group exactly
-    when they make the (index, edge) pairs a G-set.
+    when they make the (index, edge) pairs a G-set, and then every iso is
+    a composite of generator isos: only those are tested on the trees.
     """
     if set(isos) != {(g, i) for g in group.elements for i in trees}:
         raise ActionNotFunctorial("one iso per element and index")
     for (g, i), m in isos.items():
-        src, dst = trees[i], trees[act(g, i)]
         # a bijection matching roots and vertices is a valid edge map
-        if set(m) != src.edges or not TreeMorphism(
-                src, dst, m, _checked=True).is_isomorphism():
+        if set(m) != trees[i].edges or g in group.generators and not \
+                TreeMorphism(trees[i], trees[act(g, i)], m,
+                             _checked=True).is_isomorphism():
             raise ComponentIsoInvalid(f"iso ({g}, {i}) is not a tree "
                                       "isomorphism")
     pairs = [(i, e) for i, t in trees.items() for e in t.edges]
@@ -142,20 +143,15 @@ def _family_map_commutes(group, src_act, src_isos, dst_act, dst_isos, idx,
                          comps):
     """Does a map of families commute with both actions?
 
-    Index i goes to idx[i] by the tree map comps[i].  The check runs on
-    (index, edge) pairs, so a coincidence of edge names between different
-    trees cannot mask an index mismatch.
+    Index i goes to idx[i] by the tree map comps[i], both dicts over the
+    indices.  The check runs on (index, edge) pairs, so a coincidence of
+    edge names between different trees cannot mask an index mismatch.
     """
-    for (g, i), up in src_isos.items():
-        if g == group.identity:
-            continue
-        gi, j = src_act(g, i), idx[i]
-        if idx[gi] != dst_act(g, j):
-            return False
-        fgi, over = comps[gi].mapping, dst_isos[(g, j)]
-        if any(fgi[up[e]] != over[v] for e, v in comps[i].mapping.items()):
-            return False
-    return True
+    return is_equivariant(
+        group, {(i, e): (idx[i], v) for i, f in comps.items()
+                for e, v in f.mapping.items()},
+        lambda g, p: (src_act(g, p[0]), src_isos[(g, p[0])][p[1]]),
+        lambda g, p: (dst_act(g, p[0]), dst_isos[(g, p[0])][p[1]]))
 
 
 class GForest:
@@ -270,8 +266,9 @@ def is_equivariant_forest_morphism(src, dst, fm):
     if fm.src != src.forest or fm.dst != dst.forest:
         raise ForestError("morphism does not match the actions")
     return _family_map_commutes(src.group, src.act_index, src.isos,
-                                dst.act_index, dst.isos, fm.index_map,
-                                fm.components)
+                                dst.act_index, dst.isos,
+                                dict(enumerate(fm.index_map)),
+                                dict(enumerate(fm.components)))
 
 
 def _commutes(f, pairs):
@@ -301,8 +298,8 @@ def forest_hom(src, dst):
     out = []
     for idx in itertools.product(range(dst.forest.n),
                                  repeat=src.forest.n):
-        if any(idx[src.index_action[g][i]] != dst.index_action[g][idx[i]]
-               for g in group.elements for i in range(src.forest.n)):
+        if not is_equivariant(group, dict(enumerate(idx)), src.act_index,
+                              dst.act_index):
             continue
         per_orbit = []
         for r in reps:
@@ -585,18 +582,16 @@ class RetractiveGSet:
             raise ForestError("section must be total on the cosets")
         if set(self.retraction) != set(carrier.elements):
             raise ForestError("retraction must be total on the carrier")
+        if not set(self.retraction.values()) <= set(base.elements):
+            raise ForestError("retraction must land in the cosets")
         for c in base.elements:
             if self.retraction[self.section[c]] != c:
                 raise ForestError("retraction must undo the section")
-        for g in group.elements:
-            for c in base.elements:
-                if carrier.act(g, self.section[c]) \
-                        != self.section[base.act(g, c)]:
-                    raise NotEquivariant("section is not equivariant")
-            for x in carrier.elements:
-                if self.retraction[carrier.act(g, x)] \
-                        != base.act(g, self.retraction[x]):
-                    raise NotEquivariant("retraction is not equivariant")
+        if not is_equivariant(group, self.section, base.act, carrier.act):
+            raise NotEquivariant("section is not equivariant")
+        if not is_equivariant(group, self.retraction, carrier.act,
+                              base.act):
+            raise NotEquivariant("retraction is not equivariant")
 
     @property
     def labels(self):
@@ -648,11 +643,9 @@ class RetractiveMap:
         for c in src.section:
             if self.mapping[src.section[c]] != dst.section[c]:
                 raise ForestError("map must live under the orbit")
-        for g in src.group.elements:
-            for x in src.carrier.elements:
-                if self.mapping[src.carrier.act(g, x)] \
-                        != dst.carrier.act(g, self.mapping[x]):
-                    raise NotEquivariant("retractive map is not equivariant")
+        if not is_equivariant(src.group, self.mapping, src.carrier.act,
+                              dst.carrier.act):
+            raise NotEquivariant("retractive map is not equivariant")
 
     def is_identity(self):
         return (self.src == self.dst
@@ -679,18 +672,15 @@ def enumerate_retractive_maps(src, dst):
     """All maps of retractive sets src -> dst, deterministically.
 
     Section points are forced; other orbit representatives may go to any
-    target over the same coset (the section point included) whose
-    stabilizer is large enough.
+    target over the same coset, the section point included.
     """
     pts = set(src.section.values())
 
     def choices(r):
         if r in pts:
             return [dst.section[src.retraction[r]]]
-        stab = set(src.carrier.stabilizer(r))
         return [x for x in dst.carrier.elements
-                if dst.retraction[x] == src.retraction[r]
-                and stab <= set(dst.carrier.stabilizer(x))]
+                if dst.retraction[x] == src.retraction[r]]
 
     return tuple(RetractiveMap(src, dst, m)
                  for m in maps_by_orbit_reps(src.carrier, choices,
@@ -734,12 +724,13 @@ class GenuineTree:
             if len(got) != len(want) or set(got) != want:
                 raise LabelError(f"labels over {c!r} must hit the leaves "
                                  "exactly once")
-        for g in labels.group.elements:
-            for a in labels.labels:
-                c = labels.retraction[a]
-                moved = diagram.isos[(g, c)][self.leaf_map[a]]
-                if self.leaf_map[labels.carrier.act(g, a)] != moved:
-                    raise NotEquivariant("labeling is not equivariant")
+        if not is_equivariant(
+                labels.group, {a: (labels.retraction[a], self.leaf_map[a])
+                               for a in labels.labels},
+                labels.carrier.act,
+                lambda g, p: (diagram.base.act(g, p[0]),
+                              diagram.isos[(g, p[0])][p[1]])):
+            raise NotEquivariant("labeling is not equivariant")
 
     def __eq__(self, other):
         if not isinstance(other, GenuineTree):
@@ -1153,7 +1144,15 @@ def gforest_from_json(data, registry=None):
                     for ms in isos.values())):
         raise ForestError("\"action\" must map element numbers to index "
                           "lists, \"isos\" to one edge map per component")
+
+    def edge(i, key):
+        found = [e for e in forest.components[i].edges if str(e) == key]
+        if len(found) != 1:
+            raise ForestError(f"iso key {key!r} must name exactly one edge "
+                              f"of component {i}")
+        return found[0]
+
     rows = {int(g): tuple(row) for g, row in action.items()}
-    maps = {(int(g), i): dict(ms[i])
+    maps = {(int(g), i): {edge(i, k): v for k, v in ms[i].items()}
             for g, ms in isos.items() for i in range(forest.n)}
     return GForest(forest, group, rows, maps)

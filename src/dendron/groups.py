@@ -3,8 +3,10 @@
 Everything in sight is small, so groups are multiplication tables over the
 elements 0..n-1 (0 the identity) and G-sets are full action tables, one row
 per group element.  Subgroups come from closure searches, orbits from direct
-sweeps, and equivariant maps from an orbit-by-orbit choice of images whose
-stabilizers are large enough.
+sweeps, and equivariant maps from an orbit-by-orbit choice of images.  The
+layers above ask only this module, which looks at the generators' rows
+alone, whether a table is an action (`check_action`) and whether a map
+commutes with two actions (`is_equivariant`).
 """
 
 from __future__ import annotations
@@ -197,6 +199,19 @@ def check_action(group, action, carrier, error):
                     raise error("rows do not compose as the group")
 
 
+def is_equivariant(group, mapping, src_act, dst_act):
+    """Does mapping commute with the actions: f(g.x) == g.f(x) everywhere?
+
+    mapping is total on a carrier that src_act preserves.  Only the group's
+    generators are tried: when both sides are actions, the g for which the
+    equation holds at every x contain the identity and are closed under
+    products, as f(ab.x) = a.f(b.x) = ab.f(x), so they form a subgroup.  A
+    point is fixed when its map to itself out of a trivial point commutes.
+    """
+    return all(mapping[src_act(g, x)] == dst_act(g, y)
+               for g in group.generators for x, y in mapping.items())
+
+
 def close_table(group, rows, identity, product, error):
     """Close an action table given on a generating set.
 
@@ -221,21 +236,19 @@ def close_table(group, rows, identity, product, error):
 
 
 def maps_by_orbit_reps(src, choices, act):
-    """Every map out of a G-set fixed by one image per orbit representative.
+    """Every equivariant map out of a G-set, by one image per orbit.
 
-    choices(rep) lists the images allowed for a representative and act(g,
-    y) carries an image along g; the maps come in product order of the
-    choices, representatives in orbit order.
+    choices(rep) lists candidate images for a representative and act(g, y)
+    carries one along g.  Only those fixed by the representative's
+    stabilizer spread over its orbit and are kept; the maps come in product
+    order of the kept candidates, representatives in orbit order.
     """
-    reps = [o.rep for o in src.orbits()]
-    out = []
-    for pick in product(*(choices(r) for r in reps)):
-        mapping = {}
-        for r, y in zip(reps, pick):
-            for g in src.group.elements:
-                mapping[src.act(g, r)] = act(g, y)
-        out.append(mapping)
-    return out
+    orbits = src.orbits()
+    kept = [[y for y in choices(o.rep)
+             if all(act(s, y) == y for s in o.stabilizer)] for o in orbits]
+    return [{src.act(g, o.rep): act(g, y)
+             for o, y in zip(orbits, pick) for g in src.group.elements}
+            for pick in product(*kept)]
 
 
 @dataclass(frozen=True)
@@ -266,9 +279,9 @@ class GSet:
         if basepoint is not None:
             if basepoint not in self.elements:
                 raise GSetError("basepoint is not in the carrier")
-            for g in group.elements:
-                if self.action[g][basepoint] != basepoint:
-                    raise GSetError("basepoint must be fixed")
+            if not is_equivariant(group, {basepoint: basepoint},
+                                  lambda g, x: x, self.act):
+                raise GSetError("basepoint must be fixed")
 
     @classmethod
     def from_generator_rows(cls, group, elements, rows, basepoint=None):
@@ -402,8 +415,7 @@ def skeletal_gsets(group, max_size):
 def equivariant_maps(src, dst):
     """Every equivariant function between two G-sets over the same group.
 
-    One image choice per orbit representative, restricted to targets whose
-    stabilizer contains the representative's; basepoints, when both sides
+    One image choice per orbit representative; basepoints, when both sides
     have them, are matched up.
     """
     if src.group != dst.group:
@@ -412,8 +424,7 @@ def equivariant_maps(src, dst):
     def choices(r):
         if r == src.basepoint:
             return [] if dst.basepoint is None else [dst.basepoint]
-        need = set(src.stabilizer(r))
-        return [y for y in dst.elements if need <= set(dst.stabilizer(y))]
+        return dst.elements
 
     return tuple(maps_by_orbit_reps(src, choices, dst.act))
 

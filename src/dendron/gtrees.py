@@ -57,6 +57,7 @@ from .groups import (
     coset_gset,
     cyclic_group,
     disjoint_union_gsets,
+    is_equivariant,
     maps_by_orbit_reps,
     skeletal_gsets,
     subgroup_class_reps,
@@ -87,13 +88,13 @@ class GTree:
         self.action = {g: dict(row) for g, row in action.items()}
         self._hash = None
         check_action(group, self.action, tree.edges, NotEquivariant)
-        vset = {(o, frozenset(ins)) for o, ins in tree.vertices}
-        for g, row in self.action.items():
-            if row[tree.root] != tree.root:
-                raise NotEquivariant(f"row of {g} moves the root")
-            for o, ins in tree.vertices:
-                if (row[o], frozenset(row[i] for i in ins)) not in vset:
-                    raise NotEquivariant(f"row of {g} tears a vertex apart")
+        if not is_equivariant(group, {tree.root: tree.root}, lambda g, e: e,
+                              self.act):
+            raise NotEquivariant("a generator's row moves the root")
+        # each edge to the in-edges of the vertex atop it, None at a leaf
+        ins = {e: tree.children_of(e) for e in tree.edges}
+        if not is_equivariant(group, ins, self.act, self._act_on_ins):
+            raise NotEquivariant("a generator's row tears a vertex apart")
 
     @classmethod
     def trivial(cls, tree, group):
@@ -110,6 +111,10 @@ class GTree:
 
     def act(self, g, e):
         return self.action[g][e]
+
+    def _act_on_ins(self, g, ins):
+        return None if ins is None else frozenset([self.action[g][e]
+                                                   for e in ins])
 
     def edge_orbit(self, e):
         return _edge_orbit(e, self.action.values())
@@ -165,12 +170,10 @@ class GLabeledTree:
         self._hash = None
         if label_gset.group != gtree.group:
             raise NotEquivariant("labels and tree must share the group")
-        for g in gtree.group.elements:
-            for a in label_gset.elements:
-                if (self.labeled.leaf_of(label_gset.act(g, a))
-                        != gtree.act(g, self.labeled.leaf_of(a))):
-                    raise NotEquivariant("labeling does not commute with "
-                                         "the action")
+        leaves = {a: self.labeled.leaf_of(a) for a in label_gset.elements}
+        if not is_equivariant(gtree.group, leaves, label_gset.act,
+                              gtree.act):
+            raise NotEquivariant("labeling does not commute with the action")
 
     @classmethod
     def self_labeled(cls, gtree):
@@ -209,14 +212,7 @@ def is_equivariant_morphism(src, dst, f):
     """Does the edge map commute with both actions?"""
     if f.src != src.tree or f.dst != dst.tree:
         raise SourceTargetMismatch("morphism does not match the actions")
-    for g in src.group.elements:
-        if g == src.group.identity:
-            continue
-        srow, drow = src.action[g], dst.action[g]
-        for e, v in f.mapping.items():
-            if f.mapping[srow[e]] != drow[v]:
-                return False
-    return True
+    return is_equivariant(src.group, f.mapping, src.act, dst.act)
 
 
 def equivariant_hom(src, dst):
@@ -300,7 +296,8 @@ def equivariant_graft_orbit(gtree, site, corolla, attach=None, merge=None):
             raise SiteInvalid("a merge leaf only makes sense at the root")
         if merge not in corolla.elements:
             raise SiteInvalid("merge leaf must belong to the corolla")
-        if set(corolla.stabilizer(merge)) != set(gtree.group.elements):
+        if not is_equivariant(gtree.group, {merge: merge}, lambda g, c: c,
+                              corolla.act):
             raise RootGraftLeafNotFixed(
                 "the leaf merged with the root must be fixed")
         rest = [c for c in corolla.elements if c != merge]
@@ -330,10 +327,8 @@ def equivariant_graft_orbit(gtree, site, corolla, attach=None, merge=None):
         if set(attach) != set(corolla.elements) \
                 or not set(attach.values()) <= set(orbit):
             raise SiteInvalid("attach must map the corolla into the orbit")
-        for g in gtree.group.elements:
-            for c in corolla.elements:
-                if attach[corolla.act(g, c)] != gtree.act(g, attach[c]):
-                    raise NotEquivariant("attach map is not equivariant")
+        if not is_equivariant(gtree.group, attach, corolla.act, gtree.act):
+            raise NotEquivariant("attach map is not equivariant")
         fresh = {c: ("graft", layer, c) for c in corolla.elements}
         edges = set(tree.edges) | set(fresh.values())
         vertices = list(tree.vertices)
@@ -403,6 +398,11 @@ def equivariant_factorize(src, dst, f):
     return Factorization(deg_steps, iso, inner_steps, outer_steps)
 
 
+def _pointed_act(gset):
+    """The action on gset+, fixing the basepoint."""
+    return lambda g, y: PLUS if y == PLUS else gset.act(g, y)
+
+
 class EquivariantPointedMap(PointedMap):
     """A pointed map between G-set carriers that commutes with the actions.
 
@@ -418,34 +418,24 @@ class EquivariantPointedMap(PointedMap):
         self.dst_gset = dst_gset
         if src_gset.group != dst_gset.group:
             raise NotEquivariant("pointed map needs a common group")
-        for g in src_gset.group.elements:
-            for b in src_gset.elements:
-                v = self.mapping[b]
-                want = PLUS if v == PLUS else dst_gset.act(g, v)
-                if self.mapping[src_gset.act(g, b)] != want:
-                    raise NotEquivariant("pointed map does not commute "
-                                         "with the actions")
+        if not is_equivariant(src_gset.group, self.mapping, src_gset.act,
+                              _pointed_act(dst_gset)):
+            raise NotEquivariant("pointed map does not commute with the "
+                                 "actions")
 
 
 def enumerate_equivariant_pointed_maps(src_gset, dst_gset):
     """All equivariant pointed maps src+ -> dst+, deterministically.
 
-    One image per source orbit representative: the basepoint, or any target
-    whose stabilizer contains the representative's.
+    One image per source orbit representative: the basepoint or any
+    target.
     """
     if src_gset.group != dst_gset.group:
         raise NotEquivariant("pointed maps need a common group")
-
-    def choices(r):
-        need = set(src_gset.stabilizer(r))
-        return [PLUS] + [y for y in dst_gset.elements
-                         if need <= set(dst_gset.stabilizer(y))]
-
-    def act(g, y):
-        return PLUS if y == PLUS else dst_gset.act(g, y)
-
     return tuple(EquivariantPointedMap(src_gset, dst_gset, m)
-                 for m in maps_by_orbit_reps(src_gset, choices, act))
+                 for m in maps_by_orbit_reps(
+                     src_gset, lambda r: (PLUS,) + dst_gset.elements,
+                     _pointed_act(dst_gset)))
 
 
 def phi_star_G(phi, glabeled):

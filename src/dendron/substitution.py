@@ -28,7 +28,7 @@ from .labels import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def phi_star(phi, labeled):
     """Act on a labeled tree by grafting corollas along a pointed map.
 
@@ -71,7 +71,6 @@ def _pushed_mapping(phi, f, src_labeled, dst_labeled):
     return big_src, big_dst, mapping
 
 
-@lru_cache(maxsize=None)
 def phi_star_mor(phi, f, src_labeled, dst_labeled):
     """Push a label-preserving morphism through the corolla grafting.
 
@@ -85,7 +84,6 @@ def phi_star_mor(phi, f, src_labeled, dst_labeled):
     return TreeMorphism(big_src.tree, big_dst.tree, mapping)
 
 
-@lru_cache(maxsize=None)
 def tau_id(labeled):
     """Collapse the unary corollas added by the identity map's action.
 
@@ -102,7 +100,6 @@ def tau_id(labeled):
     return TreeMorphism(big.tree, labeled.tree, mapping)
 
 
-@lru_cache(maxsize=None)
 def tau_comp(gamma, phi, labeled):
     """Compare acting by a composite with acting in two steps.
 
@@ -120,7 +117,7 @@ def tau_comp(gamma, phi, labeled):
     return TreeMorphism(small.tree, big.tree, mapping)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def iota(phi, labeled):
     """The inclusion of a tree into its corolla-grafted image.
 

@@ -308,6 +308,34 @@ class TestExportDot:
             ["-c", "-ic", "c", "ic"], ["a", "ia"], ["b"],
             ["d", "id"], ["e"], ["r"]]
 
+    @staticmethod
+    def z2_forest(edges, isos):
+        """A one-component Z/2 forest document whose root carries the other
+        edges; isos are the iso of the non-identity element."""
+        return {"group": "z2", "components": [
+            {"edges": edges, "root": edges[0],
+             "vertices": [{"out": edges[0], "in": edges[1:]}]}],
+            "action": {"0": [0], "1": [0]},
+            "isos": {"0": [{str(e): e for e in edges}], "1": [isos]}}
+
+    def test_integer_edge_names_read_back(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(self.z2_forest([0, 1], {"0": 0, "1": 1})))
+        code, out, _ = run(capsys, "export-dot", str(path))
+        assert code == 0 and out.startswith("digraph")
+
+    @pytest.mark.parametrize("edges,isos", [
+        ([0, 1], {"0": 0, "7": 1}),
+        ([0, 1, "1"], {"0": 0, "1": 1})])
+    def test_iso_key_must_name_one_edge(self, capsys, tmp_path, edges,
+                                        isos):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.z2_forest(edges, isos)))
+        code, _, err = run(capsys, "export-dot", str(path))
+        assert code == 2 and err.startswith("error:")
+        assert "exactly one edge" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_export_is_deterministic(self, capsys, tmp_path):
         sample = z4_orbit_contraction_sample()
         gf = gtree_to_gforest(sample.big.gtree)

@@ -8,9 +8,10 @@ from dendron import (
     symmetric_group_3, subgroups, conjugate_subgroup, subgroup_conjugacy_key,
     GSet, trivial_gset, coset_gset, disjoint_union_gsets, transitive_gsets,
     skeletal_gsets, equivariant_maps, BUILTIN_GROUPS, builtin_group,
-    group_to_json, group_from_json,
+    group_to_json, group_from_json, PLUS, enumerate_equivariant_pointed_maps,
 )
-from dendron.groups import check_action, group_from_ref, mulclose
+from dendron.groups import (check_action, group_from_ref, is_equivariant,
+                            mulclose)
 
 
 def regular(group):
@@ -307,6 +308,59 @@ class TestEquivariantMaps:
                      if all(x.act(h, p) == p for h in sub)]
             hom = equivariant_maps(coset_gset(g, tuple(sub)), x)
             assert len(hom) == len(fixed)
+
+
+def commutes_with_every_element(group, f, src_act, dst_act):
+    """`is_equivariant` with every group element tried, not the generators."""
+    return all(f[src_act(g, x)] == dst_act(g, y)
+               for g in group.elements for x, y in f.items())
+
+
+def all_functions(src, targets):
+    for images in itertools.product(targets, repeat=src.size):
+        yield dict(zip(src.elements, images))
+
+
+def as_set(maps):
+    return {frozenset(m.items()) for m in maps}
+
+
+@pytest.mark.parametrize("name", ["trivial", "z2", "z3", "z4", "s3"])
+class TestEquivarianceOnGenerators:
+    """The generator predicate and the orbit-wise enumerators against the
+    all-elements filter of every function, on every pair of small G-sets."""
+
+    def test_predicate_is_the_all_elements_check(self, name):
+        group = builtin_group(name)
+        gsets = skeletal_gsets(group, 3)
+        accepted = rejected = 0
+        for src, dst in itertools.product(gsets, repeat=2):
+            for f in all_functions(src, dst.elements):
+                got = is_equivariant(group, f, src.act, dst.act)
+                assert got == commutes_with_every_element(group, f, src.act,
+                                                          dst.act)
+                accepted += got
+                rejected += not got
+        assert accepted > 0 and (rejected > 0 or name == "trivial")
+
+    def test_enumerators_are_the_brute_force_filter(self, name):
+        group = builtin_group(name)
+        gsets = skeletal_gsets(group, 3)
+        for src, dst in itertools.product(gsets, repeat=2):
+            want = [f for f in all_functions(src, dst.elements)
+                    if commutes_with_every_element(group, f, src.act,
+                                                   dst.act)]
+            assert as_set(equivariant_maps(src, dst)) == as_set(want)
+
+            def pointed(g, y):
+                return PLUS if y == PLUS else dst.act(g, y)
+
+            want = [f for f in all_functions(src, dst.elements + (PLUS,))
+                    if commutes_with_every_element(group, f, src.act,
+                                                   pointed)]
+            got = enumerate_equivariant_pointed_maps(src, dst)
+            assert len(got) == len(want)
+            assert as_set(pm.mapping for pm in got) == as_set(want)
 
 
 class TestSerialization:

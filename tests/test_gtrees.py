@@ -17,7 +17,8 @@ from dendron import (
     groth_hom_G, F_G, lift_G, equivariant_canonical_key, enumerate_gtrees,
     gset_pointed_category, corolla_glabeled, standard_probes,
     gtree_oplax_data, z4_orbit_contraction_sample,
-    cyclic_group, trivial_group, coset_gset, skeletal_gsets, GSet,
+    cyclic_group, trivial_group, symmetric_group_3, coset_gset,
+    skeletal_gsets, GSet,
     enumerate_all_trees,
     FcMor, FiniteCategory, check_all_coherence, check_coherence_square,
     check_oplax_units,
@@ -32,6 +33,52 @@ def two_corollas():
     t = Tree(["r", "m1", "m2", "a", "b", "c"], "r",
              [("r", ["m1", "m2"]), ("m1", ["a"]), ("m2", ["b", "c"])])
     return t
+
+
+S3 = symmetric_group_3()
+# symmetric_group_3 lists the permutations of 0, 1, 2 in this order; element
+# 1 swaps the points 1 and 2, element 2 swaps the points 0 and 1
+PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def s3_rows(tree):
+    """S3 permuting the edges p0, p1, p2 as points and fixing the rest."""
+    return {g: {e: (f"p{p[int(e[1])]}" if e[0] == "p" else e)
+                for e in tree.edges}
+            for g, p in enumerate(PERMS)}
+
+
+class TestSecondGenerator:
+    """Failures that only the second generator of S3 exposes: the first
+    generator's row is fine in each."""
+
+    def test_generators(self):
+        assert S3.generators == (1, 2)
+
+    def test_row_of_element_two_moves_the_root(self):
+        t = Tree(["p0", "p1", "p2"], "p0", [("p0", ["p1", "p2"])])
+        with pytest.raises(NotEquivariant, match="root"):
+            GTree(t, S3, s3_rows(t))
+
+    def test_row_of_element_two_tears_a_vertex(self):
+        t = Tree(["r", "p0", "q", "p1", "p2"], "r",
+                 [("r", ["p0", "q"]), ("q", ["p1", "p2"])])
+        with pytest.raises(NotEquivariant, match="vertex"):
+            GTree(t, S3, s3_rows(t))
+
+    def test_map_commuting_with_element_one_only(self):
+        t = Tree(["r", "p0", "p1", "p2"], "r", [("r", ["p0", "p1", "p2"])])
+        gt = GTree(t, S3, s3_rows(t))
+        swap = {"r": "r", "p0": "p0", "p1": "p2", "p2": "p1"}
+        f = TreeMorphism(t, t, swap)
+        assert all(swap[gt.act(1, e)] == gt.act(1, v)
+                   for e, v in swap.items())
+        assert not is_equivariant_morphism(gt, gt, f)
+        assert f not in equivariant_hom(gt, gt)
+        points = GSet(S3, (0, 1, 2), {g: dict(enumerate(p))
+                                       for g, p in enumerate(PERMS)})
+        with pytest.raises(NotEquivariant):
+            EquivariantPointedMap(points, points, {0: 0, 1: 2, 2: 1})
 
 
 class TestGTreeValidation:

@@ -11,6 +11,7 @@ from dendron import (
     GrothTreeMorphism, groth_identity, compose_groth, groth_hom, F_functor,
     lift_morphism, TreeMorphism, MorphismError, sort_key,
 )
+from dendron import substitution
 from dendron.trees import _fresh_layer
 
 
@@ -105,6 +106,14 @@ class TestCachedTreeData:
         for t in trees:
             assert t.sorted_edges() == tuple(sorted(t.edges, key=sort_key))
             assert _fresh_layer(t) == self.scanned_layer(t)
+
+
+def test_module_caches_are_bounded():
+    caches = {name: f for name, f in vars(substitution).items()
+              if hasattr(f, "cache_info")}
+    assert {"phi_star", "iota"} <= set(caches)
+    for f in caches.values():
+        assert f.cache_info().maxsize is not None
 
 
 class TestPhiStarMor:
