@@ -49,7 +49,7 @@ from .gtrees import (
 )
 from .forests import (
     ForestError, ActionNotFunctorial, ComponentIsoInvalid, Forest,
-    ForestMorphism, GForest, gtree_to_gforest, root_gset, is_genuine,
+    ForestMorphism, GForest, gtree_to_gforest, is_genuine,
     is_equivariant_forest_morphism, forest_hom, subgroup_group,
     coset_groupoid, bh_to_coset_groupoid, CosetDiagram, diagram_from_gtree,
     DiagramMorphism, diagram_hom, assemble_gforest, RetractiveGSet,

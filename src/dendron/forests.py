@@ -9,16 +9,14 @@ them, and exhaustive checks that the translations are equivalences on
 small corpora.
 """
 
-import itertools
-
 from .trees import Tree, relabel, sort_key, tree_to_json, tree_from_json
 from .morphisms import TreeMorphism, hom_set, compose
 from .labels import PLUS, LabeledTree, PointedMap, LabelError
 from .substitution import phi_star, iota
 from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
     check_equivalence
-from .groups import FiniteGroup, GSet, GroupError, check_action, \
-    close_table, coset_gset, equivariant_maps, group_from_ref, \
+from .groups import FiniteGroup, GSet, GSetError, GroupError, \
+    check_action, close_table, coset_gset, equivariant_maps, group_from_ref, \
     is_equivariant, maps_by_orbit_reps, subgroup_class_reps
 from .gtrees import NotEquivariant, enumerate_gtrees
 from .pairs import _run_pairs
@@ -159,10 +157,11 @@ class GForest:
 
     index_action maps each group element to a permutation of the indices,
     and isos[(g, i)] is the edge bijection from component i to component
-    g.i.  The data must compose like the group.
+    g.i.  The data must compose like the group.  base is the G-set of
+    indices, built once.
     """
 
-    __slots__ = ("forest", "group", "index_action", "isos", "_hash")
+    __slots__ = ("forest", "group", "index_action", "isos", "base", "_hash")
 
     def __init__(self, forest, group, index_action, isos):
         self.forest = forest
@@ -174,9 +173,12 @@ class GForest:
         self._validate()
 
     def _validate(self):
-        check_action(self.group, {g: dict(enumerate(row))
-                                  for g, row in self.index_action.items()},
-                     range(self.forest.n), ActionNotFunctorial)
+        try:
+            self.base = GSet(self.group, range(self.forest.n),
+                             {g: dict(enumerate(row))
+                              for g, row in self.index_action.items()})
+        except GSetError as err:
+            raise ActionNotFunctorial(str(err)) from None
         _check_family(self.group, dict(enumerate(self.forest.components)),
                       self.act_index, self.isos)
 
@@ -244,21 +246,9 @@ def gtree_to_gforest(gtree):
     return GForest(forest, gtree.group, rows, isos)
 
 
-def root_gset(gforest):
-    """The roots of the components as a G-set."""
-    carrier = [(i, t.root) for i, t in enumerate(gforest.forest.components)]
-    rows = {}
-    for g in gforest.group.elements:
-        rows[g] = {}
-        for i, t in enumerate(gforest.forest.components):
-            j = gforest.index_action[g][i]
-            rows[g][(i, t.root)] = (j, gforest.isos[(g, i)][t.root])
-    return GSet(gforest.group, carrier, rows)
-
-
 def is_genuine(gforest):
-    """Is the action transitive on the roots?"""
-    return root_gset(gforest).is_transitive()
+    """Is the action transitive on the components, and so on the roots?"""
+    return gforest.base.is_transitive()
 
 
 def is_equivariant_forest_morphism(src, dst, fm):
@@ -271,58 +261,51 @@ def is_equivariant_forest_morphism(src, dst, fm):
                                 dict(enumerate(fm.components)))
 
 
-def _commutes(f, pairs):
-    """Does a tree map commute with each (source iso, target iso) pair?"""
-    return all(f.mapping[up[e]] == over[v]
-               for up, over in pairs for e, v in f.mapping.items())
+def _family_maps(src, dst, src_trees, dst_trees, targets):
+    """Every map of tree families that commutes with the isos.
 
+    src and dst have a base G-set and isos[(g, i)] from the tree at i to
+    the tree at g.i; the trees are src_trees[i] and dst_trees[j].  Each
+    base element i goes to (i, j, f): a j from targets(i) and a tree map f
+    from the tree at i to the tree at j, which g carries along the isos at
+    i and j.  The maps come from the orbit-representative engine.
+    """
+    def choices(i):
+        return [(i, j, f) for j in targets(i)
+                for f in hom_set(src_trees[i], dst_trees[j])]
 
-def _carry(f, up, over, src, dst):
-    """Carry a tree map along a source and a target iso."""
-    moved = {up[e]: over[v] for e, v in f.mapping.items()}
-    return TreeMorphism(src, dst, moved, _checked=True)
+    def carry(g, image):
+        i, j, f = image
+        gi, gj = src.base.act(g, i), dst.base.act(g, j)
+        up, over = src.isos[(g, i)], dst.isos[(g, j)]
+        moved = {up[e]: over[v] for e, v in f.mapping.items()}
+        return gi, gj, TreeMorphism(src_trees[gi], dst_trees[gj], moved,
+                                    _checked=True)
+
+    return maps_by_orbit_reps(src.base, choices, carry)
 
 
 def forest_hom(src, dst):
     """All equivariant forest morphisms src -> dst.
 
-    Index maps that fail equivariance support no morphism at all (the
-    commuting squares force the index map to commute with the actions),
-    so only equivariant ones are expanded; a component map is chosen at
-    one representative per index orbit and transported along the action.
+    An index i can only go to an index j fixed by the stabilizer of i, as
+    the index map commutes with the actions; the component map at i must
+    commute with the isos of that stabilizer.
     """
     if src.group != dst.group:
         raise ForestError("hom needs a common group")
-    group = src.group
-    reps = [o.rep[0] for o in root_gset(src).orbits()]
-    out = []
-    for idx in itertools.product(range(dst.forest.n),
-                                 repeat=src.forest.n):
-        if not is_equivariant(group, dict(enumerate(idx)), src.act_index,
-                              dst.act_index):
-            continue
-        per_orbit = []
-        for r in reps:
-            pairs = [(src.isos[(s, r)], dst.isos[(s, idx[r])])
-                     for s in group.elements if src.index_action[s][r] == r]
-            per_orbit.append((r, [
-                f for f in hom_set(src.forest.components[r],
-                                   dst.forest.components[idx[r]])
-                if _commutes(f, pairs)]))
-        for choice in itertools.product(*(c for _, c in per_orbit)):
-            comps = [None] * src.forest.n
-            for (r, _), f in zip(per_orbit, choice):
-                comps[r] = f
-                for g in group.elements:
-                    i = src.index_action[g][r]
-                    if comps[i] is None:
-                        comps[i] = _carry(f, src.isos[(g, r)],
-                                          dst.isos[(g, idx[r])],
-                                          src.forest.components[i],
-                                          dst.forest.components[idx[i]])
-            out.append(ForestMorphism(src.forest, dst.forest, idx, comps,
-                                      _checked=True))
-    return tuple(out)
+
+    def targets(i):
+        stab = set(src.base.stabilizer(i))
+        return [j for j in dst.base.elements
+                if stab <= set(dst.base.stabilizer(j))]
+
+    n = src.forest.n
+    return tuple(
+        ForestMorphism(src.forest, dst.forest, [m[i][1] for i in range(n)],
+                       [m[i][2] for i in range(n)], _checked=True)
+        for m in _family_maps(src, dst, src.forest.components,
+                              dst.forest.components, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +508,10 @@ def diagram_hom(src, dst):
     """
     if (src.group, src.sub) != (dst.group, dst.sub):
         raise ForestError("diagrams live over different groupoids")
-    group = src.group
-    base = src.base
-    c0 = min(base.elements)
-    reps = {c: min(x for x in group.elements if base.act(x, c0) == c)
-            for c in base.elements}
-    pairs = [(src.isos[(s, c0)], dst.isos[(s, c0)])
-             for s in group.elements if base.act(s, c0) == c0]
-    out = []
-    for f0 in hom_set(src.trees[c0], dst.trees[c0]):
-        if _commutes(f0, pairs):
-            comps = {c: _carry(f0, src.isos[(r, c0)], dst.isos[(r, c0)],
-                               src.trees[c], dst.trees[c])
-                     for c, r in reps.items()}
-            out.append(DiagramMorphism(src, dst, comps))
-    return tuple(out)
+    return tuple(DiagramMorphism(src, dst, {c: f for c, (_, _, f)
+                                            in m.items()})
+                 for m in _family_maps(src, dst, src.trees, dst.trees,
+                                       lambda c: [c]))
 
 
 def assemble_gforest(diagram):

@@ -242,12 +242,26 @@ def maps_by_orbit_reps(src, choices, act):
     carries one along g.  Only those fixed by the representative's
     stabilizer spread over its orbit and are kept; the maps come in product
     order of the kept candidates, representatives in orbit order.
+
+    A kept y needs one carry per orbit member x: every g with g.rep = x is
+    g0 s for the first such g0 and some s in the stabilizer, and act(g0 s,
+    y) = act(g0, act(s, y)) = act(g0, y).  The identity, first in element
+    order, fixes every y: the stabilizer check skips it, the representative
+    takes y itself, and members come in the order elements first reach them.
     """
+    ident = src.group.identity
     orbits = src.orbits()
     kept = [[y for y in choices(o.rep)
-             if all(act(s, y) == y for s in o.stabilizer)] for o in orbits]
-    return [{src.act(g, o.rep): act(g, y)
-             for o, y in zip(orbits, pick) for g in src.group.elements}
+             if all(act(s, y) == y for s in o.stabilizer if s != ident)]
+            for o in orbits]
+    moves = []
+    for o in orbits:
+        first = {}
+        for g in src.group.elements:
+            first.setdefault(src.act(g, o.rep), g)
+        moves.append(first.items())
+    return [{x: y if g == ident else act(g, y)
+             for y, move in zip(pick, moves) for x, g in move}
             for pick in product(*kept)]
 
 

@@ -123,6 +123,26 @@ class TestCheckSuites:
         assert len(bh) == 6 and all(bh.values())
         assert elapsed < 120, f"s3 genuine took {elapsed:.1f}s"
 
+    @pytest.mark.parametrize("group, objects, homs, groupoids, budget", [
+        ("z3", 18, 790, {"0", "0,1,2"}, 20),
+        ("z4", 31, 1971, {"0", "0,1,2,3", "0,2"}, 30),
+    ], ids=["z3", "z4"])
+    def test_genuine_cyclic_counts(self, capsys, group, objects, homs,
+                                   groupoids, budget):
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "check", "genuine",
+                           "--group", group, "--max-edges", "3")
+        elapsed = time.monotonic() - t0
+        report = json.loads(out)
+        assert code == 0 and report["ok"]
+        fc = report["forest_check"]
+        assert (fc["objects"], fc["pairs"]) == (objects, objects ** 2)
+        assert fc["forest_homs"] == fc["pair_homs"] == fc["triple_homs"] \
+            == homs
+        bh = report["one_object_groupoid_equivalences"]
+        assert set(bh) == groupoids and all(bh.values())
+        assert elapsed < budget, f"{group} genuine took {elapsed:.1f}s"
+
     def test_group_file_input(self, capsys, tmp_path):
         path = tmp_path / "z3.json"
         path.write_text(json.dumps(group_to_json(cyclic_group(3))))

@@ -5,9 +5,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dendron import forests
 from dendron import (
     Forest, ForestMorphism, GForest, ForestError, ActionNotFunctorial,
-    ComponentIsoInvalid, gtree_to_gforest, root_gset, is_genuine,
+    ComponentIsoInvalid, gtree_to_gforest, is_genuine,
     is_equivariant_forest_morphism, forest_hom, subgroup_group,
     coset_groupoid, bh_to_coset_groupoid, CosetDiagram, diagram_from_gtree,
     DiagramMorphism, diagram_hom, assemble_gforest, RetractiveGSet,
@@ -200,8 +201,8 @@ class TestGenuineness:
     def test_swap_forest_is_genuine(self):
         gf = swap_gforest(corolla(2))
         assert is_genuine(gf)
-        roots = root_gset(gf)
-        assert set(roots.elements) == {(0, "r"), (1, "r")}
+        assert gf.base.elements == (0, 1)
+        assert gf.base.orbits()[0].members == (0, 1)
 
     def test_fixed_pair_is_not_genuine(self):
         gf = GForest.trivial(Forest([corolla(2), corolla(2)]), Z2)
@@ -247,15 +248,40 @@ class TestForestHom:
         assert len(homs) == 4
         assert sum(1 for fm in homs if fm.is_identity()) == 1
 
+    @pytest.mark.parametrize("group, max_edges",
+                             [(Z2, 3), (Z4, 2), (S3, 2)],
+                             ids=["z2", "z4", "s3"])
+    def test_small_corpus_matches_brute_force(self, group, max_edges):
+        objs = [assemble_gforest(d)
+                for d in enumerate_genuine_diagrams(group, max_edges)]
+        objs += [GForest.trivial(Forest(pair), group) for pair in
+                 [(single_edge("r"), corolla(2)),
+                  (linear_tree(2), linear_tree(2))]]
+        total = 0
+        for src, dst in itertools.product(objs, repeat=2):
+            fast = forest_hom(src, dst)
+            assert len(set(fast)) == len(fast)
+            assert set(fast) == set(self._brute_force(src, dst))
+            total += len(fast)
+        assert total > 0
+
     @staticmethod
     def _brute_force(src, dst):
+        """Every index map with every choice of component maps that
+        commutes with both actions.  An index map that does not commute
+        with the index actions is skipped: the full check compares the
+        index of every (index, edge) pair, so it fails on such a map."""
         out = []
         n, m = src.forest.n, dst.forest.n
+        pools = {(i, j): hom_set(src.forest.components[i],
+                                 dst.forest.components[j])
+                 for i in range(n) for j in range(m)}
         for idx in itertools.product(range(m), repeat=n):
-            pools = [hom_set(src.forest.components[i],
-                             dst.forest.components[idx[i]])
-                     for i in range(n)]
-            for combo in itertools.product(*pools):
+            if any(idx[src.act_index(g, i)] != dst.act_index(g, idx[i])
+                   for g in src.group.elements for i in range(n)):
+                continue
+            for combo in itertools.product(*(pools[(i, j)]
+                                             for i, j in enumerate(idx))):
                 fm = ForestMorphism(src.forest, dst.forest, idx, combo)
                 if is_equivariant_forest_morphism(src, dst, fm):
                     out.append(fm)
@@ -431,6 +457,51 @@ class TestDiagramHom:
         trees = [single_edge("r"), corolla(2), linear_tree(2)]
         for (da, ta), (db, tb) in itertools.product(zip(ds, trees), repeat=2):
             assert len(diagram_hom(da, db)) == len(hom_set(ta, tb))
+
+    @pytest.mark.parametrize("group", [Z4, S3], ids=["z4", "s3"])
+    def test_matches_brute_force_up_to_three_edges(self, group):
+        ds = enumerate_genuine_diagrams(group, 3)
+        total = 0
+        for src, dst in itertools.product(ds, repeat=2):
+            if src.sub != dst.sub:
+                continue
+            fast = diagram_hom(src, dst)
+            assert len(set(fast)) == len(fast)
+            assert set(fast) == set(self._brute_force(src, dst))
+            total += len(fast)
+        assert total > 0
+
+    @staticmethod
+    def _brute_force(src, dst):
+        """Every choice of one hom_set map per coset that DiagramMorphism
+        accepts.  Cosets are chosen in turn, and a partial choice is
+        dropped as soon as two chosen components fail the translation
+        between their cosets, which no later choice can mend."""
+        def natural(comps, x, c):
+            d = src.act_coset(x, c)
+            if d not in comps:
+                return True
+            up, over = src.isos[(x, c)], dst.isos[(x, c)]
+            return all(comps[d].mapping[up[e]] == over[v]
+                       for e, v in comps[c].mapping.items())
+
+        partial = [{}]
+        for c in src.cosets:
+            grown = []
+            for comps in partial:
+                for f in hom_set(src.trees[c], dst.trees[c]):
+                    new = {**comps, c: f}
+                    if all(natural(new, x, d) for x in src.group.elements
+                           for d in new if c in (d, src.act_coset(x, d))):
+                        grown.append(new)
+            partial = grown
+        out = []
+        for comps in partial:
+            try:
+                out.append(DiagramMorphism(src, dst, comps))
+            except ForestError:
+                pass
+        return out
 
     def test_identity_and_composition(self):
         ds = trivial_sub_diagrams()
@@ -645,6 +716,20 @@ class TestEquivalenceReports:
         assert report["objects"] == 20
         assert (report["forest_homs"] == report["pair_homs"]
                 == report["triple_homs"] == 694)
+
+    def test_hom_set_calls_stay_bounded(self, monkeypatch):
+        # the count when forest_hom took only stabilizer-fixed targets
+        calls = []
+
+        def counted(src, dst):
+            calls.append((src, dst))
+            return hom_set(src, dst)
+
+        monkeypatch.setenv("DENDRON_WORKERS", "1")
+        monkeypatch.setattr(forests, "hom_set", counted)
+        report = genuine_equivalence_check(Z2, max_edges=3)
+        assert report["ok"] and report["forest_homs"] == 694
+        assert len(calls) <= 1350
 
     def test_enumeration_is_deterministic(self):
         assert (enumerate_genuine_diagrams(Z2, 3)

@@ -325,6 +325,19 @@ def as_set(maps):
     return {frozenset(m.items()) for m in maps}
 
 
+def spread_over_every_element(src, choices, act):
+    """The orbit-representative enumeration with every group element
+    tried: a candidate is kept when the whole stabilizer fixes it, and each
+    member x takes act(g, y) for every g with g.rep = x, the last one
+    winning."""
+    orbits = src.orbits()
+    kept = [[y for y in choices(o.rep)
+             if all(act(s, y) == y for s in o.stabilizer)] for o in orbits]
+    return [{src.act(g, o.rep): act(g, y)
+             for o, y in zip(orbits, pick) for g in src.group.elements}
+            for pick in itertools.product(*kept)]
+
+
 @pytest.mark.parametrize("name", ["trivial", "z2", "z3", "z4", "s3"])
 class TestEquivarianceOnGenerators:
     """The generator predicate and the orbit-wise enumerators against the
@@ -361,6 +374,25 @@ class TestEquivarianceOnGenerators:
             got = enumerate_equivariant_pointed_maps(src, dst)
             assert len(got) == len(want)
             assert as_set(pm.mapping for pm in got) == as_set(want)
+
+    def test_enumerators_match_the_spread_over_every_element(self, name):
+        group = builtin_group(name)
+        gsets = skeletal_gsets(group, 3)
+        for src, dst in itertools.product(gsets, repeat=2):
+            want = spread_over_every_element(src, lambda r: dst.elements,
+                                             dst.act)
+            got = equivariant_maps(src, dst)
+            assert [list(m.items()) for m in got] == \
+                [list(m.items()) for m in want]
+
+            def pointed(g, y):
+                return PLUS if y == PLUS else dst.act(g, y)
+
+            want = spread_over_every_element(
+                src, lambda r: (PLUS,) + dst.elements, pointed)
+            got = enumerate_equivariant_pointed_maps(src, dst)
+            assert [list(pm.mapping.items()) for pm in got] == \
+                [list(m.items()) for m in want]
 
 
 class TestSerialization:
