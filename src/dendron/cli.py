@@ -227,7 +227,7 @@ def _forest_edge_orbits(gforest):
     """Orbits of (component, edge) pairs under the forest's action."""
     pairs = [(i, e) for i, t in enumerate(gforest.forest.components)
              for e in t.edges]
-    rows = {g: {(i, e): (gforest.act_index(g, i), gforest.isos[(g, i)][e])
+    rows = {g: {(i, e): (gforest.base.act(g, i), gforest.isos[(g, i)][e])
                 for i, e in pairs}
             for g in gforest.group.elements}
     return [o.members for o in GSet(gforest.group, pairs, rows).orbits()]

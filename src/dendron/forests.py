@@ -13,10 +13,10 @@ from .trees import Tree, relabel, sort_key, tree_to_json, tree_from_json
 from .morphisms import TreeMorphism, hom_set, compose
 from .labels import PLUS, LabeledTree, PointedMap, LabelError
 from .substitution import phi_star, iota
-from .oplax import FcMor, FiniteCategory, FcFunctor, group_category, \
+from .oplax import FiniteCategory, FcFunctor, group_category, \
     check_equivalence
 from .groups import FiniteGroup, GSet, GSetError, GroupError, \
-    check_action, close_table, coset_gset, equivariant_maps, group_from_ref, \
+    check_action, coset_gset, equivariant_maps, group_from_ref, \
     is_equivariant, maps_by_orbit_reps, subgroup_class_reps
 from .gtrees import NotEquivariant, enumerate_gtrees
 from .pairs import _run_pairs
@@ -158,29 +158,24 @@ class GForest:
     index_action maps each group element to a permutation of the indices,
     and isos[(g, i)] is the edge bijection from component i to component
     g.i.  The data must compose like the group.  base is the G-set of
-    indices, built once.
+    indices, which keeps the index action.
     """
 
-    __slots__ = ("forest", "group", "index_action", "isos", "base", "_hash")
+    __slots__ = ("forest", "group", "isos", "base", "_hash")
 
     def __init__(self, forest, group, index_action, isos):
         self.forest = forest
         self.group = group
-        self.index_action = {g: tuple(row)
-                             for g, row in dict(index_action).items()}
         self.isos = {k: dict(v) for k, v in dict(isos).items()}
         self._hash = None
-        self._validate()
-
-    def _validate(self):
         try:
-            self.base = GSet(self.group, range(self.forest.n),
+            self.base = GSet(group, range(forest.n),
                              {g: dict(enumerate(row))
-                              for g, row in self.index_action.items()})
+                              for g, row in dict(index_action).items()})
         except GSetError as err:
             raise ActionNotFunctorial(str(err)) from None
-        _check_family(self.group, dict(enumerate(self.forest.components)),
-                      self.act_index, self.isos)
+        _check_family(group, dict(enumerate(forest.components)),
+                      self.base.act, self.isos)
 
     @classmethod
     def trivial(cls, forest, group):
@@ -190,47 +185,15 @@ class GForest:
                 for g in group.elements for i in range(n)}
         return cls(forest, group, rows, isos)
 
-    @classmethod
-    def from_generator_rows(cls, forest, group, rows, isos):
-        """Close index rows and isos given on a generating set.
-
-        The data of an element is its index row with one component iso
-        per index.
-        """
-        n = forest.n
-
-        def product(a, b):
-            (idx_a, iso_a), (idx_b, iso_b) = a, b
-            return (tuple(idx_a[j] for j in idx_b),
-                    tuple({x: iso_a[idx_b[i]][y] for x, y in iso_b[i].items()}
-                          for i in range(n)))
-
-        have = close_table(
-            group,
-            {g: (tuple(row), tuple(dict(isos[(g, i)]) for i in range(n)))
-             for g, row in rows.items()},
-            (tuple(range(n)),
-             tuple({e: e for e in t.edges} for t in forest.components)),
-            product, ActionNotFunctorial)
-        return cls(forest, group, {g: idx for g, (idx, _) in have.items()},
-                   {(g, i): m[i] for g, (_, m) in have.items()
-                    for i in range(n)})
-
-    def act_index(self, g, i):
-        return self.index_action[g][i]
-
     def __eq__(self, other):
         if not isinstance(other, GForest):
             return NotImplemented
-        return (self.forest == other.forest and self.group == other.group
-                and self.index_action == other.index_action
+        return (self.forest == other.forest and self.base == other.base
                 and self.isos == other.isos)
 
     def __hash__(self):
         if self._hash is None:
-            rows = tuple(tuple(self.index_action[g])
-                         for g in self.group.elements)
-            self._hash = hash((self.forest, self.group, rows))
+            self._hash = hash((self.forest, self.base))
         return self._hash
 
     def __repr__(self):
@@ -255,8 +218,8 @@ def is_equivariant_forest_morphism(src, dst, fm):
     """Does (index map, tree maps) commute with both forest actions?"""
     if fm.src != src.forest or fm.dst != dst.forest:
         raise ForestError("morphism does not match the actions")
-    return _family_map_commutes(src.group, src.act_index, src.isos,
-                                dst.act_index, dst.isos,
+    return _family_map_commutes(src.group, src.base.act, src.isos,
+                                dst.base.act, dst.isos,
                                 dict(enumerate(fm.index_map)),
                                 dict(enumerate(fm.components)))
 
@@ -344,18 +307,10 @@ def coset_groupoid(group, sub):
     subgroup has elements.
     """
     base = coset_gset(group, tuple(sub))
-    objects = base.elements
-    mors = {}
-    for x in group.elements:
-        for c in objects:
-            mors[(x, c)] = FcMor(x, c, base.act(x, c))
-    table = {}
-    for (x, c), a in mors.items():
-        for y in group.elements:
-            b = mors[(y, a.dst)]
-            table[(a, b)] = mors[(group.mul(y, x), c)]
-    idents = {c: mors[(group.identity, c)] for c in objects}
-    return FiniteCategory(objects, mors.values(), table, idents).validate()
+    return FiniteCategory.from_homs(
+        base.elements,
+        lambda c, d: [x for x in group.elements if base.act(x, c) == d],
+        lambda x, y: group.mul(y, x), lambda c: group.identity).validate()
 
 
 def bh_to_coset_groupoid(group, sub):
@@ -371,11 +326,8 @@ def bh_to_coset_groupoid(group, sub):
     base = coset_gset(group, sub)
     c0 = base.act(group.identity, min(sub))
     ob = {"*": c0}
-    mor = {}
-    for m in bh.morphisms:
-        mor[m] = next(a for a in gpd.morphisms
-                      if a.name == m.name and a.src == c0)
-    functor = FcFunctor(bh, gpd, ob, mor)
+    loops = {a.name: a for a in gpd.hom(c0, c0)}
+    functor = FcFunctor(bh, gpd, ob, {m: loops[m.name] for m in bh.morphisms})
     functor.validate()
     return functor, check_equivalence(functor)
 
@@ -1082,10 +1034,11 @@ def gforest_to_json(gforest, group_ref=None):
         docs.append(tree_to_json(relabel(t, ren)))
     data = {
         "components": docs,
-        "action": {str(g): list(gforest.index_action[g])
+        "action": {str(g): [gforest.base.act(g, i)
+                            for i in range(gforest.forest.n)]
                    for g in gforest.group.elements},
         "isos": {str(g): [
-            {renames[i][e]: renames[gforest.index_action[g][i]][v]
+            {renames[i][e]: renames[gforest.base.act(g, i)][v]
              for e, v in gforest.isos[(g, i)].items()}
             for i in range(gforest.forest.n)]
             for g in gforest.group.elements},
@@ -1104,8 +1057,10 @@ def gforest_from_json(data, registry=None):
     group = group_from_ref(data["group"], registry)
     forest = Forest([tree_from_json(doc) for doc in data["components"]])
     action, isos = data["action"], data["isos"]
+    # one key per element: "01" or a non-ASCII digit must not alias "1"
+    numbers = {str(g): g for g in group.elements}
     if not (isinstance(action, dict) and isinstance(isos, dict)
-            and all(g.isdecimal() for g in [*action, *isos])
+            and all(g in numbers for g in [*action, *isos])
             and all(isinstance(row, list) and all(type(j) is int
                                                   for j in row)
                     for row in action.values())
@@ -1124,7 +1079,7 @@ def gforest_from_json(data, registry=None):
                               f"of component {i}")
         return found[0]
 
-    rows = {int(g): tuple(row) for g, row in action.items()}
-    maps = {(int(g), i): {edge(i, k): v for k, v in ms[i].items()}
+    rows = {numbers[g]: tuple(row) for g, row in action.items()}
+    maps = {(numbers[g], i): {edge(i, k): v for k, v in ms[i].items()}
             for g, ms in isos.items() for i in range(forest.n)}
     return GForest(forest, group, rows, maps)

@@ -611,28 +611,11 @@ def gset_pointed_category(group, max_size):
     Objects are the skeletal G-sets themselves; composition is
     diagrammatic on the underlying pointed maps.
     """
-    from .oplax import FcMor, FiniteCategory
+    from .oplax import FiniteCategory
 
-    objects = skeletal_gsets(group, max_size)
-    mors = []
-    for a in objects:
-        for b in objects:
-            for pm in enumerate_equivariant_pointed_maps(a, b):
-                mors.append(FcMor(pm, a, b))
-    canon = {m: m for m in mors}
-    table = {}
-    for f in mors:
-        for g in mors:
-            if f.dst == g.src:
-                pm = compose_pointed(f.name, g.name)
-                table[(f, g)] = canon[FcMor(
-                    EquivariantPointedMap(f.src, g.dst, pm.mapping),
-                    f.src, g.dst)]
-    idents = {}
-    for a in objects:
-        ident = EquivariantPointedMap(a, a, {x: x for x in a.elements})
-        idents[a] = canon[FcMor(ident, a, a)]
-    return FiniteCategory(objects, mors, table, idents)
+    return FiniteCategory.from_homs(
+        skeletal_gsets(group, max_size), enumerate_equivariant_pointed_maps,
+        compose_pointed, lambda a: PointedMap.identity_on(a.elements))
 
 
 def corolla_glabeled(gset):

@@ -71,6 +71,31 @@ class FiniteCategory:
             self._hom.setdefault((m.src, m.dst), []).append(m)
             self._by_src.setdefault(m.src, []).append(m)
 
+    @classmethod
+    def from_homs(cls, objects, hom, then, identity):
+        """The category whose arrows a -> b are named by hom(a, b).
+
+        Arrows are listed by source, then target, then name in the order
+        hom gives.  then(p, q) names the composite "p then q" of arrows
+        named p and q, and identity(a) names the identity at a; table
+        values and identities are the listed arrows themselves.
+        """
+        objects = tuple(objects)
+        mors = [FcMor(name, a, b) for a in objects for b in objects
+                for name in hom(a, b)]
+        canon = {m: m for m in mors}
+
+        def listed(name, a, b):
+            m = FcMor(name, a, b)
+            if m not in canon:
+                raise CategoryError(f"{m!r} is not a listed arrow")
+            return canon[m]
+
+        table = {(f, g): listed(then(f.name, g.name), f.src, g.dst)
+                 for f in mors for g in mors if f.dst == g.src}
+        return cls(objects, mors, table,
+                   {a: listed(identity(a), a, a) for a in objects})
+
     def hom(self, a, b):
         return tuple(self._hom.get((a, b), ()))
 
@@ -143,18 +168,15 @@ class FiniteCategory:
 
 
 def discrete_category(objects):
-    objects = tuple(objects)
-    idents = {a: FcMor(("id", a), a, a) for a in objects}
-    table = {(i, i): i for i in idents.values()}
-    return FiniteCategory(objects, idents.values(), table, idents)
+    return FiniteCategory.from_homs(
+        objects, lambda a, b: [("id", a)] if a == b else [],
+        lambda p, q: p, lambda a: ("id", a))
 
 
 def group_category(elements, mul, unit, obj="*"):
     """A group as a one-object category; arrows composed diagrammatically."""
-    mors = {e: FcMor(e, obj, obj) for e in elements}
-    table = {(mors[a], mors[b]): mors[mul(b, a)]
-             for a in elements for b in elements}
-    return FiniteCategory([obj], mors.values(), table, {obj: mors[unit]})
+    return FiniteCategory.from_homs(
+        [obj], lambda a, b: elements, lambda p, q: mul(q, p), lambda a: unit)
 
 
 class FcFunctor:

@@ -253,24 +253,12 @@ def lift_morphism(f, src_labeled, dst_labeled):
 
 def pointed_category(max_size):
     """The category of pointed label sets 1..n for n up to a bound."""
-    from .oplax import FcMor, FiniteCategory
+    from .oplax import FiniteCategory
 
-    mors = []
-    for m in range(max_size + 1):
-        for n in range(max_size + 1):
-            for p in enumerate_pointed_maps(range(1, m + 1),
-                                            range(1, n + 1)):
-                mors.append(FcMor(p, m, n))
-    canon = {m: m for m in mors}
-    table = {}
-    for f in mors:
-        for g in mors:
-            if f.dst == g.src:
-                table[(f, g)] = canon[FcMor(compose_pointed(f.name, g.name),
-                                            f.src, g.dst)]
-    idents = {n: canon[FcMor(PointedMap.identity_on(range(1, n + 1)), n, n)]
-              for n in range(max_size + 1)}
-    return FiniteCategory(range(max_size + 1), mors, table, idents)
+    return FiniteCategory.from_homs(
+        range(max_size + 1),
+        lambda m, n: enumerate_pointed_maps(range(1, m + 1), range(1, n + 1)),
+        compose_pointed, lambda n: PointedMap.identity_on(range(1, n + 1)))
 
 
 def _oplax_data(base, probes, app_obj, fiber_hom):

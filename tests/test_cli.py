@@ -356,6 +356,19 @@ class TestExportDot:
         assert "exactly one edge" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("alias", [None, "01", "١"])
+    def test_one_key_per_element(self, capsys, tmp_path, alias):
+        # the "1" row is no isomorphism; a valid row under another
+        # spelling of 1 must not replace it
+        doc = self.z2_forest(["r", "a", "b"], {"r": "r", "a": "a", "b": "a"})
+        if alias is not None:
+            doc["isos"][alias] = [{"r": "r", "a": "a", "b": "b"}]
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export-dot", str(path))
+        assert code == 2 and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_export_is_deterministic(self, capsys, tmp_path):
         sample = z4_orbit_contraction_sample()
         gf = gtree_to_gforest(sample.big.gtree)
@@ -544,6 +557,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc", [
         {"group": "z2", "components": [tree_to_json(single_edge("e"))],
          "action": {"x": [0]}, "isos": {"0": [{"e": "e"}]}},
+        {"group": "z2", "components": [tree_to_json(single_edge("e"))],
+         "action": {"0": [0], "1" * 5000: [0]},
+         "isos": {"0": [{"e": "e"}], "1": [{"e": "e"}]}},
         {"edges": [["x"]], "root": "x", "vertices": []}, *MISREAD_TREES])
     def test_malformed_dot_input_is_a_usage_error(self, capsys, tmp_path,
                                                   doc):

@@ -133,11 +133,11 @@ class TestForestBasics:
 class TestGForestValidation:
     def test_single_fixed_tree(self):
         gf = GForest.trivial(Forest([corolla(2)]), Z2)
-        assert gf.act_index(1, 0) == 0
+        assert gf.base.act(1, 0) == 0
 
     def test_swapped_pair_of_equal_trees(self):
         gf = swap_gforest(corolla(2))
-        assert gf.act_index(1, 0) == 1
+        assert gf.base.act(1, 0) == 1
 
     def test_swap_of_nonisomorphic_pair_rejected(self):
         t, s = corolla(2), corolla(3)
@@ -176,20 +176,6 @@ class TestGForestValidation:
             GForest(Forest([t, t]), Z2, {0: (0, 1), 1: (1, 0)},
                     {(0, 0): ident_edges(t), (0, 1): ident_edges(t),
                      (1, 0): swap, (1, 1): ident_edges(t)})
-
-    def test_generator_rows_close_up(self):
-        t = corolla(2)
-        gf = GForest.from_generator_rows(
-            Forest([t, t]), Z2, {1: (1, 0)},
-            {(1, 0): ident_edges(t), (1, 1): ident_edges(t)})
-        assert gf.index_action == {0: (0, 1), 1: (1, 0)}
-
-    def test_non_generating_rows_rejected(self):
-        t = corolla(2)
-        with pytest.raises(ActionNotFunctorial):
-            GForest.from_generator_rows(
-                Forest([t, t]), Z4, {2: (1, 0)},
-                {(2, 0): ident_edges(t), (2, 1): ident_edges(t)})
 
     def test_gtree_becomes_one_component(self):
         gf = gtree_to_gforest(z2_gtrees()[4])
@@ -277,7 +263,7 @@ class TestForestHom:
                                  dst.forest.components[j])
                  for i in range(n) for j in range(m)}
         for idx in itertools.product(range(m), repeat=n):
-            if any(idx[src.act_index(g, i)] != dst.act_index(g, idx[i])
+            if any(idx[src.base.act(g, i)] != dst.base.act(g, idx[i])
                    for g in src.group.elements for i in range(n)):
                 continue
             for combo in itertools.product(*(pools[(i, j)]
@@ -758,7 +744,7 @@ class TestForestJson:
         assert back.forest.n == gf.forest.n
         assert all(are_isomorphic(a, b) for a, b in
                    zip(back.forest.components, gf.forest.components))
-        assert back.index_action == gf.index_action
+        assert back.base == gf.base
 
     def test_inline_group_round_trip(self):
         gf = swap_gforest(corolla(2))

@@ -12,7 +12,10 @@ from dendron import (
     pointed_category, tree_oplax_data, canonical_labeling,
     enumerate_all_trees, hom_labeled, phi_star_mor,
     tau_comp as built_tau_comp, tau_id as built_tau_id,
-    cyclic_group, gset_pointed_category,
+    cyclic_group, gset_pointed_category, coset_groupoid, coset_gset,
+    subgroups, symmetric_group_3, skeletal_gsets, PointedMap,
+    compose_pointed, enumerate_pointed_maps, EquivariantPointedMap,
+    enumerate_equivariant_pointed_maps,
 )
 
 
@@ -84,7 +87,9 @@ class TestFiniteCategory:
 
 class TestCanonicalArrows:
     BUILDERS = {"pointed": lambda: pointed_category(3),
-                "gset_z2": lambda: gset_pointed_category(cyclic_group(2), 2)}
+                "gset_z2": lambda: gset_pointed_category(cyclic_group(2), 2),
+                "coset_s3": lambda: coset_groupoid(symmetric_group_3(), (0,)),
+                "group_z4": lambda: cyclic_cat(4)}
 
     @pytest.mark.parametrize("which", sorted(BUILDERS))
     def test_table_and_identities_hold_the_listed_arrows(self, which):
@@ -110,6 +115,120 @@ class TestCanonicalArrows:
         assert repr(m) == "[1]: 0->0"
         with pytest.raises(TypeError):
             hash(m)
+
+
+def reference_category(objects, mors, then, identity):
+    """A finite category built by hand: list the arrows, make them
+    canonical, tabulate every composite, then look up the identities.
+    then(f, g) and identity(a) build FcMor values."""
+    canon = {m: m for m in mors}
+    table = {}
+    for f in mors:
+        for g in mors:
+            if f.dst == g.src:
+                table[(f, g)] = canon[then(f, g)]
+    idents = {a: canon[identity(a)] for a in objects}
+    return FiniteCategory(objects, mors, table, idents)
+
+
+def old_pointed_category(max_size):
+    sizes = range(max_size + 1)
+    return reference_category(
+        sizes,
+        [FcMor(p, m, n) for m in sizes for n in sizes
+         for p in enumerate_pointed_maps(range(1, m + 1), range(1, n + 1))],
+        lambda f, g: FcMor(compose_pointed(f.name, g.name), f.src, g.dst),
+        lambda n: FcMor(PointedMap.identity_on(range(1, n + 1)), n, n))
+
+
+def old_gset_pointed_category(group, max_size):
+    objects = skeletal_gsets(group, max_size)
+    return reference_category(
+        objects,
+        [FcMor(pm, a, b) for a in objects for b in objects
+         for pm in enumerate_equivariant_pointed_maps(a, b)],
+        lambda f, g: FcMor(EquivariantPointedMap(
+            f.src, g.dst, compose_pointed(f.name, g.name).mapping),
+            f.src, g.dst),
+        lambda a: FcMor(EquivariantPointedMap(
+            a, a, {x: x for x in a.elements}), a, a))
+
+
+def old_coset_groupoid(group, sub):
+    base = coset_gset(group, tuple(sub))
+    return reference_category(
+        base.elements,
+        [FcMor(x, c, base.act(x, c)) for x in group.elements
+         for c in base.elements],
+        lambda f, g: FcMor(group.mul(g.name, f.name), f.src, g.dst),
+        lambda c: FcMor(group.identity, c, c))
+
+
+def old_group_category(elements, mul, unit, obj="*"):
+    return reference_category(
+        [obj], [FcMor(e, obj, obj) for e in elements],
+        lambda f, g: FcMor(mul(g.name, f.name), obj, obj),
+        lambda a: FcMor(unit, obj, obj))
+
+
+def old_discrete_category(objects):
+    return reference_category(
+        objects, [FcMor(("id", a), a, a) for a in objects],
+        lambda f, g: f, lambda a: FcMor(("id", a), a, a))
+
+
+class TestFromHoms:
+    """Each builder against the same category built by hand."""
+
+    @staticmethod
+    def assert_same(new, old, ordered=True):
+        if ordered:
+            assert new.morphisms == old.morphisms
+        else:
+            assert len(set(new.morphisms)) == len(new.morphisms)
+            assert set(new.morphisms) == set(old.morphisms)
+        assert new.objects == old.objects
+        assert new.table == old.table
+        assert new.identities == old.identities
+
+    def test_pointed_category(self):
+        new = pointed_category(3)
+        self.assert_same(new, old_pointed_category(3))
+        assert len(new.morphisms) == 144 and len(new.table) == 9866
+
+    @pytest.mark.parametrize("group", [cyclic_group(2), cyclic_group(3),
+                                       symmetric_group_3()])
+    def test_gset_pointed_category(self, group):
+        self.assert_same(gset_pointed_category(group, 2),
+                         old_gset_pointed_category(group, 2))
+
+    @pytest.mark.parametrize("group", [cyclic_group(4), symmetric_group_3()])
+    def test_coset_groupoid(self, group):
+        for sub in subgroups(group):
+            self.assert_same(coset_groupoid(group, sub),
+                             old_coset_groupoid(group, sub), ordered=False)
+
+    def test_group_and_discrete_categories(self):
+        s3 = symmetric_group_3()
+        self.assert_same(group_category(s3.elements, s3.mul, s3.identity),
+                         old_group_category(s3.elements, s3.mul,
+                                            s3.identity))
+        self.assert_same(cyclic_cat(4, obj=0),
+                         old_group_category(range(4),
+                                            lambda a, b: (a + b) % 4, 0,
+                                            obj=0))
+        self.assert_same(discrete_category("abc"),
+                         old_discrete_category(tuple("abc")))
+
+    def test_unlisted_composite_is_a_category_error(self):
+        with pytest.raises(CategoryError, match="'ghost': 0->0"):
+            FiniteCategory.from_homs([0], lambda a, b: ["e"],
+                                     lambda p, q: "ghost", lambda a: "e")
+
+    def test_unlisted_identity_is_a_category_error(self):
+        with pytest.raises(CategoryError, match="'ghost': 0->0"):
+            FiniteCategory.from_homs([0], lambda a, b: ["e"],
+                                     lambda p, q: "e", lambda a: "ghost")
 
 
 class TestFunctorsAndNaturality:

@@ -18,12 +18,14 @@ KEEP = {
     "check_tau_naturality": "naturality of the tree comparison cells",
     "compose_groth": "functoriality of F, checked on the Grothendieck "
                      "construction",
+    "corolla": "test fixture: the corolla with n leaves",
     "discrete_category": "the only builder of check_equivalence test inputs",
     "gforest_to_json": "the CLI tests write forest files with it",
     "groth_identity": "functoriality of F, checked on the Grothendieck "
                       "construction",
     "gtree_oplax_data": "the Omega^G oplax data a coherence suite will run",
     "gtree_to_gforest": "test fixture: one-component forests for export-dot",
+    "identity": "test fixture: the identity morphism of a tree",
     "is_equivariant_forest_morphism": "brute-force reference for forest_hom",
     "is_genuine": "decides genuineness, a paper notion the unit tests check",
     "linear_tree": "test fixture: the linear tree with k edges",
@@ -32,16 +34,21 @@ KEEP = {
 }
 
 
-def _used_names(path):
-    """Names loaded in a module, a top-level definition's references to
-    itself not counted."""
+def _used_names(source):
+    """Names loaded in a module source.  A top-level definition's references
+    to itself, and to names it binds (parameters and assignment targets),
+    are not counted."""
     used = set()
-    for stmt in ast.parse(path.read_text()).body:
-        names = {n.id for n in ast.walk(stmt)
+    for stmt in ast.parse(source).body:
+        nodes = list(ast.walk(stmt))
+        bound = {n.arg for n in nodes if isinstance(n, ast.arg)} | {
+            n.id for n in nodes
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        names = {n.id for n in nodes
                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
-        used |= names
+        used |= names - bound
     return used
 
 
@@ -49,7 +56,7 @@ def _unreached():
     package = pathlib.Path(dendron.__file__).parent
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     sources.append(pathlib.Path(__file__).parent / "test_acceptance.py")
-    used = set().union(*map(_used_names, sources))
+    used = set().union(*(_used_names(p.read_text()) for p in sources))
     return {n for n in dendron.__all__
             if not inspect.ismodule(getattr(dendron, n)) and n not in used}
 
@@ -60,3 +67,13 @@ def test_every_export_is_reached_or_kept_on_purpose():
 
 def test_the_keep_list_holds_only_unreached_exports():
     assert sorted(set(KEEP) - _unreached()) == []
+
+
+def test_names_a_definition_binds_are_not_uses():
+    source = (
+        "def close(identity, rows):\n"
+        "    corolla = rows[0]\n"
+        "    return identity, corolla, graft\n"
+        "def again():\n"
+        "    return again, hom_set\n")
+    assert _used_names(source) == {"graft", "hom_set"}
