@@ -7,12 +7,18 @@ as a diagram over a coset groupoid, optionally labeled by a retractive
 G-set, and this module provides both packagings, the translations between
 them, and exhaustive checks that the translations are equivalences on
 small corpora.
+
+On each coset a labeled genuine tree is a plain labeled tree, and the
+genuine layer works through those: substitution is the plain phi_star
+coset by coset, with the fresh edges named and mapped by substitution.py,
+and a genuine morphism's transformation is enumerated from hom_labeled at
+an orbit representative, carried to the other cosets by the translations.
 """
 
 from .trees import Tree, relabel, sort_key, tree_to_json, tree_from_json
 from .morphisms import TreeMorphism, hom_set, compose
-from .labels import PLUS, LabeledTree, PointedMap, LabelError
-from .substitution import phi_star, iota
+from .labels import PLUS, LabeledTree, PointedMap, LabelError, hom_labeled
+from .substitution import phi_star, iota, _extend_fresh
 from .oplax import FiniteCategory, FcFunctor, group_category, \
     check_equivalence
 from .groups import FiniteGroup, GSet, GSetError, GroupError, \
@@ -224,18 +230,23 @@ def is_equivariant_forest_morphism(src, dst, fm):
                                 dict(enumerate(fm.components)))
 
 
-def _family_maps(src, dst, src_trees, dst_trees, targets):
+def _family_maps(src, dst, src_trees, dst_trees, targets, hom=None):
     """Every map of tree families that commutes with the isos.
 
     src and dst have a base G-set and isos[(g, i)] from the tree at i to
     the tree at g.i; the trees are src_trees[i] and dst_trees[j].  Each
     base element i goes to (i, j, f): a j from targets(i) and a tree map f
-    from the tree at i to the tree at j, which g carries along the isos at
-    i and j.  The maps come from the orbit-representative engine.
+    from hom(i, j), by default every map from the tree at i to the tree at
+    j, which g carries along the isos at i and j.  hom is asked at orbit
+    representatives only, so a constraint it imposes must be one the isos
+    carry.  The maps come from the orbit-representative engine.
     """
+    if hom is None:
+        def hom(i, j):
+            return hom_set(src_trees[i], dst_trees[j])
+
     def choices(i):
-        return [(i, j, f) for j in targets(i)
-                for f in hom_set(src_trees[i], dst_trees[j])]
+        return [(i, j, f) for j in targets(i) for f in hom(i, j)]
 
     def carry(g, image):
         i, j, f = image
@@ -323,8 +334,7 @@ def bh_to_coset_groupoid(group, sub):
     sub = tuple(sorted(sub))
     bh = group_category(sub, group.mul, group.identity)
     gpd = coset_groupoid(group, sub)
-    base = coset_gset(group, sub)
-    c0 = base.act(group.identity, min(sub))
+    c0 = sub[0]  # cosets are named by their least member
     ob = {"*": c0}
     loops = {a.name: a for a in gpd.hom(c0, c0)}
     functor = FcFunctor(bh, gpd, ob, {m: loops[m.name] for m in bh.morphisms})
@@ -487,10 +497,14 @@ def assemble_gforest(diagram):
 
 class RetractiveGSet:
     """A G-set split over an orbit: section and retraction compose to the
-    identity of the cosets."""
+    identity of the cosets.
+
+    labels is the carrier minus the section image, in carrier order, and
+    fibers[c] the labels over coset c; both are built once.
+    """
 
     __slots__ = ("group", "sub", "base", "carrier", "section", "retraction",
-                 "_hash")
+                 "labels", "fibers", "_hash")
 
     def __init__(self, group, sub, carrier, section, retraction):
         self.group = group
@@ -516,15 +530,14 @@ class RetractiveGSet:
         if not is_equivariant(group, self.retraction, carrier.act,
                               base.act):
             raise NotEquivariant("retraction is not equivariant")
-
-    @property
-    def labels(self):
-        """The carrier minus the section image, in carrier order."""
         pts = set(self.section.values())
-        return tuple(x for x in self.carrier.elements if x not in pts)
+        self.labels = tuple(x for x in carrier.elements if x not in pts)
+        self.fibers = {c: tuple(x for x in self.labels
+                                if self.retraction[x] == c)
+                       for c in base.elements}
 
     def fiber(self, c):
-        return tuple(x for x in self.labels if self.retraction[x] == c)
+        return self.fibers[c]
 
     def __eq__(self, other):
         if not isinstance(other, RetractiveGSet):
@@ -628,10 +641,11 @@ class GenuineTree:
     """A coset diagram with leaves labeled by a retractive G-set.
 
     The label living over coset c marks a leaf of the tree at c; the
-    labeling is an equivariant bijection onto all leaves.
+    labeling is an equivariant bijection onto all leaves.  components[c]
+    is the tree at c labeled by the fiber over c.
     """
 
-    __slots__ = ("labels", "diagram", "leaf_map", "_hash")
+    __slots__ = ("labels", "diagram", "leaf_map", "components", "_hash")
 
     def __init__(self, labels, diagram, leaf_map):
         if (labels.group, labels.sub) != (diagram.group, diagram.sub):
@@ -642,12 +656,9 @@ class GenuineTree:
         self._hash = None
         if set(self.leaf_map) != set(labels.labels):
             raise LabelError("one leaf per label")
-        for c, t in diagram.trees.items():
-            want = {e for e in t.edges if t.is_leaf(e)}
-            got = [self.leaf_map[a] for a in labels.fiber(c)]
-            if len(got) != len(want) or set(got) != want:
-                raise LabelError(f"labels over {c!r} must hit the leaves "
-                                 "exactly once")
+        self.components = {
+            c: LabeledTree(t, {a: self.leaf_map[a] for a in labels.fiber(c)})
+            for c, t in diagram.trees.items()}
         if not is_equivariant(
                 labels.group, {a: (labels.retraction[a], self.leaf_map[a])
                                for a in labels.labels},
@@ -709,11 +720,6 @@ def self_labeled_genuine(diagram):
     return GenuineTree(ret, diagram, leaf_map)
 
 
-def _labeled_component(gt, c):
-    labs = {a: gt.leaf_map[a] for a in gt.labels.fiber(c)}
-    return LabeledTree(gt.diagram.trees[c], labs)
-
-
 def phi_star_genuine(rm, gt):
     """Substitute corollas componentwise along a retractive map.
 
@@ -726,31 +732,17 @@ def phi_star_genuine(rm, gt):
     diagram = gt.diagram
     group = diagram.group
     base = diagram.base
-    pieces = {}
-    layers = {}
-    for c in base.elements:
-        pm = fiber_pointed_map(rm, c)
-        out = phi_star(pm, _labeled_component(gt, c))
-        pieces[c] = out
-        layers[c] = out.tree.root[1]
-    isos = {}
-    for x in group.elements:
-        for c in base.elements:
-            d = base.act(x, c)
-            m = dict(diagram.isos[(x, c)])
-            for b in rm.src.fiber(c):
-                xb = rm.src.carrier.act(x, b)
-                m[("graft", layers[c], ("leaf", b))] = \
-                    ("graft", layers[d], ("leaf", xb))
-            m[("graft", layers[c], "root")] = ("graft", layers[d], "root")
-            isos[(x, c)] = m
+    pieces = {c: phi_star(fiber_pointed_map(rm, c), gt.components[c])
+              for c in base.elements}
+    isos = {(x, c): _extend_fresh(pieces[c], pieces[base.act(x, c)],
+                                  dict(diagram.isos[(x, c)]),
+                                  lambda b: rm.src.carrier.act(x, b))
+            for x in group.elements for c in base.elements}
     new_diag = CosetDiagram(group, diagram.sub,
                             {c: out.tree for c, out in pieces.items()},
                             isos)
-    leaf_map = {}
-    for c in base.elements:
-        for b in rm.src.fiber(c):
-            leaf_map[b] = pieces[c].leaf_of(b)
+    leaf_map = {b: leaf for out in pieces.values()
+                for b, leaf in out.labels.items()}
     return GenuineTree(rm.src, new_diag, leaf_map)
 
 
@@ -786,21 +778,20 @@ def genuine_hom(src, dst):
 
     A morphism is a retractive map of labels (contravariant) plus a
     transformation from the substituted source that preserves roots and
-    leaf labels.
+    leaf labels.  Only such transformations are enumerated: each coset's
+    component comes from hom_labeled, whose pins the translations carry.
     """
     out = []
     for phi in enumerate_retractive_maps(dst.labels, src.labels):
         sub = phi_star_genuine(phi, src)
-        for f in diagram_hom(sub.diagram, dst.diagram):
-            if any(f.components[c].mapping[t.root]
-                   != dst.diagram.trees[c].root
-                   for c, t in sub.diagram.trees.items()):
-                continue
-            if any(f.components[dst.labels.retraction[b]]
-                   .mapping[sub.leaf_map[b]] != dst.leaf_map[b]
-                   for b in dst.labels.labels):
-                continue
-            out.append(GenuineMorphism(phi, f, src, dst))
+        for m in _family_maps(
+                sub.diagram, dst.diagram, sub.diagram.trees,
+                dst.diagram.trees, lambda c: [c],
+                lambda c, _: hom_labeled(sub.components[c],
+                                         dst.components[c])):
+            fiber = DiagramMorphism(sub.diagram, dst.diagram,
+                                    {c: f for c, (_, _, f) in m.items()})
+            out.append(GenuineMorphism(phi, fiber, src, dst))
     return tuple(out)
 
 
@@ -810,7 +801,7 @@ def eta_morphism(gm):
     comps = {}
     for c in src.diagram.trees:
         pm = fiber_pointed_map(gm.phi, c)
-        inc = iota(pm, _labeled_component(src, c))
+        inc = iota(pm, src.components[c])
         comps[c] = compose(inc, gm.fiber.components[c])
     return DiagramMorphism(src.diagram, gm.dst.diagram, comps)
 

@@ -49,7 +49,8 @@ from .labels import (
     compose_pointed,
     hom_labeled,
 )
-from .substitution import phi_star, iota, lift_morphism, _oplax_data
+from .substitution import phi_star, iota, lift_morphism, _extend_fresh, \
+    _oplax_data
 from .groups import (
     GSet,
     check_action,
@@ -449,17 +450,12 @@ def phi_star_G(phi, glabeled):
     if phi.dst_gset != glabeled.label_gset:
         raise LabelError("pointed map does not act on this label set")
     bigger = phi_star(phi, glabeled.labeled)
-    new_root = bigger.tree.root
-    layer = new_root[1]
-    rows = {}
-    for g in glabeled.gtree.group.elements:
-        row = {e: glabeled.gtree.act(g, e) for e in glabeled.gtree.tree.edges}
-        for b in phi.src_labels:
-            row[("graft", layer, ("leaf", b))] = \
-                ("graft", layer, ("leaf", phi.src_gset.act(g, b)))
-        row[new_root] = new_root
-        rows[g] = row
-    gt = GTree(bigger.tree, glabeled.gtree.group, rows)
+    gtree = glabeled.gtree
+    rows = {g: _extend_fresh(bigger, bigger,
+                             {e: gtree.act(g, e) for e in gtree.tree.edges},
+                             lambda b: phi.src_gset.act(g, b))
+            for g in gtree.group.elements}
+    gt = GTree(bigger.tree, gtree.group, rows)
     return GLabeledTree(gt, phi.src_gset, bigger.labels)
 
 

@@ -61,14 +61,24 @@ def phi_star(phi, labeled):
     return LabeledTree(bigger, {j: fresh(j) for j in phi.src_labels})
 
 
+def _extend_fresh(big, dst, mapping, move=None):
+    """Extend an edge map out of a phi_star result over its fresh edges.
+
+    The fresh leaf of label j goes to the leaf of move(j) in the labeled
+    tree dst (of j itself without move), the fresh root to dst's root.
+    mapping is updated in place and returned.
+    """
+    for j in big.label_set:
+        mapping[big.leaf_of(j)] = dst.leaf_of(move(j) if move else j)
+    mapping[big.tree.root] = dst.tree.root
+    return mapping
+
+
 def _pushed_mapping(phi, f, src_labeled, dst_labeled):
     big_src = phi_star(phi, src_labeled)
     big_dst = phi_star(phi, dst_labeled)
-    mapping = {e: f.mapping[e] for e in src_labeled.tree.edges}
-    for j in phi.src_labels:
-        mapping[big_src.leaf_of(j)] = big_dst.leaf_of(j)
-    mapping[big_src.tree.root] = big_dst.tree.root
-    return big_src, big_dst, mapping
+    return big_src, big_dst, _extend_fresh(
+        big_src, big_dst, {e: f.mapping[e] for e in src_labeled.tree.edges})
 
 
 def phi_star_mor(phi, f, src_labeled, dst_labeled):
@@ -93,11 +103,8 @@ def tau_id(labeled):
     """
     ident = PointedMap.identity_on(labeled.label_set)
     big = phi_star(ident, labeled)
-    mapping = {e: e for e in labeled.tree.edges}
-    for j in labeled.label_set:
-        mapping[big.leaf_of(j)] = labeled.leaf_of(j)
-    mapping[big.tree.root] = labeled.tree.root
-    return TreeMorphism(big.tree, labeled.tree, mapping)
+    return TreeMorphism(big.tree, labeled.tree, _extend_fresh(
+        big, labeled, {e: e for e in labeled.tree.edges}))
 
 
 def tau_comp(gamma, phi, labeled):
@@ -110,11 +117,8 @@ def tau_comp(gamma, phi, labeled):
     both = compose_pointed(gamma, phi)
     small = phi_star(both, labeled)
     big = phi_star(gamma, phi_star(phi, labeled))
-    mapping = {e: e for e in labeled.tree.edges}
-    for j in gamma.src_labels:
-        mapping[small.leaf_of(j)] = big.leaf_of(j)
-    mapping[small.tree.root] = big.tree.root
-    return TreeMorphism(small.tree, big.tree, mapping)
+    return TreeMorphism(small.tree, big.tree, _extend_fresh(
+        small, big, {e: e for e in labeled.tree.edges}))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -243,11 +247,8 @@ def lift_morphism(f, src_labeled, dst_labeled):
         mapping[j] = hits[0] if hits else PLUS
     phi = PointedMap(dst_labeled.label_set, src_labeled.label_set, mapping)
     mid = phi_star(phi, src_labeled)
-    fiber_map = {e: f.mapping[e] for e in src_labeled.tree.edges}
-    for j in dst_labeled.label_set:
-        fiber_map[mid.leaf_of(j)] = dst_labeled.leaf_of(j)
-    fiber_map[mid.tree.root] = dst_tree.root
-    fiber = TreeMorphism(mid.tree, dst_tree, fiber_map)
+    fiber = TreeMorphism(mid.tree, dst_tree, _extend_fresh(
+        mid, dst_labeled, {e: f.mapping[e] for e in src_labeled.tree.edges}))
     return GrothTreeMorphism(src_labeled, dst_labeled, phi, fiber)
 
 

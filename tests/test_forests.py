@@ -21,7 +21,7 @@ from dendron import (
     LabeledTree, phi_star, groth_hom, GTree, GLabeledTree, enumerate_gtrees,
     equivariant_hom, groth_hom_G, cyclic_group, symmetric_group_3,
     trivial_group, subgroups, coset_gset, equivariant_maps, transitive_gsets,
-    GSet,
+    GSet, GenuineTree, GenuineMorphism, LabelError, q_star_retractive,
 )
 
 Z2 = cyclic_group(2)
@@ -329,6 +329,21 @@ class TestCosetGroupoid:
             _, report = bh_to_coset_groupoid(S3, sub)
             assert report.ok
 
+    def test_one_coset_gset_per_embedding(self, monkeypatch):
+        calls = []
+
+        def counted(group, sub):
+            calls.append(sub)
+            return coset_gset(group, sub)
+
+        monkeypatch.setattr(forests, "coset_gset", counted)
+        for sub in subgroups(S3):
+            functor, report = bh_to_coset_groupoid(S3, sub)
+            assert report.ok
+            # the coset of the identity is named by its least member
+            assert functor.ob["*"] == min(sub)
+        assert len(calls) == len(subgroups(S3)) == 6
+
 
 def orbit_arrow_count(group):
     """Equivariant maps between the transitive G-sets, one per subgroup
@@ -518,6 +533,23 @@ class TestRetractive:
         fib = identity_coset_fiber(ret)
         assert set(fib.elements) == {"a0"}
 
+    def test_labels_and_fibers_are_built_once(self):
+        """On a pullback, the stored labels and fibers are what the carrier,
+        section and retraction give, computed from scratch."""
+        assert "labels" in RetractiveGSet.__slots__
+        x = self_labeled_genuine(diagram_from_gtree(z2_gtrees()[4], Z2,
+                                                    (0, 1)))
+        q = equivariant_maps(coset_gset(Z2, (0,)), x.labels.base)[0]
+        ret = q_star_retractive(q, (0,), x.labels)
+        assert ret is not x.labels
+        pts = set(ret.section.values())
+        labels = tuple(a for a in ret.carrier.elements if a not in pts)
+        assert ret.labels == labels and len(labels) == 2
+        for c in ret.base.elements:
+            assert ret.fiber(c) == tuple(a for a in labels
+                                         if ret.retraction[a] == c)
+            assert len(ret.fiber(c)) == 1
+
     def test_retraction_must_split_the_section(self):
         with pytest.raises(ForestError):
             RetractiveGSet(Z2, (0,), self.carrier(), {0: "a0", 1: "p1"},
@@ -553,6 +585,34 @@ class TestGenuineTrees:
         assert {c: len(t.edges) for c, t in out.diagram.trees.items()} == {0: 5}
         assert {c: len(t.edges) for c, t in x.diagram.trees.items()} == {0: 3}
 
+    def test_components_are_the_labeled_cosets(self):
+        x, _ = self.x_and_y()
+        assert x.components == {0: fiber_labeled(x)}
+
+    @staticmethod
+    def two_leaves_per_coset():
+        """corolla(2) over both cosets of the trivial subgroup of Z/2,
+        labeled by its own leaves."""
+        return self_labeled_genuine(trivial_sub_diagrams()[1])
+
+    def test_a_missed_leaf_is_rejected(self):
+        x = self.two_leaves_per_coset()
+        t = x.diagram.trees[0]
+        second = max(t.leaves)
+        # the translations are identities on edge names, so sending the
+        # second leaf's labels to the root at every coset stays equivariant
+        bent = {a: t.root if e == second else e
+                for a, e in x.leaf_map.items()}
+        with pytest.raises(LabelError):
+            GenuineTree(x.labels, x.diagram, bent)
+
+    def test_two_labels_on_one_leaf_are_rejected(self):
+        x = self.two_leaves_per_coset()
+        first = min(x.diagram.trees[0].leaves)
+        with pytest.raises(LabelError):
+            GenuineTree(x.labels, x.diagram,
+                        {a: first for a in x.leaf_map})
+
     def test_substitution_agrees_with_componentwise_plain_version(self):
         x, y = self.x_and_y()
         maps = enumerate_retractive_maps(y.labels, x.labels)
@@ -584,6 +644,38 @@ class TestGenuineHom:
                 target = set(groth_hom_G(fiber_glabeled(a),
                                          fiber_glabeled(b)))
                 assert restricted == target
+
+    @pytest.mark.parametrize("group, max_edges", [(Z2, 3), (Z3, 3), (S3, 2)],
+                             ids=["z2", "z3", "s3"])
+    def test_matches_filtered_diagram_homs(self, group, max_edges):
+        xs = [self_labeled_genuine(d)
+              for d in enumerate_genuine_diagrams(group, max_edges)]
+        total = 0
+        for src, dst in itertools.product(xs, repeat=2):
+            if src.labels.sub != dst.labels.sub:
+                continue
+            fast = genuine_hom(src, dst)
+            assert fast == self._brute_force(src, dst)
+            total += len(fast)
+        assert total > 0
+
+    @staticmethod
+    def _brute_force(src, dst):
+        """Every transformation out of each substituted source, kept when
+        it sends roots to roots and each label's leaf to its leaf."""
+        out = []
+        for phi in enumerate_retractive_maps(dst.labels, src.labels):
+            sub = phi_star_genuine(phi, src)
+            for f in diagram_hom(sub.diagram, dst.diagram):
+                roots = all(f.components[c].mapping[t.root]
+                            == dst.diagram.trees[c].root
+                            for c, t in sub.diagram.trees.items())
+                leaves = all(f.components[dst.labels.retraction[b]]
+                             .mapping[sub.leaf_map[b]] == dst.leaf_map[b]
+                             for b in dst.labels.labels)
+                if roots and leaves:
+                    out.append(GenuineMorphism(phi, f, src, dst))
+        return tuple(out)
 
     def test_trivial_subgroup_fiber_restriction_is_a_bijection(self):
         xs = [self_labeled_genuine(d) for d in trivial_sub_diagrams()]

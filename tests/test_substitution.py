@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,3 +319,13 @@ class TestLift:
                     == h.mapping
             for p in pairs:
                 assert lift_morphism(F_functor(p), src, dst) == p
+
+
+def test_only_substitution_names_fresh_edges():
+    """phi_star invents the fresh-edge names; the other modules extend
+    maps over them through substitution._extend_fresh."""
+    src = Path(substitution.__file__).parent
+    naming = re.compile(r'"graft".*"leaf"')
+    hits = sorted(p.name for p in src.glob("*.py")
+                  if naming.search(p.read_text()))
+    assert hits == ["substitution.py"]
