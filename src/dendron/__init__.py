@@ -40,9 +40,9 @@ from .gtrees import (
     NotEquivariant, SiteInvalid, RootGraftLeafNotFixed, GTree, GLabeledTree,
     is_equivariant_morphism, equivariant_hom, equivariant_isomorphisms,
     are_equivariant_isomorphic, equivariant_contract_orbit,
-    equivariant_split_orbit, equivariant_graft_orbit, EquivariantStep,
-    equivariant_factorize, EquivariantPointedMap,
-    enumerate_equivariant_pointed_maps, phi_star_G, groth_hom_G, F_G, lift_G,
+    equivariant_split_orbit, equivariant_graft_orbit, equivariant_factorize,
+    EquivariantPointedMap, enumerate_equivariant_pointed_maps, phi_star_G,
+    groth_hom_G, lift_G,
     equivariant_canonical_key, enumerate_gtrees, gset_pointed_category,
     corolla_glabeled, standard_probes, gtree_oplax_data,
     OrbitContractionSample, z4_orbit_contraction_sample,

@@ -25,7 +25,7 @@ from .groups import (GSet, GroupError, builtin_group, group_from_json,
                      subgroups)
 from .gtrees import (GLabeledTree, NotEquivariant, enumerate_gtrees,
                      is_equivariant_morphism, equivariant_factorize,
-                     groth_hom_G, F_G, lift_G)
+                     groth_hom_G, lift_G)
 from .forests import (ForestError, bh_to_coset_groupoid, gforest_from_json,
                       genuine_equivalence_check)
 from .pairs import _run_pairs
@@ -171,7 +171,7 @@ def _equivariant_pair(corpus, i, j):
                              "reason": "factorization replay disagrees "
                                        "with the filter"})
     pairs = groth_hom_G(la, lb)
-    bad = _projection_failure(eq, pairs, lambda m: F_G(*m, la),
+    bad = _projection_failure(eq, pairs, F_functor,
                               lambda f: lift_G(f, la, lb))
     if bad:
         failures.append({"src": i, "dst": j, **bad})

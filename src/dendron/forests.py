@@ -466,12 +466,12 @@ def diagram_hom(src, dst):
 
     The component at the identity coset determines the rest by
     translation; candidates must commute with the arrows stabilizing that
-    coset.
+    coset.  The engine builds them natural, so they are not re-checked.
     """
     if (src.group, src.sub) != (dst.group, dst.sub):
         raise ForestError("diagrams live over different groupoids")
     return tuple(DiagramMorphism(src, dst, {c: f for c, (_, _, f)
-                                            in m.items()})
+                                            in m.items()}, _checked=True)
                  for m in _family_maps(src, dst, src.trees, dst.trees,
                                        lambda c: [c]))
 
@@ -790,7 +790,8 @@ def genuine_hom(src, dst):
                 lambda c, _: hom_labeled(sub.components[c],
                                          dst.components[c])):
             fiber = DiagramMorphism(sub.diagram, dst.diagram,
-                                    {c: f for c, (_, _, f) in m.items()})
+                                    {c: f for c, (_, _, f) in m.items()},
+                                    _checked=True)
             out.append(GenuineMorphism(phi, fiber, src, dst))
     return tuple(out)
 

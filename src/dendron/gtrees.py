@@ -31,8 +31,6 @@ from .trees import (
 from .morphisms import (
     TreeMorphism,
     SourceTargetMismatch,
-    FactorizationError,
-    Factorization,
     NotEquivariant,
     compose,
     split_edge,
@@ -49,8 +47,8 @@ from .labels import (
     compose_pointed,
     hom_labeled,
 )
-from .substitution import phi_star, iota, lift_morphism, _extend_fresh, \
-    _oplax_data
+from .substitution import GrothTreeMorphism, phi_star, lift_morphism, \
+    _extend_fresh, _oplax_data
 from .groups import (
     GSet,
     check_action,
@@ -152,13 +150,6 @@ class GTree:
                 f"order-{self.group.order} group>")
 
 
-def _restrict(gtree, tree):
-    """The action of gtree on a subtree whose edges it permutes."""
-    return GTree(tree, gtree.group,
-                 {g: {e: row[e] for e in tree.edges}
-                  for g, row in gtree.action.items()})
-
-
 class GLabeledTree:
     """A GTree whose leaves are labeled, equivariantly, by a G-set."""
 
@@ -245,7 +236,9 @@ def equivariant_contract_orbit(gtree, edge):
     taken in any order.
     """
     cur, delta = _contract_edges(gtree.tree, gtree.edge_orbit(edge))
-    return _restrict(gtree, cur), delta
+    rows = {g: {e: row[e] for e in cur.edges}
+            for g, row in gtree.action.items()}
+    return GTree(cur, gtree.group, rows), delta
 
 
 def equivariant_split_orbit(gtree, edge):
@@ -348,55 +341,21 @@ def equivariant_graft_orbit(gtree, site, corolla, attach=None, merge=None):
     return bigger, delta
 
 
-@dataclass(frozen=True)
-class EquivariantStep:
-    """One orbit-sized generator in an equivariant factorization.
-
-    kind: "degeneracy" | "inner" | "outer"; orbit lists the merged edges,
-    the contracted edges, or the graft sites, in the step's target.
-    """
-
-    kind: str
-    orbit: tuple
-    morphism: TreeMorphism
-    src: GTree
-    dst: GTree
-
-
 def equivariant_factorize(src, dst, f):
     """Factor an equivariant morphism into orbit-sized stages.
 
-    Degeneracies, an isomorphism, inner faces, outer faces, exactly as in
-    the plain normal form, but each face or degeneracy handles a whole
-    orbit at once.  Raises NotEquivariant when the map does not commute
-    with the actions (the stages cannot be grouped).
+    The plain normal form, computed with the actions' rows: each face or
+    degeneracy handles a whole orbit at once.  Raises NotEquivariant when
+    the map does not commute with the actions (the stages cannot be
+    grouped).
     """
     if f.src != src.tree or f.dst != dst.tree:
         raise SourceTargetMismatch("morphism does not match the actions")
     if src.group != dst.group:
         raise NotEquivariant("factorization needs a common group")
     moving = [g for g in src.group.elements if g != src.group.identity]
-    degeneracies, iso, inner, outer = _normal_form(
-        f, [src.action[g] for g in moving], [dst.action[g] for g in moving])
-
-    def chain(start, stages, origin):
-        """Attach G-tree views to the ends of consecutive stages; also
-        returns the view of the last tree reached."""
-        steps = []
-        cur = start
-        for kind, orbit, m in stages:
-            before, cur = cur, _restrict(origin, m.dst)
-            steps.append(EquivariantStep(kind, orbit, m, before, cur))
-        return tuple(steps), cur
-
-    deg_steps, _ = chain(src, degeneracies, src)
-    if not all(is_equivariant_morphism(s.src, s.dst, s.morphism)
-               for s in deg_steps):
-        raise FactorizationError("degeneracy stage broke equivariance")
-    t2_g = _restrict(dst, iso.dst)
-    inner_steps, middle_g = chain(t2_g, inner, dst)
-    outer_steps, _ = chain(middle_g, outer, dst)
-    return Factorization(deg_steps, iso, inner_steps, outer_steps)
+    return _normal_form(f, [src.action[g] for g in moving],
+                        [dst.action[g] for g in moving])
 
 
 def _pointed_act(gset):
@@ -460,11 +419,12 @@ def phi_star_G(phi, glabeled):
 
 
 def groth_hom_G(src, dst):
-    """All equivariant (phi, fiber) pairs between labeled G-trees.
+    """All equivariant Grothendieck morphisms between labeled G-trees.
 
     phi runs over equivariant pointed maps from the target's labels to the
     source's; the fiber is a label-preserving, equivariant morphism from
-    the substituted source.
+    the substituted source.  Each pair is a GrothTreeMorphism between the
+    underlying labeled trees, so F_functor projects it.
     """
     out = []
     for phi in enumerate_equivariant_pointed_maps(dst.label_gset,
@@ -472,26 +432,21 @@ def groth_hom_G(src, dst):
         mid = phi_star_G(phi, src)
         for fiber in hom_labeled(mid.labeled, dst.labeled):
             if is_equivariant_morphism(mid.gtree, dst.gtree, fiber):
-                out.append((phi, fiber))
+                out.append(GrothTreeMorphism(src.labeled, dst.labeled, phi,
+                                             fiber, _checked=True))
     return tuple(out)
 
 
-def F_G(phi, fiber, src):
-    """Project an equivariant (phi, fiber) pair to a plain tree morphism."""
-    return compose(iota(phi, src.labeled), fiber)
-
-
 def lift_G(f, src, dst):
-    """The unique equivariant (phi, fiber) pair projecting to f.
+    """The unique equivariant Grothendieck morphism projecting to f.
 
-    The plain lift already produces the right edge maps; this wraps its
-    pointed map with the label actions, raising NotEquivariant when f does
-    not commute with them.
+    Raises NotEquivariant when f does not commute with the actions.  For
+    an equivariant f the plain lift's pointed map and fiber commute with
+    the actions too, so the plain lift is returned as it is.
     """
-    gm = lift_morphism(f, src.labeled, dst.labeled)
-    phi = EquivariantPointedMap(dst.label_gset, src.label_gset,
-                                gm.phi.mapping)
-    return phi, gm.fiber
+    if not is_equivariant_morphism(src.gtree, dst.gtree, f):
+        raise NotEquivariant("morphism does not commute with the actions")
+    return lift_morphism(f, src.labeled, dst.labeled)
 
 
 def equivariant_canonical_key(gtree):

@@ -298,13 +298,14 @@ def hom_set(src, dst, pins=None):
 
 @dataclass(frozen=True)
 class GeneratorStep:
-    """One elementary map in a factorization chain.
+    """One orbit-sized elementary map in a factorization chain.
 
-    kind: "degeneracy" | "inner" | "outer"; tag names the merged edge, the
-    contracted edge, or the grafted vertex's out-edge, in the step's target.
+    kind: "degeneracy" | "inner" | "outer"; orbit names the merged edges,
+    the contracted edges, or the grafted vertices' out-edges, in the
+    step's target.  Without a group action every orbit is a 1-tuple.
     """
     kind: str
-    tag: object
+    orbit: tuple
     morphism: TreeMorphism
 
 
@@ -384,17 +385,14 @@ def _edge_orbit(e, rows):
 
 
 def _normal_form(f, src_rows=(), dst_rows=()):
-    """The normal form of f in orbit-sized stages.
+    """The normal form of f in orbit-sized stages, as a Factorization.
 
     src_rows and dst_rows are the edge permutations of the non-identity
     group elements on f.src and f.dst, in the same order.  With no rows
     every orbit is a single edge, which is the plain normal form.
 
-    Returns (degeneracies, iso, inner faces, outer faces); each stage is a
-    (kind, orbit, morphism) triple, the orbit naming the merged edges, the
-    contracted edges, or the graft sites, in the stage's target.  Raises
-    NotEquivariant when the stages cannot be grouped into orbits or the
-    residual renaming does not commute with the rows.
+    Raises NotEquivariant when the stages cannot be grouped into orbits or
+    the residual renaming does not commute with the rows.
     """
     src, dst = f.src, f.dst
 
@@ -411,8 +409,8 @@ def _normal_form(f, src_rows=(), dst_rows=()):
                         "kernel class is not a unary chain")
                 work, one = collapse_unary(work, cls[i + 1])
                 step = one if step is None else compose(step, one)
-            degeneracies.append(
-                ("degeneracy", _edge_orbit(orbit[0][i + 1], src_rows), step))
+            degeneracies.append(GeneratorStep(
+                "degeneracy", _edge_orbit(orbit[0][i + 1], src_rows), step))
 
     # the subtree of dst spanned by the image
     image_root = f.mapping[src.root]
@@ -447,7 +445,7 @@ def _normal_form(f, src_rows=(), dst_rows=()):
         orbit = _edge_orbit(e, dst_rows)
         seen.update(orbit)
         cur, face = _contract_edges(cur, orbit)
-        inner.append(("inner", orbit, face))
+        inner.append(GeneratorStep("inner", orbit, face))
     inner.reverse()  # list in application order, t2 -> middle
 
     # what remains of the map is a renaming; a bijection matching roots
@@ -493,12 +491,13 @@ def _normal_form(f, src_rows=(), dst_rows=()):
             bigger = Tree(edges, cur.root, vertices)
         step = TreeMorphism(cur, bigger, {e: e for e in cur.edges},
                             _checked=True)
-        outer.append(("outer", orbit, step))
+        outer.append(GeneratorStep("outer", orbit, step))
         cur = bigger
     if cur != dst:
         raise FactorizationError("outer growth missed the target")
 
-    return degeneracies, iso, inner, outer
+    return Factorization(tuple(degeneracies), iso, tuple(inner),
+                         tuple(outer))
 
 
 def factorize(f):
@@ -509,11 +508,4 @@ def factorize(f):
     edge order of the middle subtree; outer faces grow rootward first, then
     leafward by site order.
     """
-    degeneracies, iso, inner, outer = _normal_form(f)
-
-    def steps(stages):
-        return tuple([GeneratorStep(kind, orbit[0], m)
-                      for kind, orbit, m in stages])
-
-    return Factorization(steps(degeneracies), iso, steps(inner),
-                         steps(outer))
+    return _normal_form(f)

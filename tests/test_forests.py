@@ -641,8 +641,9 @@ class TestGenuineHom:
                 restricted = {(fiber_pointed_map(gm.phi, c0),
                                gm.fiber.components[c0])
                               for gm in genuine_hom(a, b)}
-                target = set(groth_hom_G(fiber_glabeled(a),
-                                         fiber_glabeled(b)))
+                target = {(g.phi, g.fiber)
+                          for g in groth_hom_G(fiber_glabeled(a),
+                                               fiber_glabeled(b))}
                 assert restricted == target
 
     @pytest.mark.parametrize("group, max_edges", [(Z2, 3), (Z3, 3), (S3, 2)],
@@ -661,12 +662,14 @@ class TestGenuineHom:
 
     @staticmethod
     def _brute_force(src, dst):
-        """Every transformation out of each substituted source, kept when
-        it sends roots to roots and each label's leaf to its leaf."""
+        """Every transformation out of each substituted source, rebuilt
+        through the validating constructor, kept when it sends roots to
+        roots and each label's leaf to its leaf."""
         out = []
         for phi in enumerate_retractive_maps(dst.labels, src.labels):
             sub = phi_star_genuine(phi, src)
             for f in diagram_hom(sub.diagram, dst.diagram):
+                f = DiagramMorphism(f.src, f.dst, f.components)
                 roots = all(f.components[c].mapping[t.root]
                             == dst.diagram.trees[c].root
                             for c, t in sub.diagram.trees.items())

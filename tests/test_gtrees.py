@@ -1,25 +1,27 @@
+import functools
 import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dendron.cli import _labeled_gtrees
 from dendron import (
     PLUS, Tree, TreeError, NotInnerEdge, corolla, single_edge, relabel,
     all_isomorphisms, hom_set, hom_labeled, compose, contract_edge,
     factorize, TreeMorphism, PointedMap, compose_pointed,
-    tau_id, tau_comp, phi_star, phi_star_mor,
+    tau_id, tau_comp, phi_star, phi_star_mor, GrothTreeMorphism, F_functor,
     NotEquivariant, SiteInvalid, RootGraftLeafNotFixed, GTree, GLabeledTree,
     is_equivariant_morphism, equivariant_hom, equivariant_isomorphisms,
     are_equivariant_isomorphic, equivariant_contract_orbit,
     equivariant_split_orbit, equivariant_graft_orbit, equivariant_factorize,
     EquivariantPointedMap, enumerate_equivariant_pointed_maps, phi_star_G,
-    groth_hom_G, F_G, lift_G, equivariant_canonical_key, enumerate_gtrees,
+    groth_hom_G, lift_G, equivariant_canonical_key, enumerate_gtrees,
     gset_pointed_category, corolla_glabeled, standard_probes,
     gtree_oplax_data, z4_orbit_contraction_sample,
     cyclic_group, trivial_group, symmetric_group_3, coset_gset,
     skeletal_gsets, GSet,
-    enumerate_all_trees,
+    enumerate_all_trees, builtin_group,
     FcMor, FiniteCategory, check_all_coherence, check_coherence_square,
     check_oplax_units,
 )
@@ -317,6 +319,24 @@ class TestOrbitGraft:
             equivariant_graft_orbit(SAMPLE.big.gtree, "b", cor)
 
 
+# builtin group: (max_edges, (trees, plain maps, equivariant maps))
+CORPORA = {"z2": (3, (11, 219, 173)),
+           "z3": (4, (24, 1523, 1322)),
+           "z4": (5, (94, 31647, 15613)),
+           "s3": (4, (32, 2463, 1504))}
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_maps(group):
+    """A builtin group's G-trees at its CORPORA bound, and every plain map
+    between two of them as (src, dst, map, is it equivariant)."""
+    corpus = enumerate_gtrees(builtin_group(group), CORPORA[group][0])
+    maps = [(a, b, f, is_equivariant_morphism(a, b, f))
+            for a, b in itertools.product(corpus, repeat=2)
+            for f in hom_set(a.tree, b.tree)]
+    return corpus, maps
+
+
 class TestEquivarianceFilter:
     def test_hom_is_the_equivariant_subset(self):
         plain = hom_set(SAMPLE.small.gtree.tree, SAMPLE.big.gtree.tree)
@@ -334,29 +354,53 @@ class TestEquivarianceFilter:
         with pytest.raises(NotEquivariant):
             equivariant_factorize(SAMPLE.small.gtree, SAMPLE.big.gtree, bad)
 
-    def test_replay_matches_filter_on_small_corpus(self):
-        corpus = enumerate_gtrees(Z2, 3)
-        tot_plain = tot_eq = replay = 0
-        for a, b in itertools.product(corpus, repeat=2):
-            for f in hom_set(a.tree, b.tree):
-                tot_plain += 1
-                flag = is_equivariant_morphism(a, b, f)
-                tot_eq += flag
-                try:
-                    fact = equivariant_factorize(a, b, f)
-                    ok = fact.composite().mapping == f.mapping
-                except NotEquivariant:
-                    ok = False
-                assert ok == flag
-                replay += ok
-        assert (len(corpus), tot_plain, tot_eq) == (11, 219, 173)
+    @pytest.mark.parametrize("group", CORPORA)
+    def test_replay_matches_filter_on_small_corpus(self, group):
+        corpus, maps = corpus_maps(group)
+        replay = 0
+        for a, b, f, flag in maps:
+            try:
+                fact = equivariant_factorize(a, b, f)
+                ok = fact.composite().mapping == f.mapping
+            except NotEquivariant:
+                ok = False
+            assert ok == flag
+            replay += ok
+        tot_eq = sum(flag for *_, flag in maps)
+        assert (len(corpus), len(maps), tot_eq) == CORPORA[group][1]
         assert replay == tot_eq
 
-    def test_stage_morphisms_are_equivariant(self):
-        fact = equivariant_factorize(SAMPLE.small.gtree, SAMPLE.big.gtree,
-                                     SAMPLE.face)
-        for step in fact.inner_faces:
-            assert is_equivariant_morphism(step.src, step.dst, step.morphism)
+    @pytest.mark.parametrize("group", CORPORA)
+    def test_stage_morphisms_are_equivariant(self, group):
+        """Each stage commutes with the actions restricted to its ends,
+        built as validated GTrees: the source's rows for the degeneracies
+        (and the isomorphism's source), the target's for the rest.  Each
+        orbit a stage names is an orbit of its target."""
+        def view(origin, tree):
+            return GTree(tree, origin.group,
+                         {g: {e: row[e] for e in tree.edges}
+                          for g, row in origin.action.items()})
+
+        def check(src_g, dst_g, step):
+            assert is_equivariant_morphism(src_g, dst_g, step.morphism)
+            assert dst_g.edge_orbit(step.orbit[0]) == step.orbit
+
+        stages = 0
+        for a, b, f, flag in corpus_maps(group)[1]:
+            if not flag:
+                continue
+            fact = equivariant_factorize(a, b, f)
+            for step in fact.degeneracies:
+                check(view(a, step.morphism.src), view(a, step.morphism.dst),
+                      step)
+            assert is_equivariant_morphism(view(a, fact.iso.src),
+                                           view(b, fact.iso.dst), fact.iso)
+            for step in fact.inner_faces + fact.outer_faces:
+                check(view(b, step.morphism.src), view(b, step.morphism.dst),
+                      step)
+            stages += len(fact.degeneracies + fact.inner_faces
+                          + fact.outer_faces)
+        assert stages > 0
 
     def test_trivial_group_gives_the_plain_normal_form(self):
         one = trivial_group()
@@ -365,14 +409,7 @@ class TestEquivarianceFilter:
             ga, gb = GTree.trivial(a, one), GTree.trivial(b, one)
             for f in hom_set(a, b):
                 plain = factorize(f)
-                eq = equivariant_factorize(ga, gb, f)
-                assert eq.iso == plain.iso
-                for kind in ("degeneracies", "inner_faces", "outer_faces"):
-                    got, want = getattr(eq, kind), getattr(plain, kind)
-                    assert [s.morphism for s in got] == \
-                        [s.morphism for s in want]
-                    assert [s.orbit for s in got] == \
-                        [(s.tag,) for s in want]
+                assert equivariant_factorize(ga, gb, f) == plain
 
 
 class TestEnumeration:
@@ -519,19 +556,24 @@ class TestSubstitutionG:
     def test_projection_is_a_bijection(self):
         pairs = groth_hom_G(SAMPLE.small, SAMPLE.big)
         eq = equivariant_hom(SAMPLE.small.gtree, SAMPLE.big.gtree)
-        images = {tuple(sorted(F_G(phi, fib, SAMPLE.small).mapping.items()))
-                  for phi, fib in pairs}
+        images = {tuple(sorted(F_functor(gm).mapping.items()))
+                  for gm in pairs}
         assert len(images) == len(pairs)
         assert images == {tuple(sorted(f.mapping.items())) for f in eq}
 
     def test_lift_round_trips(self):
         pairs = groth_hom_G(SAMPLE.small, SAMPLE.big)
         for f in equivariant_hom(SAMPLE.small.gtree, SAMPLE.big.gtree):
-            phi, fib = lift_G(f, SAMPLE.small, SAMPLE.big)
-            assert F_G(phi, fib, SAMPLE.small).mapping == f.mapping
-        for phi, fib in pairs:
-            assert lift_G(F_G(phi, fib, SAMPLE.small),
-                          SAMPLE.small, SAMPLE.big) == (phi, fib)
+            gm = lift_G(f, SAMPLE.small, SAMPLE.big)
+            assert F_functor(gm).mapping == f.mapping
+            EquivariantPointedMap(SAMPLE.big.label_gset,
+                                  SAMPLE.small.label_gset, gm.phi.mapping)
+        for gm in pairs:
+            assert lift_G(F_functor(gm), SAMPLE.small, SAMPLE.big) == gm
+
+    def test_hom_pairs_pass_the_validating_constructor(self):
+        for gm in groth_hom_G(SAMPLE.small, SAMPLE.big):
+            assert GrothTreeMorphism(gm.src, gm.dst, gm.phi, gm.fiber) == gm
 
     def test_lift_rejects_non_equivariant(self):
         plain = hom_set(SAMPLE.small.gtree.tree, SAMPLE.big.gtree.tree)
@@ -540,6 +582,17 @@ class TestSubstitutionG:
                                                   SAMPLE.big.gtree, f))
         with pytest.raises(NotEquivariant):
             lift_G(bad, SAMPLE.small, SAMPLE.big)
+        # every non-equivariant map of the self-labeled suite corpora
+        for group, rejected in (("z2", 668), ("s3", 959)):
+            corpus = _labeled_gtrees(builtin_group(group), 4, None)
+            bad = 0
+            for (a, la), (b, lb) in itertools.product(corpus, repeat=2):
+                for f in hom_set(a.tree, b.tree):
+                    if not is_equivariant_morphism(a, b, f):
+                        bad += 1
+                        with pytest.raises(NotEquivariant):
+                            lift_G(f, la, lb)
+            assert bad == rejected
 
 
 def generated_category(maps):

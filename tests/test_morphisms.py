@@ -239,7 +239,7 @@ class TestFactorize:
         f = contract_fixture()
         fact = factorize(f)
         assert len(fact.degeneracies) == 0
-        assert [s.tag for s in fact.inner_faces] == ["a"]
+        assert [s.orbit for s in fact.inner_faces] == [("a",)]
         assert len(fact.outer_faces) == 0
         assert fact.composite() == f
 
@@ -250,7 +250,7 @@ class TestFactorize:
         f = TreeMorphism(src, dst, {"r": "r", "l0": "b"})
         fact = factorize(f)
         assert len(fact.outer_faces) == 0
-        assert [s.tag for s in fact.inner_faces] == ["a"]
+        assert [s.orbit for s in fact.inner_faces] == [("a",)]
         assert fact.composite() == f
 
     def test_exhaustive_small(self):
@@ -261,12 +261,12 @@ class TestFactorize:
                     fact = factorize(f)
                     assert fact.composite() == f
                     again = factorize(fact.composite())
-                    assert [s.tag for s in again.inner_faces] == \
-                        [s.tag for s in fact.inner_faces]
-                    assert [s.tag for s in again.outer_faces] == \
-                        [s.tag for s in fact.outer_faces]
-                    assert [s.tag for s in again.degeneracies] == \
-                        [s.tag for s in fact.degeneracies]
+                    assert [s.orbit for s in again.inner_faces] == \
+                        [s.orbit for s in fact.inner_faces]
+                    assert [s.orbit for s in again.outer_faces] == \
+                        [s.orbit for s in fact.outer_faces]
+                    assert [s.orbit for s in again.degeneracies] == \
+                        [s.orbit for s in fact.degeneracies]
 
     def test_stage_trees_chain(self):
         f = contract_fixture()
