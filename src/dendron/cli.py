@@ -224,9 +224,8 @@ SUITE_RUNNERS = {"factorization": suite_factorization,
 # -- DOT export -------------------------------------------------------------
 
 def _forest_edge_orbits(gforest):
-    """Orbits of (component, edge) pairs under the forest's action."""
-    pairs = [(i, e) for i, t in enumerate(gforest.forest.components)
-             for e in t.edges]
+    """Orbits of (index, edge) pairs under the forest's action."""
+    pairs = [(i, e) for i, t in gforest.trees.items() for e in t.edges]
     rows = {g: {(i, e): (gforest.base.act(g, i), gforest.isos[(g, i)][e])
                 for i, e in pairs}
             for g in gforest.group.elements}
@@ -234,16 +233,17 @@ def _forest_edge_orbits(gforest):
 
 
 def forest_to_dot(gforest, color_orbits=False):
-    """One digraph per component; orbit coloring spans components."""
+    """One digraph per tree, in index order; orbit coloring spans trees."""
     colors = {}
     if color_orbits:
         for k, orbit in enumerate(_forest_edge_orbits(gforest)):
             for pair in orbit:
                 colors[pair] = PALETTE[k % len(PALETTE)]
     out = []
-    for i, tree in enumerate(gforest.forest.components):
+    for k, i in enumerate(gforest.base.elements):
         per_tree = {e: c for (j, e), c in colors.items() if j == i}
-        out.append(tree_to_dot(tree, per_tree or None, name=f"tree{i}"))
+        out.append(tree_to_dot(gforest.trees[i], per_tree or None,
+                               name=f"tree{k}"))
     return "".join(out)
 
 

@@ -1,12 +1,14 @@
-"""Forests of trees with group actions and the categories built on them.
+"""G-forests indexed by a G-set (coset diagrams included), genuine trees,
+pullbacks, and the three-way check.
 
-A forest is a finite indexed family of trees.  Acting groups permute the
-components, carrying along isomorphisms between them; a forest whose roots
-form a single orbit is the genuine kind.  Such a forest can be repackaged
-as a diagram over a coset groupoid, optionally labeled by a retractive
-G-set, and this module provides both packagings, the translations between
-them, and exhaustive checks that the translations are equivalences on
-small corpora.
+A G-forest is a family of trees indexed by a G-set, with translation
+isomorphisms that carry the action along; one whose roots form a single
+orbit is the genuine kind.  Indexed by the cosets of a subgroup, the same
+data is a diagram over the coset groupoid, and a natural transformation
+is a forest morphism over the identity of the cosets: one type serves
+both.  Labeled by a retractive G-set, a diagram is a genuine tree.  The
+module checks exhaustively, on small corpora, that forest homs, pairs
+(orbit map, transformation) and labeled triples match up.
 
 On each coset a labeled genuine tree is a plain labeled tree, and the
 genuine layer works through those: substitution is the plain phi_star
@@ -15,7 +17,7 @@ and a genuine morphism's transformation is enumerated from hom_labeled at
 an orbit representative, carried to the other cosets by the translations.
 """
 
-from .trees import Tree, relabel, sort_key, tree_to_json, tree_from_json
+from .trees import relabel, sort_key, tree_to_json, tree_from_json
 from .morphisms import TreeMorphism, hom_set, compose
 from .labels import PLUS, LabeledTree, PointedMap, LabelError, hom_labeled
 from .substitution import phi_star, iota, _extend_fresh
@@ -23,7 +25,7 @@ from .oplax import FiniteCategory, FcFunctor, group_category, \
     check_equivalence
 from .groups import FiniteGroup, GSet, GSetError, GroupError, \
     check_action, coset_gset, equivariant_maps, group_from_ref, \
-    is_equivariant, maps_by_orbit_reps, subgroup_class_reps
+    is_equivariant, maps_by_orbit_reps, subgroup_class_reps, trivial_gset
 from .gtrees import NotEquivariant, enumerate_gtrees
 from .pairs import _run_pairs
 
@@ -40,67 +42,98 @@ class ComponentIsoInvalid(ForestError):
     """A component map that is not an isomorphism of trees."""
 
 
-class Forest:
-    """An indexed family of trees; indices run 0..n-1."""
+class GForest:
+    """A G-forest: trees indexed by a G-set, with translation isomorphisms.
 
-    __slots__ = ("components", "_hash")
+    base is the G-set of indices, trees[i] the tree at index i and
+    isos[(g, i)] the edge bijection from trees[i] to trees[g.i].  The isos
+    act trivially at the identity and compose as the group exactly when
+    they make the (index, edge) pairs a G-set, and then every iso is a
+    composite of generator isos: only those are tested on the trees.
+    """
 
-    def __init__(self, components):
-        self.components = tuple(components)
-        if not self.components:
-            raise ForestError("a forest needs at least one component")
-        for t in self.components:
-            if not isinstance(t, Tree):
-                raise ForestError("components must be trees")
+    __slots__ = ("group", "base", "trees", "isos", "_hash")
+
+    def __init__(self, base, trees, isos):
+        self.group = group = base.group
+        self.base = base
+        self.trees = dict(trees)
+        self.isos = {k: dict(v) for k, v in dict(isos).items()}
         self._hash = None
+        if not self.trees or set(self.trees) != set(base.elements):
+            raise ForestError("one tree per index, and at least one")
+        if set(self.isos) != {(g, i) for g in group.elements
+                              for i in self.trees}:
+            raise ActionNotFunctorial("one iso per element and index")
+        for (g, i), m in self.isos.items():
+            # a bijection matching roots and vertices is a valid edge map
+            if set(m) != self.trees[i].edges or g in group.generators and \
+                    not TreeMorphism(self.trees[i],
+                                     self.trees[base.act(g, i)], m,
+                                     _checked=True).is_isomorphism():
+                raise ComponentIsoInvalid(f"iso ({g}, {i}) is not a tree "
+                                          "isomorphism")
+        pairs = [(i, e) for i, t in self.trees.items() for e in t.edges]
+        check_action(group, {g: {(i, e): (base.act(g, i),
+                                          self.isos[(g, i)][e])
+                                 for i, e in pairs}
+                             for g in group.elements},
+                     pairs, ActionNotFunctorial)
 
-    @property
-    def n(self):
-        return len(self.components)
+    @classmethod
+    def trivial(cls, trees, group):
+        """The trees, each fixed by every element."""
+        return cls(trivial_gset(group, trees), trees,
+                   {(g, i): {e: e for e in t.edges}
+                    for g in group.elements for i, t in trees.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, Forest):
+        if not isinstance(other, GForest):
             return NotImplemented
-        return self.components == other.components
+        return (self.base == other.base and self.trees == other.trees
+                and self.isos == other.isos)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.components)
+            self._hash = hash((self.base, tuple(self.trees[i]
+                                                for i in self.base.elements)))
         return self._hash
 
     def __repr__(self):
-        return f"<Forest of {self.n}>"
+        return f"<{type(self).__name__} of {len(self.trees)} under " \
+               f"order-{self.group.order} group>"
 
 
 class ForestMorphism:
-    """A map of forests: an index function plus one tree map per component."""
+    """A map of G-forests: index_map[i] is the index that i goes to, and
+    components[i] the tree map from src.trees[i] to dst.trees[index_map[i]].
+    """
 
     __slots__ = ("src", "dst", "index_map", "components", "_hash")
 
     def __init__(self, src, dst, index_map, components, _checked=False):
         self.src = src
         self.dst = dst
-        self.index_map = tuple(index_map)
-        self.components = tuple(components)
+        self.index_map = dict(index_map)
+        self.components = dict(components)
         self._hash = None
         if _checked:
             return
-        if len(self.index_map) != src.n or len(self.components) != src.n:
-            raise ForestError("one index and one tree map per component")
-        for i, j in enumerate(self.index_map):
-            if not 0 <= j < dst.n:
-                raise ForestError(f"component {i} maps outside the target")
+        if src.group != dst.group:
+            raise ForestError("forests under different groups")
+        if not set(self.index_map) == set(self.components) == set(src.trees):
+            raise ForestError("one index and one tree map per index")
+        for i, j in self.index_map.items():
+            if j not in dst.trees:
+                raise ForestError(f"index {i!r} maps outside the target")
             f = self.components[i]
-            if f.src != src.components[i] or f.dst != dst.components[j]:
-                raise ForestError(f"component map {i} has wrong endpoints")
-
-    def __call__(self, i, edge):
-        return self.index_map[i], self.components[i].mapping[edge]
+            if f.src != src.trees[i] or f.dst != dst.trees[j]:
+                raise ForestError(f"component map {i!r} has wrong endpoints")
 
     def is_identity(self):
         return (self.src == self.dst
-                and self.index_map == tuple(range(self.src.n))
-                and all(f.is_identity() for f in self.components))
+                and all(i == j for i, j in self.index_map.items())
+                and all(f.is_identity() for f in self.components.values()))
 
     def __eq__(self, other):
         if not isinstance(other, ForestMorphism):
@@ -111,139 +144,53 @@ class ForestMorphism:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.index_map, self.components))
+            self._hash = hash(tuple((self.index_map[i], self.components[i])
+                                    for i in self.src.base.elements))
         return self._hash
 
     def __repr__(self):
-        return f"<ForestMorphism {self.index_map}>"
-
-
-def _check_family(group, trees, act, isos):
-    """Raise unless the group acts on an indexed family of trees.
-
-    trees maps each index to a tree, act(g, i) is the action on indices
-    and isos[(g, i)] the edge bijection from trees[i] to trees[act(g, i)].
-    The isos act trivially at the identity and compose as the group exactly
-    when they make the (index, edge) pairs a G-set, and then every iso is
-    a composite of generator isos: only those are tested on the trees.
-    """
-    if set(isos) != {(g, i) for g in group.elements for i in trees}:
-        raise ActionNotFunctorial("one iso per element and index")
-    for (g, i), m in isos.items():
-        # a bijection matching roots and vertices is a valid edge map
-        if set(m) != trees[i].edges or g in group.generators and not \
-                TreeMorphism(trees[i], trees[act(g, i)], m,
-                             _checked=True).is_isomorphism():
-            raise ComponentIsoInvalid(f"iso ({g}, {i}) is not a tree "
-                                      "isomorphism")
-    pairs = [(i, e) for i, t in trees.items() for e in t.edges]
-    check_action(group, {g: {(i, e): (act(g, i), isos[(g, i)][e])
-                             for i, e in pairs}
-                         for g in group.elements},
-                 pairs, ActionNotFunctorial)
-
-
-def _family_map_commutes(group, src_act, src_isos, dst_act, dst_isos, idx,
-                         comps):
-    """Does a map of families commute with both actions?
-
-    Index i goes to idx[i] by the tree map comps[i], both dicts over the
-    indices.  The check runs on (index, edge) pairs, so a coincidence of
-    edge names between different trees cannot mask an index mismatch.
-    """
-    return is_equivariant(
-        group, {(i, e): (idx[i], v) for i, f in comps.items()
-                for e, v in f.mapping.items()},
-        lambda g, p: (src_act(g, p[0]), src_isos[(g, p[0])][p[1]]),
-        lambda g, p: (dst_act(g, p[0]), dst_isos[(g, p[0])][p[1]]))
-
-
-class GForest:
-    """A forest with a group permuting components through isomorphisms.
-
-    index_action maps each group element to a permutation of the indices,
-    and isos[(g, i)] is the edge bijection from component i to component
-    g.i.  The data must compose like the group.  base is the G-set of
-    indices, which keeps the index action.
-    """
-
-    __slots__ = ("forest", "group", "isos", "base", "_hash")
-
-    def __init__(self, forest, group, index_action, isos):
-        self.forest = forest
-        self.group = group
-        self.isos = {k: dict(v) for k, v in dict(isos).items()}
-        self._hash = None
-        try:
-            self.base = GSet(group, range(forest.n),
-                             {g: dict(enumerate(row))
-                              for g, row in dict(index_action).items()})
-        except GSetError as err:
-            raise ActionNotFunctorial(str(err)) from None
-        _check_family(group, dict(enumerate(forest.components)),
-                      self.base.act, self.isos)
-
-    @classmethod
-    def trivial(cls, forest, group):
-        n = forest.n
-        rows = {g: tuple(range(n)) for g in group.elements}
-        isos = {(g, i): {e: e for e in forest.components[i].edges}
-                for g in group.elements for i in range(n)}
-        return cls(forest, group, rows, isos)
-
-    def __eq__(self, other):
-        if not isinstance(other, GForest):
-            return NotImplemented
-        return (self.forest == other.forest and self.base == other.base
-                and self.isos == other.isos)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.forest, self.base))
-        return self._hash
-
-    def __repr__(self):
-        return f"<GForest of {self.forest.n} under order-" \
-               f"{self.group.order} group>"
+        return f"<{type(self).__name__} over {len(self.components)} indices>"
 
 
 def gtree_to_gforest(gtree):
-    """A single-component forest out of a tree with an action."""
-    forest = Forest([gtree.tree])
-    rows = {g: (0,) for g in gtree.group.elements}
-    isos = {(g, 0): dict(gtree.action[g]) for g in gtree.group.elements}
-    return GForest(forest, gtree.group, rows, isos)
+    """A single-tree forest out of a tree with an action."""
+    return GForest(trivial_gset(gtree.group, (0,)), {0: gtree.tree},
+                   {(g, 0): gtree.action[g] for g in gtree.group.elements})
 
 
 def is_genuine(gforest):
-    """Is the action transitive on the components, and so on the roots?"""
+    """Is the action transitive on the trees, and so on the roots?"""
     return gforest.base.is_transitive()
 
 
-def is_equivariant_forest_morphism(src, dst, fm):
-    """Does (index map, tree maps) commute with both forest actions?"""
-    if fm.src != src.forest or fm.dst != dst.forest:
-        raise ForestError("morphism does not match the actions")
-    return _family_map_commutes(src.group, src.base.act, src.isos,
-                                dst.base.act, dst.isos,
-                                dict(enumerate(fm.index_map)),
-                                dict(enumerate(fm.components)))
+def is_equivariant_forest_morphism(fm):
+    """Does (index map, tree maps) commute with both forest actions?
+
+    The check runs on (index, edge) pairs, so a coincidence of edge names
+    between different trees cannot mask an index mismatch.
+    """
+    src, dst = fm.src, fm.dst
+    return is_equivariant(
+        src.group, {(i, e): (fm.index_map[i], v)
+                    for i, f in fm.components.items()
+                    for e, v in f.mapping.items()},
+        lambda g, p: (src.base.act(g, p[0]), src.isos[(g, p[0])][p[1]]),
+        lambda g, p: (dst.base.act(g, p[0]), dst.isos[(g, p[0])][p[1]]))
 
 
-def _family_maps(src, dst, src_trees, dst_trees, targets, hom=None):
-    """Every map of tree families that commutes with the isos.
+def _family_maps(src, dst, targets, hom=None):
+    """Every map of G-forests that commutes with the isos, as (index map,
+    components) pairs.
 
-    src and dst have a base G-set and isos[(g, i)] from the tree at i to
-    the tree at g.i; the trees are src_trees[i] and dst_trees[j].  Each
-    base element i goes to (i, j, f): a j from targets(i) and a tree map f
-    from hom(i, j), by default every map from the tree at i to the tree at
-    j, which g carries along the isos at i and j.  hom is asked at orbit
-    representatives only, so a constraint it imposes must be one the isos
-    carry.  The maps come from the orbit-representative engine.
+    Each index i of src goes to (i, j, f): a j from targets(i) and a tree
+    map f from hom(i, j), by default every map from src.trees[i] to
+    dst.trees[j], which g carries along the isos at i and j.  hom is asked
+    at orbit representatives only, so a constraint it imposes must be one
+    the isos carry.  The maps come from the orbit-representative engine.
     """
     if hom is None:
         def hom(i, j):
-            return hom_set(src_trees[i], dst_trees[j])
+            return hom_set(src.trees[i], dst.trees[j])
 
     def choices(i):
         return [(i, j, f) for j in targets(i) for f in hom(i, j)]
@@ -253,10 +200,12 @@ def _family_maps(src, dst, src_trees, dst_trees, targets, hom=None):
         gi, gj = src.base.act(g, i), dst.base.act(g, j)
         up, over = src.isos[(g, i)], dst.isos[(g, j)]
         moved = {up[e]: over[v] for e, v in f.mapping.items()}
-        return gi, gj, TreeMorphism(src_trees[gi], dst_trees[gj], moved,
+        return gi, gj, TreeMorphism(src.trees[gi], dst.trees[gj], moved,
                                     _checked=True)
 
-    return maps_by_orbit_reps(src.base, choices, carry)
+    return [({i: j for i, (_, j, _) in m.items()},
+             {i: f for i, (_, _, f) in m.items()})
+            for m in maps_by_orbit_reps(src.base, choices, carry)]
 
 
 def forest_hom(src, dst):
@@ -274,12 +223,8 @@ def forest_hom(src, dst):
         return [j for j in dst.base.elements
                 if stab <= set(dst.base.stabilizer(j))]
 
-    n = src.forest.n
-    return tuple(
-        ForestMorphism(src.forest, dst.forest, [m[i][1] for i in range(n)],
-                       [m[i][2] for i in range(n)], _checked=True)
-        for m in _family_maps(src, dst, src.forest.components,
-                              dst.forest.components, targets))
+    return tuple(ForestMorphism(src, dst, idx, comps, _checked=True)
+                 for idx, comps in _family_maps(src, dst, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -342,49 +287,22 @@ def bh_to_coset_groupoid(group, sub):
     return functor, check_equivalence(functor)
 
 
-class CosetDiagram:
-    """A functor from a coset groupoid to trees.
-
-    base is the coset G-set of the subgroup, built once.  One tree per
-    coset, plus an edge bijection for every translation arrow; the
-    bijections must compose like the translations.
+class CosetDiagram(GForest):
+    """A functor from a coset groupoid to trees: the G-forest indexed by
+    the coset G-set base of a subgroup, with one edge bijection per
+    translation arrow.  sub is that subgroup, the stabilizer of the
+    identity coset 0.
     """
 
-    __slots__ = ("group", "sub", "base", "trees", "isos", "_hash")
+    __slots__ = ("sub",)
 
-    def __init__(self, group, sub, trees, isos):
-        self.group = group
-        self.sub = tuple(sorted(sub))
-        self.base = coset_gset(group, self.sub)
-        self.trees = dict(trees)
-        self.isos = {k: dict(v) for k, v in dict(isos).items()}
-        self._hash = None
-        if set(self.trees) != set(self.base.elements):
-            raise ForestError("one tree per coset")
-        _check_family(group, self.trees, self.base.act, self.isos)
+    def __init__(self, base, trees, isos):
+        super().__init__(base, trees, isos)
+        self.sub = base.stabilizer(0)
 
     @property
     def cosets(self):
         return self.base.elements
-
-    def act_coset(self, x, c):
-        return self.base.act(x, c)
-
-    def __eq__(self, other):
-        if not isinstance(other, CosetDiagram):
-            return NotImplemented
-        return (self.group == other.group and self.sub == other.sub
-                and self.trees == other.trees and self.isos == other.isos)
-
-    def __hash__(self):
-        if self._hash is None:
-            items = tuple(sorted(self.trees.items(),
-                                 key=lambda p: sort_key(p[0])))
-            self._hash = hash((self.group, self.sub, items))
-        return self._hash
-
-    def __repr__(self):
-        return f"<CosetDiagram over {len(self.trees)} cosets>"
 
 
 def diagram_from_gtree(gtree, group, sub):
@@ -410,55 +328,23 @@ def diagram_from_gtree(gtree, group, sub):
             h = group.mul(group.inverse(d), group.mul(x, c))
             if h not in subset:
                 raise NotEquivariant("coset representatives are broken")
-            isos[(x, c)] = dict(gtree.action[pos[h]])
-    return CosetDiagram(group, sub, trees, isos)
+            isos[(x, c)] = gtree.action[pos[h]]
+    return CosetDiagram(base, trees, isos)
 
 
-class DiagramMorphism:
-    """A natural transformation between coset diagrams: one tree map per
-    coset, commuting with every translation."""
+class DiagramMorphism(ForestMorphism):
+    """A natural transformation between coset diagrams: the forest
+    morphism over the identity of the cosets, one tree map per coset."""
 
-    __slots__ = ("src", "dst", "components", "_hash")
+    __slots__ = ()
 
     def __init__(self, src, dst, components, _checked=False):
-        self.src = src
-        self.dst = dst
-        self.components = dict(components)
-        self._hash = None
-        if _checked:
-            return
-        if (src.group, src.sub) != (dst.group, dst.sub):
+        if not _checked and src.sub != dst.sub:
             raise ForestError("diagrams live over different groupoids")
-        if set(self.components) != set(src.trees):
-            raise ForestError("one component per coset")
-        for c, f in self.components.items():
-            if f.src != src.trees[c] or f.dst != dst.trees[c]:
-                raise ForestError(f"component at {c!r} has wrong endpoints")
-        if not _family_map_commutes(src.group, src.base.act, src.isos,
-                                    dst.base.act, dst.isos,
-                                    {c: c for c in src.trees},
-                                    self.components):
+        super().__init__(src, dst, {c: c for c in src.trees}, components,
+                         _checked)
+        if not _checked and not is_equivariant_forest_morphism(self):
             raise ForestError("components do not commute with translations")
-
-    def is_identity(self):
-        return (self.src == self.dst
-                and all(f.is_identity() for f in self.components.values()))
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagramMorphism):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.components == other.components)
-
-    def __hash__(self):
-        if self._hash is None:
-            items = tuple(sorted(self.components.items(),
-                                 key=lambda p: sort_key(p[0])))
-            self._hash = hash(items)
-        return self._hash
-
-    def __repr__(self):
-        return f"<DiagramMorphism over {len(self.components)} cosets>"
 
 
 def diagram_hom(src, dst):
@@ -470,25 +356,8 @@ def diagram_hom(src, dst):
     """
     if (src.group, src.sub) != (dst.group, dst.sub):
         raise ForestError("diagrams live over different groupoids")
-    return tuple(DiagramMorphism(src, dst, {c: f for c, (_, _, f)
-                                            in m.items()}, _checked=True)
-                 for m in _family_maps(src, dst, src.trees, dst.trees,
-                                       lambda c: [c]))
-
-
-def assemble_gforest(diagram):
-    """Lay the diagram's trees out as components of a forest.
-
-    Components are ordered by coset; the result is always genuine.
-    """
-    cosets = list(diagram.cosets)
-    pos = {c: i for i, c in enumerate(cosets)}
-    forest = Forest([diagram.trees[c] for c in cosets])
-    rows = {g: tuple(pos[diagram.act_coset(g, c)] for c in cosets)
-            for g in diagram.group.elements}
-    isos = {(g, pos[c]): dict(diagram.isos[(g, c)])
-            for g in diagram.group.elements for c in cosets}
-    return GForest(forest, diagram.group, rows, isos)
+    return tuple(DiagramMorphism(src, dst, comps, _checked=True)
+                 for _, comps in _family_maps(src, dst, lambda c: [c]))
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +368,19 @@ class RetractiveGSet:
     """A G-set split over an orbit: section and retraction compose to the
     identity of the cosets.
 
-    labels is the carrier minus the section image, in carrier order, and
-    fibers[c] the labels over coset c; both are built once.
+    base is the coset G-set of the orbit and sub its subgroup, the
+    stabilizer of the identity coset 0.  labels is the carrier minus the
+    section image, in carrier order, and fibers[c] the labels over coset
+    c; both are built once.
     """
 
     __slots__ = ("group", "sub", "base", "carrier", "section", "retraction",
                  "labels", "fibers", "_hash")
 
-    def __init__(self, group, sub, carrier, section, retraction):
-        self.group = group
-        self.sub = tuple(sorted(sub))
-        self.base = base = coset_gset(group, self.sub)
+    def __init__(self, base, carrier, section, retraction):
+        self.group = group = base.group
+        self.sub = base.stabilizer(0)
+        self.base = base
         self.carrier = carrier
         self.section = dict(section)
         self.retraction = dict(retraction)
@@ -715,7 +586,7 @@ def self_labeled_genuine(diagram):
                 row[x] = ("leaf", base.act(g, c), diagram.isos[(g, c)][e])
         rows[g] = row
     carrier = GSet(group, elems, rows)
-    ret = RetractiveGSet(group, diagram.sub, carrier, section, retraction)
+    ret = RetractiveGSet(base, carrier, section, retraction)
     leaf_map = {lab: lab[2] for lab in ret.labels}
     return GenuineTree(ret, diagram, leaf_map)
 
@@ -738,8 +609,7 @@ def phi_star_genuine(rm, gt):
                                   dict(diagram.isos[(x, c)]),
                                   lambda b: rm.src.carrier.act(x, b))
             for x in group.elements for c in base.elements}
-    new_diag = CosetDiagram(group, diagram.sub,
-                            {c: out.tree for c, out in pieces.items()},
+    new_diag = CosetDiagram(base, {c: out.tree for c, out in pieces.items()},
                             isos)
     leaf_map = {b: leaf for out in pieces.values()
                 for b, leaf in out.labels.items()}
@@ -784,13 +654,11 @@ def genuine_hom(src, dst):
     out = []
     for phi in enumerate_retractive_maps(dst.labels, src.labels):
         sub = phi_star_genuine(phi, src)
-        for m in _family_maps(
-                sub.diagram, dst.diagram, sub.diagram.trees,
-                dst.diagram.trees, lambda c: [c],
+        for _, comps in _family_maps(
+                sub.diagram, dst.diagram, lambda c: [c],
                 lambda c, _: hom_labeled(sub.components[c],
                                          dst.components[c])):
-            fiber = DiagramMorphism(sub.diagram, dst.diagram,
-                                    {c: f for c, (_, _, f) in m.items()},
+            fiber = DiagramMorphism(sub.diagram, dst.diagram, comps,
                                     _checked=True)
             out.append(GenuineMorphism(phi, fiber, src, dst))
     return tuple(out)
@@ -821,12 +689,11 @@ def q_star_diagram(q, src_sub, diagram):
     the same object."""
     if _is_identity_map(q, src_sub, diagram.sub):
         return diagram
-    group = diagram.group
-    cosets = sorted(q)  # q is a map out of the coset G-set of src_sub
-    trees = {c: diagram.trees[q[c]] for c in cosets}
-    isos = {(x, c): dict(diagram.isos[(x, q[c])])
-            for x in group.elements for c in cosets}
-    return CosetDiagram(group, src_sub, trees, isos)
+    base = coset_gset(diagram.group, src_sub)  # q is a map out of it
+    return CosetDiagram(base, {c: diagram.trees[q[c]] for c in base.elements},
+                        {(x, c): diagram.isos[(x, q[c])]
+                         for x in diagram.group.elements
+                         for c in base.elements})
 
 
 def q_star_diagram_morphism(q, src_sub, dm):
@@ -860,7 +727,7 @@ def q_star_retractive(q, src_sub, ret):
     carrier = GSet(group, elems, rows)
     section = {c: (c, ret.section[q[c]]) for c in base.elements}
     retraction = {(c, x): c for c, x in elems}
-    return RetractiveGSet(group, src_sub, carrier, section, retraction)
+    return RetractiveGSet(base, carrier, section, retraction)
 
 
 def q_star_retractive_map(q, src_sub, rm):
@@ -951,8 +818,8 @@ def enumerate_genuine_diagrams(group, max_edges, per_stratum=None):
 
 
 def _genuine_corpus(group, max_edges, per_stratum):
-    """(diagram, assembled forest, self-labeled genuine tree) triples."""
-    return [(d, assemble_gforest(d), self_labeled_genuine(d))
+    """(diagram, self-labeled genuine tree) pairs."""
+    return [(d, self_labeled_genuine(d))
             for d in enumerate_genuine_diagrams(group, max_edges,
                                                 per_stratum=per_stratum)]
 
@@ -963,22 +830,19 @@ def _genuine_pair(corpus, i, j):
     Assembly must be a bijection from pairs (orbit map q, natural
     transformation) onto the forest homs, and forgetting labels one from
     the triples (q, retractive map, fiber transformation) over each q onto
-    the transformations over q.
+    the transformations over q.  forest_hom picks its index maps by
+    stabilizer containment, apart from the orbit maps q run over here.
     """
-    (x, fx, lx), (y, fy, ly) = corpus[i], corpus[j]
-    fh = set(forest_hom(fx, fy))
-    ypos = {c: k for k, c in enumerate(y.cosets)}
+    (x, lx), (y, ly) = corpus[i], corpus[j]
+    fh = set(forest_hom(x, y))
     pair_count = triple_count = 0
     assembled = set()
     failures = []
     for q in equivariant_maps(x.base, y.base):
         alphas = diagram_hom(x, q_star_diagram(q, x.sub, y))
         pair_count += len(alphas)
-        idx = [ypos[q[c]] for c in x.cosets]
-        for al in alphas:
-            assembled.add(ForestMorphism(
-                fx.forest, fy.forest, idx,
-                [al.components[c] for c in x.cosets], _checked=True))
+        assembled.update(ForestMorphism(x, y, q, al.components, _checked=True)
+                         for al in alphas)
         gms = genuine_hom(lx, q_star_genuine(q, x.sub, ly))
         triple_count += len(gms)
         ems = {eta_morphism(gm) for gm in gms}
@@ -1011,28 +875,31 @@ def genuine_equivalence_check(group, max_edges=3, per_stratum=None):
 def gforest_to_json(gforest, group_ref=None):
     """Schema: {"group", "components", "action", "isos"}.
 
-    Component trees are renamed to string edges first, so forests with
+    The trees are listed in index order and indices written as positions
+    in that list.  Trees are renamed to string edges first, so forests with
     tuple-named edges round trip up to that renaming only.
     """
     from .groups import group_to_json
-    renames = []
+    index = gforest.base.elements
+    pos = {i: k for k, i in enumerate(index)}
+    renames = {}
     docs = []
-    for t in gforest.forest.components:
+    for i in index:
+        t = gforest.trees[i]
         if all(isinstance(e, str) for e in t.edges):
             ren = {e: e for e in t.edges}
         else:
             ren = {e: f"e{k}" for k, e in enumerate(t.canonical_edge_order())}
-        renames.append(ren)
+        renames[i] = ren
         docs.append(tree_to_json(relabel(t, ren)))
     data = {
         "components": docs,
-        "action": {str(g): [gforest.base.act(g, i)
-                            for i in range(gforest.forest.n)]
+        "action": {str(g): [pos[gforest.base.act(g, i)] for i in index]
                    for g in gforest.group.elements},
         "isos": {str(g): [
             {renames[i][e]: renames[gforest.base.act(g, i)][v]
              for e, v in gforest.isos[(g, i)].items()}
-            for i in range(gforest.forest.n)]
+            for i in index]
             for g in gforest.group.elements},
     }
     data["group"] = group_ref if group_ref is not None \
@@ -1041,13 +908,14 @@ def gforest_to_json(gforest, group_ref=None):
 
 
 def gforest_from_json(data, registry=None):
-    """Rebuild a GForest; "group" is a builtin name or an inline table."""
+    """Rebuild a GForest over the indices 0..n-1; "group" is a builtin name
+    or an inline table."""
     if not isinstance(data, dict) or not {"group", "action", "isos"} <= \
             set(data) or not isinstance(data.get("components"), list):
         raise ForestError("forest data needs \"group\", \"action\", "
                           "\"isos\" and a \"components\" list")
     group = group_from_ref(data["group"], registry)
-    forest = Forest([tree_from_json(doc) for doc in data["components"]])
+    trees = dict(enumerate(tree_from_json(doc) for doc in data["components"]))
     action, isos = data["action"], data["isos"]
     # one key per element: "01" or a non-ASCII digit must not alias "1"
     numbers = {str(g): g for g in group.elements}
@@ -1056,7 +924,7 @@ def gforest_from_json(data, registry=None):
             and all(isinstance(row, list) and all(type(j) is int
                                                   for j in row)
                     for row in action.values())
-            and all(isinstance(ms, list) and len(ms) == forest.n
+            and all(isinstance(ms, list) and len(ms) == len(trees)
                     and all(isinstance(m, dict) and all(
                         isinstance(v, (str, int)) for v in m.values())
                         for m in ms)
@@ -1065,13 +933,17 @@ def gforest_from_json(data, registry=None):
                           "lists, \"isos\" to one edge map per component")
 
     def edge(i, key):
-        found = [e for e in forest.components[i].edges if str(e) == key]
+        found = [e for e in trees[i].edges if str(e) == key]
         if len(found) != 1:
             raise ForestError(f"iso key {key!r} must name exactly one edge "
                               f"of component {i}")
         return found[0]
 
-    rows = {numbers[g]: tuple(row) for g, row in action.items()}
     maps = {(numbers[g], i): {edge(i, k): v for k, v in ms[i].items()}
-            for g, ms in isos.items() for i in range(forest.n)}
-    return GForest(forest, group, rows, maps)
+            for g, ms in isos.items() for i in trees}
+    try:
+        base = GSet(group, trees, {numbers[g]: dict(enumerate(row))
+                                   for g, row in action.items()})
+    except GSetError as err:
+        raise ActionNotFunctorial(str(err)) from None
+    return GForest(base, trees, maps)

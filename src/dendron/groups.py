@@ -275,35 +275,27 @@ class Orbit:
 class GSet:
     """A finite left G-set as a full action table.
 
-    action[g][x] is g.x, with one complete row per group element.  The
-    optional basepoint must be fixed by everything.
+    action[g][x] is g.x, with one complete row per group element.
     """
 
-    __slots__ = ("group", "elements", "action", "basepoint", "_hash")
+    __slots__ = ("group", "elements", "action", "_hash")
 
-    def __init__(self, group, elements, action, basepoint=None):
+    def __init__(self, group, elements, action):
         self.group = group
         self.elements = tuple(sorted(elements, key=sort_key))
         self.action = {g: dict(row) for g, row in action.items()}
-        self.basepoint = basepoint
         self._hash = None
         if len(set(self.elements)) != len(self.elements):
             raise GSetError("carrier has repeated elements")
         check_action(group, self.action, self.elements, GSetError)
-        if basepoint is not None:
-            if basepoint not in self.elements:
-                raise GSetError("basepoint is not in the carrier")
-            if not is_equivariant(group, {basepoint: basepoint},
-                                  lambda g, x: x, self.act):
-                raise GSetError("basepoint must be fixed")
 
     @classmethod
-    def from_generator_rows(cls, group, elements, rows, basepoint=None):
+    def from_generator_rows(cls, group, elements, rows):
         """Close partial data: rows maps some generating set to its action."""
         have = close_table(group, rows, {x: x for x in elements},
                            lambda a, b: {x: a[b[x]] for x in elements},
                            GSetError)
-        return cls(group, elements, have, basepoint=basepoint)
+        return cls(group, elements, have)
 
     @property
     def size(self):
@@ -347,15 +339,13 @@ class GSet:
         if not isinstance(other, GSet):
             return NotImplemented
         return (self.group == other.group and self.elements == other.elements
-                and self.action == other.action
-                and self.basepoint == other.basepoint)
+                and self.action == other.action)
 
     def __hash__(self):
         if self._hash is None:
             rows = tuple(tuple(self.action[g][x] for x in self.elements)
                          for g in self.group.elements)
-            self._hash = hash((self.group, self.elements, rows,
-                               self.basepoint))
+            self._hash = hash((self.group, self.elements, rows))
         return self._hash
 
     def __repr__(self):
@@ -363,9 +353,9 @@ class GSet:
         return f"<GSet {shape} under order-{self.group.order} group>"
 
 
-def trivial_gset(group, elements, basepoint=None):
+def trivial_gset(group, elements):
     rows = {g: {x: x for x in elements} for g in group.elements}
-    return GSet(group, elements, rows, basepoint=basepoint)
+    return GSet(group, elements, rows)
 
 
 def coset_gset(group, sub):
@@ -427,20 +417,11 @@ def skeletal_gsets(group, max_size):
 
 
 def equivariant_maps(src, dst):
-    """Every equivariant function between two G-sets over the same group.
-
-    One image choice per orbit representative; basepoints, when both sides
-    have them, are matched up.
-    """
+    """Every equivariant function between two G-sets over the same group,
+    by one image choice per orbit representative."""
     if src.group != dst.group:
         raise GSetError("maps need a common group")
-
-    def choices(r):
-        if r == src.basepoint:
-            return [] if dst.basepoint is None else [dst.basepoint]
-        return dst.elements
-
-    return tuple(maps_by_orbit_reps(src, choices, dst.act))
+    return tuple(maps_by_orbit_reps(src, lambda r: dst.elements, dst.act))
 
 
 BUILTIN_GROUPS = {

@@ -7,9 +7,9 @@ are the leaves; a vertex with no in-edges caps its out-edge, which therefore
 does not count as a leaf.  The edge-only tree is both its own root and its
 own single leaf.
 
-Edges are opaque hashable names.  Nothing here is planar: in-edges are sets,
-and isomorphism is decided through a canonical code built from sorted child
-codes.
+Edges are names: ints, strings or tuples of names.  Nothing here is
+planar: in-edges are sets, and isomorphism is decided through a canonical
+code built from sorted child codes.
 """
 
 from __future__ import annotations
@@ -49,26 +49,27 @@ class SiteNotLeafOrRoot(TreeError):
 
 @functools.lru_cache(maxsize=1 << 16, typed=True)
 def sort_key(edge):
-    """Total order on edge names of mixed types.
+    """Total order on edge names: ints (bools included), strings and
+    tuples of names.
 
-    Ints sort before strings before tuples before everything else; tuples
-    compare componentwise through the same key.  Used everywhere iteration
-    order must be reproducible across runs.
+    Ints sort before strings before tuples; tuples compare componentwise
+    through the same key.  Any other name raises TypeError.  Used
+    everywhere iteration order must be reproducible across runs.
 
     Keys are cached per name: a run meets a few hundred distinct names and
-    asks for their keys millions of times.  The cache is bounded and keyed
-    by equality, so names equal to each other but sorting apart inside a
-    tuple, such as (1,) and (1.0,), would share one key.
+    asks for their keys millions of times.  Names that are equal get equal
+    keys, so what the bounded cache returns never depends on what it saw
+    first; a tuple equal to a cached one, such as (1, 1.0) to (1, 1), gets
+    its key instead of the TypeError.
     """
-    if isinstance(edge, bool):
-        return (0, int(edge))
     if isinstance(edge, int):
         return (0, edge)
     if isinstance(edge, str):
         return (1, edge)
     if isinstance(edge, tuple):
         return (2, tuple(sort_key(x) for x in edge))
-    return (3, type(edge).__name__, repr(edge))
+    raise TypeError("names are ints, strings or tuples of names, not "
+                    f"{type(edge).__name__}")
 
 
 class Tree:

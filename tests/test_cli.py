@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
                      z4_orbit_contraction_sample, enumerate_gtrees,
                      is_equivariant_morphism, TreeMorphism, identity,
                      factorize, builtin_group, enumerate_genuine_diagrams,
-                     assemble_gforest, gforest_to_json, enumerate_all_trees,
+                     gforest_to_json, enumerate_all_trees,
                      BUILTIN_GROUPS)
 from dendron import cli, forests
 from dendron.cli import main, SUITE_RUNNERS
@@ -122,6 +123,24 @@ class TestCheckSuites:
         bh = report["one_object_groupoid_equivalences"]
         assert len(bh) == 6 and all(bh.values())
         assert elapsed < 120, f"s3 genuine took {elapsed:.1f}s"
+
+    def test_genuine_s3_four_edges(self, capsys, monkeypatch):
+        monkeypatch.setenv("DENDRON_WORKERS", "2")
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "check", "genuine",
+                           "--group", "s3", "--max-edges", "4")
+        elapsed = time.monotonic() - t0
+        report = json.loads(out)
+        assert code == 0 and report["ok"]
+        fc = report["forest_check"]
+        assert (fc["objects"], fc["pairs"]) == (108, 11664)
+        assert fc["forest_homs"] == fc["pair_homs"] == fc["triple_homs"] \
+            == 27366
+        bh = report["one_object_groupoid_equivalences"]
+        assert len(bh) == 6 and all(bh.values())
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(
+            "9241120e")
+        assert elapsed < 60, f"s3 genuine at 4 edges took {elapsed:.1f}s"
 
     @pytest.mark.parametrize("group, objects, homs, groupoids, budget", [
         ("z3", 18, 790, {"0", "0,1,2"}, 20),
@@ -381,8 +400,8 @@ class TestExportDot:
 
 @lru_cache(maxsize=None)
 def _forest_docs():
-    """Documents of the forests assembled from small coset diagrams."""
-    return tuple(gforest_to_json(assemble_gforest(d), group_ref=name)
+    """Documents of small coset diagrams."""
+    return tuple(gforest_to_json(d, group_ref=name)
                  for name in ("z2", "z4", "s3")
                  for d in enumerate_genuine_diagrams(builtin_group(name), 3,
                                                      per_stratum=2))

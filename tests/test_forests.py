@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dendron import forests
 from dendron import (
-    Forest, ForestMorphism, GForest, ForestError, ActionNotFunctorial,
+    ForestMorphism, GForest, ForestError, ActionNotFunctorial,
     ComponentIsoInvalid, gtree_to_gforest, is_genuine,
     is_equivariant_forest_morphism, forest_hom, subgroup_group,
     coset_groupoid, bh_to_coset_groupoid, CosetDiagram, diagram_from_gtree,
-    DiagramMorphism, diagram_hom, assemble_gforest, RetractiveGSet,
+    DiagramMorphism, diagram_hom, RetractiveGSet,
     RetractiveMap, enumerate_retractive_maps, fiber_pointed_map,
     self_labeled_genuine, phi_star_genuine, genuine_hom, eta_morphism,
     q_star_diagram, q_star_diagram_morphism, q_star_genuine,
@@ -21,7 +21,8 @@ from dendron import (
     LabeledTree, phi_star, groth_hom, GTree, GLabeledTree, enumerate_gtrees,
     equivariant_hom, groth_hom_G, cyclic_group, symmetric_group_3,
     trivial_group, subgroups, coset_gset, equivariant_maps, transitive_gsets,
-    GSet, GenuineTree, GenuineMorphism, LabelError, q_star_retractive,
+    GSet, GSetError, GenuineTree, GenuineMorphism, LabelError,
+    q_star_retractive,
 )
 
 Z2 = cyclic_group(2)
@@ -35,14 +36,27 @@ def ident_edges(t):
     return {e: e for e in t.edges}
 
 
+def rows_gforest(group, trees, rows, isos):
+    """A G-forest over the indices 0..n-1 of a list of trees, whose index
+    action is given as one row tuple per group element."""
+    base = GSet(group, range(len(trees)),
+                {g: dict(enumerate(row)) for g, row in rows.items()})
+    return GForest(base, dict(enumerate(trees)), isos)
+
+
 def swap_gforest(t):
     """Two copies of one tree swapped by the nontrivial element of Z/2."""
     ident = ident_edges(t)
-    return GForest(
-        Forest([t, t]), Z2,
+    return rows_gforest(
+        Z2, [t, t],
         {0: (0, 1), 1: (1, 0)},
         {(g, i): dict(ident) for g in range(2) for i in range(2)},
     )
+
+
+def trivial_gforest(trees, group):
+    """The trees at indices 0..n-1, each fixed by every element."""
+    return GForest.trivial(dict(enumerate(trees)), group)
 
 
 @lru_cache(maxsize=None)
@@ -85,9 +99,9 @@ def identity_retractive_map(ret):
 
 def compose_forest_maps(first, second):
     """Diagrammatic composite of two forest morphisms, built by hand."""
-    idx = [second.index_map[j] for j in first.index_map]
-    comps = [compose(f, second.components[j])
-             for f, j in zip(first.components, first.index_map)]
+    idx = {i: second.index_map[j] for i, j in first.index_map.items()}
+    comps = {i: compose(f, second.components[first.index_map[i]])
+             for i, f in first.components.items()}
     return ForestMorphism(first.src, second.dst, idx, comps)
 
 
@@ -113,26 +127,27 @@ def fiber_labeled(gt_obj):
 
 class TestForestBasics:
     def test_component_count(self):
-        f = Forest([corolla(2), single_edge("r")])
-        assert f.n == 2
-        assert f == Forest([corolla(2), single_edge("r")])
+        f = trivial_gforest([corolla(2), single_edge("r")], TRIV)
+        assert len(f.trees) == 2
+        assert f == trivial_gforest([corolla(2), single_edge("r")], TRIV)
 
     def test_identity_composes_to_itself(self):
-        f = Forest([corolla(2), corolla(3)])
-        ide = ForestMorphism(f, f, range(f.n),
-                             [identity(t) for t in f.components])
+        f = trivial_gforest([corolla(2), corolla(3)], TRIV)
+        ide = ForestMorphism(f, f, {i: i for i in f.trees},
+                             {i: identity(t) for i, t in f.trees.items()})
         assert ide.is_identity()
         assert compose_forest_maps(ide, ide) == ide
 
     def test_bad_index_map_rejected(self):
-        f = Forest([corolla(2)])
+        f = trivial_gforest([corolla(2)], TRIV)
         with pytest.raises(ForestError):
-            ForestMorphism(f, f, [3], [hom_set(corolla(2), corolla(2))[0]])
+            ForestMorphism(f, f, {0: 3},
+                           {0: hom_set(corolla(2), corolla(2))[0]})
 
 
 class TestGForestValidation:
     def test_single_fixed_tree(self):
-        gf = GForest.trivial(Forest([corolla(2)]), Z2)
+        gf = trivial_gforest([corolla(2)], Z2)
         assert gf.base.act(1, 0) == 0
 
     def test_swapped_pair_of_equal_trees(self):
@@ -144,42 +159,51 @@ class TestGForestValidation:
         m01 = {"r": "r", "l0": "l0", "l1": "l1"}
         m10 = {"r": "r", "l0": "l0", "l1": "l1", "l2": "l0"}
         with pytest.raises(ComponentIsoInvalid):
-            GForest(Forest([t, s]), Z2, {0: (0, 1), 1: (1, 0)},
+            rows_gforest(Z2, [t, s], {0: (0, 1), 1: (1, 0)},
                     {(0, 0): ident_edges(t), (0, 1): ident_edges(s),
                      (1, 0): m01, (1, 1): m10})
 
     def test_identity_row_must_be_trivial(self):
         t = corolla(2)
         isos = {(g, i): ident_edges(t) for g in range(2) for i in range(2)}
+        with pytest.raises(GSetError):
+            rows_gforest(Z2, [t, t], {0: (1, 0), 1: (0, 1)}, isos)
+        # read from a document, the index rows are the forest's error
+        doc = gforest_to_json(swap_gforest(t), group_ref="z2")
+        doc["action"] = {"0": [1, 0], "1": [0, 1]}
         with pytest.raises(ActionNotFunctorial):
-            GForest(Forest([t, t]), Z2, {0: (1, 0), 1: (0, 1)}, isos)
+            gforest_from_json(doc)
 
     def test_identity_iso_must_be_trivial(self):
         t = corolla(2)
         swap = {t.root: t.root, "l0": "l1", "l1": "l0"}
         with pytest.raises(ActionNotFunctorial):
-            GForest(Forest([t, t]), Z2, {0: (0, 1), 1: (1, 0)},
-                    {(0, 0): swap, (0, 1): ident_edges(t),
+            rows_gforest(Z2, [t, t], {0: (0, 1), 1: (1, 0)},
+                         {(0, 0): swap, (0, 1): ident_edges(t),
                      (1, 0): ident_edges(t), (1, 1): ident_edges(t)})
 
     def test_rows_must_compose_like_the_group(self):
         t = corolla(2)
         isos = {(g, i): ident_edges(t) for g in range(4) for i in range(2)}
+        with pytest.raises(GSetError):
+            rows_gforest(Z4, [t, t],
+                         {0: (0, 1), 1: (1, 0), 2: (0, 1), 3: (0, 1)}, isos)
+        doc = gforest_to_json(trivial_gforest([t, t], Z4), group_ref="z4")
+        doc["action"] = {"0": [0, 1], "1": [1, 0], "2": [0, 1], "3": [0, 1]}
         with pytest.raises(ActionNotFunctorial):
-            GForest(Forest([t, t]), Z4,
-                    {0: (0, 1), 1: (1, 0), 2: (0, 1), 3: (0, 1)}, isos)
+            gforest_from_json(doc)
 
     def test_isos_must_compose_like_the_group(self):
         t = corolla(2)
         swap = {t.root: t.root, "l0": "l1", "l1": "l0"}
         with pytest.raises(ActionNotFunctorial):
-            GForest(Forest([t, t]), Z2, {0: (0, 1), 1: (1, 0)},
-                    {(0, 0): ident_edges(t), (0, 1): ident_edges(t),
+            rows_gforest(Z2, [t, t], {0: (0, 1), 1: (1, 0)},
+                         {(0, 0): ident_edges(t), (0, 1): ident_edges(t),
                      (1, 0): swap, (1, 1): ident_edges(t)})
 
     def test_gtree_becomes_one_component(self):
         gf = gtree_to_gforest(z2_gtrees()[4])
-        assert gf.forest.n == 1
+        assert len(gf.trees) == 1
         assert gf.group == Z2
 
 
@@ -191,14 +215,14 @@ class TestGenuineness:
         assert gf.base.orbits()[0].members == (0, 1)
 
     def test_fixed_pair_is_not_genuine(self):
-        gf = GForest.trivial(Forest([corolla(2), corolla(2)]), Z2)
+        gf = trivial_gforest([corolla(2), corolla(2)], Z2)
         assert not is_genuine(gf)
 
     def test_genuine_forests_have_isomorphic_components(self):
         for g in enumerate_gtrees(TRIV, 3)[:6]:
-            gf = assemble_gforest(diagram_from_gtree(g, Z2, (0,)))
+            gf = diagram_from_gtree(g, Z2, (0,))
             assert is_genuine(gf)
-            comps = gf.forest.components
+            comps = gf.trees.values()
             assert all(are_isomorphic(a, b)
                        for a in comps for b in comps)
 
@@ -210,13 +234,13 @@ class TestForestHom:
                  (linear_tree(2), corolla(2), 3),
                  (corolla(2), corolla(2), 2)]
         for s, t, expect in pairs:
-            fs = GForest.trivial(Forest([s]), TRIV)
-            ft = GForest.trivial(Forest([t]), TRIV)
+            fs = trivial_gforest([s], TRIV)
+            ft = trivial_gforest([t], TRIV)
             homs = forest_hom(fs, ft)
             assert len(homs) == len(hom_set(s, t)) == expect
 
     def test_self_hom_contains_identity(self):
-        gf = GForest.trivial(Forest([corolla(2)]), TRIV)
+        gf = trivial_gforest([corolla(2)], TRIV)
         homs = forest_hom(gf, gf)
         assert sum(1 for fm in homs if fm.is_identity()) == 1
 
@@ -238,9 +262,8 @@ class TestForestHom:
                              [(Z2, 3), (Z4, 2), (S3, 2)],
                              ids=["z2", "z4", "s3"])
     def test_small_corpus_matches_brute_force(self, group, max_edges):
-        objs = [assemble_gforest(d)
-                for d in enumerate_genuine_diagrams(group, max_edges)]
-        objs += [GForest.trivial(Forest(pair), group) for pair in
+        objs = list(enumerate_genuine_diagrams(group, max_edges))
+        objs += [trivial_gforest(pair, group) for pair in
                  [(single_edge("r"), corolla(2)),
                   (linear_tree(2), linear_tree(2))]]
         total = 0
@@ -258,18 +281,18 @@ class TestForestHom:
         with the index actions is skipped: the full check compares the
         index of every (index, edge) pair, so it fails on such a map."""
         out = []
-        n, m = src.forest.n, dst.forest.n
-        pools = {(i, j): hom_set(src.forest.components[i],
-                                 dst.forest.components[j])
-                 for i in range(n) for j in range(m)}
-        for idx in itertools.product(range(m), repeat=n):
+        ixs, jxs = src.base.elements, dst.base.elements
+        pools = {(i, j): hom_set(src.trees[i], dst.trees[j])
+                 for i in ixs for j in jxs}
+        for images in itertools.product(jxs, repeat=len(ixs)):
+            idx = dict(zip(ixs, images))
             if any(idx[src.base.act(g, i)] != dst.base.act(g, idx[i])
-                   for g in src.group.elements for i in range(n)):
+                   for g in src.group.elements for i in ixs):
                 continue
-            for combo in itertools.product(*(pools[(i, j)]
-                                             for i, j in enumerate(idx))):
-                fm = ForestMorphism(src.forest, dst.forest, idx, combo)
-                if is_equivariant_forest_morphism(src, dst, fm):
+            for combo in itertools.product(*(pools[(i, idx[i])]
+                                             for i in ixs)):
+                fm = ForestMorphism(src, dst, idx, dict(zip(ixs, combo)))
+                if is_equivariant_forest_morphism(fm):
                     out.append(fm)
         return out
 
@@ -288,7 +311,7 @@ class TestForestHom:
         f = data.draw(st.sampled_from(fst))
         g = data.draw(st.sampled_from(snd))
         comp = compose_forest_maps(f, g)
-        assert is_equivariant_forest_morphism(a, c, comp)
+        assert is_equivariant_forest_morphism(comp)
         assert comp in set(forest_hom(a, c))
 
 
@@ -396,8 +419,8 @@ class TestDiagramRoundTrips:
             diagram_from_gtree(z2_gtrees()[0], Z2, (0,))
 
     def test_assembled_trivial_subgroup_forest_is_genuine(self):
-        gf = assemble_gforest(trivial_sub_diagrams()[1])
-        assert gf.forest.n == 2
+        gf = trivial_sub_diagrams()[1]
+        assert len(gf.trees) == 2
         assert is_genuine(gf)
 
 
@@ -405,6 +428,7 @@ class TestCosetDiagramValidation:
     """Two copies of corolla(2) over the cosets of the trivial subgroup of
     Z/2, with translations bent one at a time."""
 
+    BASE = coset_gset(Z2, (0,))
     T = corolla(2)
     SWAP = {"r": "r", "l0": "l1", "l1": "l0"}
 
@@ -414,31 +438,31 @@ class TestCosetDiagramValidation:
         return out
 
     def test_straight_translations_are_accepted(self):
-        d = CosetDiagram(Z2, (0,), {0: self.T, 1: self.T}, self.isos())
-        assert d.base.elements == (0, 1) and d.act_coset(1, 0) == 1
+        d = CosetDiagram(self.BASE, {0: self.T, 1: self.T}, self.isos())
+        assert d.base.elements == (0, 1) and d.base.act(1, 0) == 1
 
     def test_missing_coset_tree_rejected(self):
         with pytest.raises(ForestError):
-            CosetDiagram(Z2, (0,), {0: self.T}, self.isos())
+            CosetDiagram(self.BASE, {0: self.T}, self.isos())
 
     def test_translation_must_be_a_tree_isomorphism(self):
         folded = {"r": "r", "l0": "l0", "l1": "l0"}
         with pytest.raises(ComponentIsoInvalid):
-            CosetDiagram(Z2, (0,), {0: self.T, 1: self.T},
+            CosetDiagram(self.BASE, {0: self.T, 1: self.T},
                          self.isos({(1, 0): folded}))
 
     def test_identity_translation_must_be_trivial(self):
         with pytest.raises(ActionNotFunctorial):
-            CosetDiagram(Z2, (0,), {0: self.T, 1: self.T},
+            CosetDiagram(self.BASE, {0: self.T, 1: self.T},
                          self.isos({(0, 0): self.SWAP}))
 
     def test_translations_must_compose_like_the_group(self):
         with pytest.raises(ActionNotFunctorial):
-            CosetDiagram(Z2, (0,), {0: self.T, 1: self.T},
+            CosetDiagram(self.BASE, {0: self.T, 1: self.T},
                          self.isos({(1, 0): self.SWAP}))
 
     def test_components_must_commute_with_translations(self):
-        d = CosetDiagram(Z2, (0,), {0: self.T, 1: self.T}, self.isos())
+        d = CosetDiagram(self.BASE, {0: self.T, 1: self.T}, self.isos())
         swap = next(f for f in hom_set(self.T, self.T)
                     if f.mapping == self.SWAP)
         assert DiagramMorphism(d, d, {0: swap, 1: swap}).components
@@ -479,7 +503,7 @@ class TestDiagramHom:
         dropped as soon as two chosen components fail the translation
         between their cosets, which no later choice can mend."""
         def natural(comps, x, c):
-            d = src.act_coset(x, c)
+            d = src.base.act(x, c)
             if d not in comps:
                 return True
             up, over = src.isos[(x, c)], dst.isos[(x, c)]
@@ -493,7 +517,7 @@ class TestDiagramHom:
                 for f in hom_set(src.trees[c], dst.trees[c]):
                     new = {**comps, c: f}
                     if all(natural(new, x, d) for x in src.group.elements
-                           for d in new if c in (d, src.act_coset(x, d))):
+                           for d in new if c in (d, src.base.act(x, d))):
                         grown.append(new)
             partial = grown
         out = []
@@ -519,6 +543,8 @@ class TestDiagramHom:
 
 
 class TestRetractive:
+    BASE = coset_gset(Z2, (0,))
+
     def carrier(self):
         elems = ["p0", "p1", "a0", "a1"]
         rows = {0: {x: x for x in elems},
@@ -526,7 +552,7 @@ class TestRetractive:
         return GSet(Z2, elems, rows)
 
     def test_fibers_and_labels(self):
-        ret = RetractiveGSet(Z2, (0,), self.carrier(), {0: "p0", 1: "p1"},
+        ret = RetractiveGSet(self.BASE, self.carrier(), {0: "p0", 1: "p1"},
                              {"p0": 0, "p1": 1, "a0": 0, "a1": 1})
         assert sorted(ret.labels) == ["a0", "a1"]
         assert sorted(ret.fiber(0)) == ["a0"]
@@ -552,11 +578,11 @@ class TestRetractive:
 
     def test_retraction_must_split_the_section(self):
         with pytest.raises(ForestError):
-            RetractiveGSet(Z2, (0,), self.carrier(), {0: "a0", 1: "p1"},
+            RetractiveGSet(self.BASE, self.carrier(), {0: "a0", 1: "p1"},
                            {"p0": 0, "p1": 1, "a0": 1, "a1": 0})
 
     def test_identity_map_and_enumeration(self):
-        ret = RetractiveGSet(Z2, (0,), self.carrier(), {0: "p0", 1: "p1"},
+        ret = RetractiveGSet(self.BASE, self.carrier(), {0: "p0", 1: "p1"},
                              {"p0": 0, "p1": 1, "a0": 0, "a1": 1})
         ide = identity_retractive_map(ret)
         assert ide.is_identity()
@@ -827,18 +853,17 @@ def forest_roundtrip(gforest, group_ref=None):
 class TestForestJson:
     def test_string_named_round_trip_is_exact(self):
         d = diagram_from_gtree(GTree.trivial(corolla(2), TRIV), Z2, (0,))
-        gf = assemble_gforest(d)
+        gf = d
         assert forest_roundtrip(gf, group_ref="z2") == gf
         assert sorted(gforest_to_json(gf)) == [
             "action", "components", "group", "isos"]
 
     def test_generated_names_round_trip_up_to_renaming(self):
-        gf = assemble_gforest(
-            diagram_from_gtree(z2_gtrees()[4], Z2, (0, 1)))
+        gf = diagram_from_gtree(z2_gtrees()[4], Z2, (0, 1))
         back = forest_roundtrip(gf, group_ref="z2")
-        assert back.forest.n == gf.forest.n
-        assert all(are_isomorphic(a, b) for a, b in
-                   zip(back.forest.components, gf.forest.components))
+        assert len(back.trees) == len(gf.trees)
+        assert all(are_isomorphic(back.trees[i], gf.trees[i])
+                   for i in gf.trees)
         assert back.base == gf.base
 
     def test_inline_group_round_trip(self):

@@ -411,6 +411,29 @@ class TestEquivarianceFilter:
                 plain = factorize(f)
                 assert equivariant_factorize(ga, gb, f) == plain
 
+    @pytest.mark.parametrize("group, counts", [
+        ("z2", (96, 162, 92, 318)),
+        ("s3", (132, 258, 140, 429)),
+    ], ids=["z2", "s3"])
+    def test_which_check_rejects_each_map(self, group, counts):
+        """The NotEquivariant message for every plain map between trees of
+        the 4-edge corpus, counted.  Dropping any of these raises moves a
+        count.  The graft-site check never fires first: once the image
+        root is fixed and the image leaves are stable, every grown subtree
+        is stable."""
+        corpus = enumerate_gtrees(builtin_group(group), 4)
+        raised = Counter()
+        for a, b in itertools.product(corpus, repeat=2):
+            for f in hom_set(a.tree, b.tree):
+                try:
+                    equivariant_factorize(a, b, f)
+                except NotEquivariant as err:
+                    raised[str(err)] += 1
+        assert raised == dict(zip(
+            ["image root is not fixed", "image leaves are not a stable set",
+             "contracted edges are not a stable set",
+             "residual renaming does not commute"], counts))
+
 
 class TestEnumeration:
     def test_strata_counts(self):

@@ -26,7 +26,6 @@ KEEP = {
     "gtree_oplax_data": "the Omega^G oplax data a coherence suite will run",
     "gtree_to_gforest": "test fixture: one-component forests for export-dot",
     "identity": "test fixture: the identity morphism of a tree",
-    "is_equivariant_forest_morphism": "brute-force reference for forest_hom",
     "is_genuine": "decides genuineness, a paper notion the unit tests check",
     "linear_tree": "test fixture: the linear tree with k edges",
     "q_star_compare": "composite pullbacks along orbit maps",

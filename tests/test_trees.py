@@ -127,6 +127,18 @@ class TestSortKeyCache:
     def test_cache_is_bounded(self):
         assert sort_key.cache_info().maxsize is not None
 
+    @pytest.mark.parametrize("name", [1.0, None, (1, 1.0)],
+                             ids=["float", "none", "float-in-tuple"])
+    def test_other_names_are_rejected(self, name):
+        # the cache answers for an equal name it holds, (1, 1) for (1, 1.0)
+        sort_key.cache_clear()
+        with pytest.raises(TypeError):
+            sort_key(name)
+
+    def test_tree_with_a_float_edge_is_rejected(self):
+        with pytest.raises(TypeError):
+            Tree(["r", 1.0], "r", [("r", [1.0])])
+
 
 class TestTreeOrders:
     """A tree's vertices, leaves and sorted edges are in `sort_key` order,
