@@ -2,7 +2,7 @@
 
 from .trees import (
     Tree, TreeError, DanglingEdge, MultipleParents, RootHasParent,
-    Disconnected, Cyclic, SiteNotLeafOrRoot, CanonicalForm, canonical_form,
+    Disconnected, Cyclic, SiteNotLeafOrRoot, canonical_form,
     single_edge, corolla, linear_tree, relabel, relabel_canonical,
     all_isomorphisms, are_isomorphic, spanned_subtree, graft,
     enumerate_trees, enumerate_all_trees, tree_to_json, tree_from_json,

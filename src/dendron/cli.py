@@ -1,37 +1,37 @@
 """Command line front end: enumeration, verification suites, DOT export.
 
 Exit codes: 0 all checks pass, 1 a check failed (counterexample in the
-report), 2 usage or input error.  Reports are JSON with sorted keys and
-record the exact bounds used, so reruns produce identical bytes.  The
-DENDRON_WORKERS environment variable caps worker processes, at most one
-per CPU, for the four pairwise suites (factorization, equivalence,
-equivariant, genuine; only coherence runs in one process); results are
-merged in a fixed order, so the worker count never changes the report.
+report), 2 a usage error or outside input that cannot be used (a
+document, a group name or file, an output path).  A fault raised inside
+a suite is a program error and propagates as a traceback.  Reports are
+JSON with sorted keys and record the exact bounds used, so reruns
+produce identical bytes.  The DENDRON_WORKERS environment variable caps
+worker processes, at most one per CPU, for the four pairwise suites
+(factorization, equivalence, equivariant, genuine; only coherence runs in
+one process); results are merged in a fixed order, so the worker count
+never changes the report.
 """
 
 import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
-from .trees import (TreeError, enumerate_trees, enumerate_all_trees,
+from .trees import (enumerate_trees, enumerate_all_trees,
                     tree_to_json, tree_from_json, tree_to_dot)
 from .morphisms import hom_set, factorize
 from .labels import canonical_labeling
 from .substitution import (groth_hom, F_functor, lift_morphism,
                            tree_oplax_data)
 from .oplax import check_all_coherence
-from .groups import (GSet, GroupError, builtin_group, group_from_json,
-                     subgroups)
+from .groups import GSet, group_from_ref, subgroups
 from .gtrees import (GLabeledTree, NotEquivariant, enumerate_gtrees,
                      is_equivariant_morphism, equivariant_factorize,
                      groth_hom_G, lift_G)
-from .forests import (ForestError, bh_to_coset_groupoid, gforest_from_json,
+from .forests import (bh_to_coset_groupoid, gforest_from_json,
                       genuine_equivalence_check)
 from .pairs import _run_pairs
-
-SUITES = ("factorization", "coherence", "equivalence", "equivariant",
-          "genuine")
 
 PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910",
            "#148f77", "#884ea0", "#2e4053", "#a04000", "#5d6d7e",
@@ -214,11 +214,41 @@ def suite_genuine(args):
             "counterexample": failures[0] if failures else None}
 
 
-SUITE_RUNNERS = {"factorization": suite_factorization,
-                 "coherence": suite_coherence,
-                 "equivalence": suite_equivalence,
-                 "equivariant": suite_equivariant,
-                 "genuine": suite_genuine}
+# each suite and the bound flags it reads; `check <suite>` takes only these
+SUITES = {"factorization": (suite_factorization, ("max_edges",)),
+          "coherence": (suite_coherence, ("max_size", "probe_edges")),
+          "equivalence": (suite_equivalence, ("max_edges",)),
+          "equivariant": (suite_equivariant,
+                          ("group", "max_edges", "per_stratum")),
+          "genuine": (suite_genuine, ("group", "max_edges", "per_stratum"))}
+
+
+# -- outside input ----------------------------------------------------------
+
+class InputError(Exception):
+    """Outside input that cannot be used: a document, a group name or file."""
+
+
+@contextmanager
+def _reading():
+    """The one input-error boundary: a reader's ValueError, which is how
+    every reader rejects a document, becomes an InputError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(exc) from exc
+
+
+def _json_file(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _load_group(ref):
+    """The group --group names: a builtin name or a group JSON file."""
+    with _reading():
+        return group_from_ref(_json_file(ref) if os.path.exists(ref)
+                              else ref)
 
 
 # -- DOT export -------------------------------------------------------------
@@ -248,20 +278,20 @@ def forest_to_dot(gforest, color_orbits=False):
 
 
 def cmd_export_dot(args):
-    with open(args.file) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and \
-            {"group", "components", "action", "isos"} <= set(data):
-        gf = gforest_from_json(data)
-        text = forest_to_dot(gf, color_orbits=args.color_orbits)
+    with _reading():
+        data = _json_file(args.file)
+        forest = isinstance(data, dict) and \
+            {"group", "components", "action", "isos"} <= set(data)
+        doc = (gforest_from_json if forest else tree_from_json)(data)
+    if forest:
+        text = forest_to_dot(doc, color_orbits=args.color_orbits)
     else:
-        tree = tree_from_json(data)
         colors = None
         if args.color_orbits:
-            order = tree.canonical_edge_order()
+            order = doc.canonical_edge_order()
             colors = {e: PALETTE[k % len(PALETTE)]
                       for k, e in enumerate(order)}
-        text = tree_to_dot(tree, colors)
+        text = tree_to_dot(doc, colors)
     if args.output:
         _write_atomic(args.output, text)
     else:
@@ -282,16 +312,9 @@ def cmd_enumerate(args):
 
 
 def cmd_check(args):
-    report = SUITE_RUNNERS[args.suite](args)
+    report = SUITES[args.suite][0](args)
     _emit(report, args.output)
     return 0 if report["ok"] else 1
-
-
-def _load_group(ref):
-    if os.path.exists(ref):
-        with open(ref) as fh:
-            return group_from_json(json.load(fh))
-    return builtin_group(ref)
 
 
 def _int_from(low):
@@ -318,20 +341,25 @@ def build_parser():
     en.add_argument("--output", help="write the trees as JSON to this path")
     en.set_defaults(run=cmd_enumerate)
 
+    bound_flags = {
+        "max_edges": dict(type=_int_from(1), default=4,
+                          help="trees up to this many edges"),
+        "max_size": dict(type=_int_from(0), default=2,
+                         help="label sets up to this size"),
+        "probe_edges": dict(type=_int_from(1), default=4,
+                            help="probe trees up to this many edges"),
+        "group": dict(default="z2",
+                      help="builtin group name or a group JSON file"),
+        "per_stratum": dict(type=_int_from(1), default=None,
+                            help="cap enumerated trees per size stratum")}
     ck = sub.add_parser("check", help="run a verification suite")
-    ck.add_argument("suite", choices=SUITES)
-    ck.add_argument("--max-edges", type=_int_from(1), default=4,
-                    help="tree size bound for the pairwise suites")
-    ck.add_argument("--max-size", type=_int_from(0), default=2,
-                    help="label set bound for the coherence suite")
-    ck.add_argument("--probe-edges", type=_int_from(1), default=4,
-                    help="probe trees up to this many edges (coherence)")
-    ck.add_argument("--group", default="z2",
-                    help="builtin group name or a group JSON file")
-    ck.add_argument("--per-stratum", type=_int_from(1), default=None,
-                    help="cap enumerated trees per size stratum")
-    ck.add_argument("--output", help="write the JSON report to this path")
-    ck.set_defaults(run=cmd_check)
+    suites = ck.add_subparsers(dest="suite", required=True)
+    for name, (_, flags) in SUITES.items():
+        sp = suites.add_parser(name)
+        for flag in flags:
+            sp.add_argument("--" + flag.replace("_", "-"), **bound_flags[flag])
+        sp.add_argument("--output", help="write the JSON report to this path")
+        sp.set_defaults(run=cmd_check)
 
     ex = sub.add_parser("export-dot",
                         help="render a tree or forest JSON file as DOT")
@@ -348,8 +376,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (OSError, json.JSONDecodeError, TreeError, GroupError,
-            ForestError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

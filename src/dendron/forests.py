@@ -17,7 +17,7 @@ and a genuine morphism's transformation is enumerated from hom_labeled at
 an orbit representative, carried to the other cosets by the translations.
 """
 
-from .trees import relabel, sort_key, tree_to_json, tree_from_json
+from .trees import relabel, tree_to_json, tree_from_json
 from .morphisms import TreeMorphism, hom_set, compose
 from .labels import PLUS, LabeledTree, PointedMap, LabelError, hom_labeled
 from .substitution import phi_star, iota, _extend_fresh
@@ -467,9 +467,7 @@ class RetractiveMap:
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self.mapping.items(),
-                                 key=lambda p: sort_key(p[0])))
-            self._hash = hash(items)
+            self._hash = hash(frozenset(self.mapping.items()))
         return self._hash
 
     def __repr__(self):
@@ -907,14 +905,14 @@ def gforest_to_json(gforest, group_ref=None):
     return data
 
 
-def gforest_from_json(data, registry=None):
+def gforest_from_json(data):
     """Rebuild a GForest over the indices 0..n-1; "group" is a builtin name
     or an inline table."""
     if not isinstance(data, dict) or not {"group", "action", "isos"} <= \
             set(data) or not isinstance(data.get("components"), list):
         raise ForestError("forest data needs \"group\", \"action\", "
                           "\"isos\" and a \"components\" list")
-    group = group_from_ref(data["group"], registry)
+    group = group_from_ref(data["group"])
     trees = dict(enumerate(tree_from_json(doc) for doc in data["components"]))
     action, isos = data["action"], data["isos"]
     # one key per element: "01" or a non-ASCII digit must not alias "1"

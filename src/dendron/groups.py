@@ -472,12 +472,6 @@ def group_from_json(data):
     return g
 
 
-def group_from_ref(ref, registry=None):
-    """The group a document names: a registry (by default builtin) name,
-    or an inline table."""
-    if not isinstance(ref, str):
-        return group_from_json(ref)
-    table = BUILTIN_GROUPS if registry is None else registry
-    if ref not in table:
-        raise GroupError(f"unknown group {ref!r}")
-    return table[ref]()
+def group_from_ref(ref):
+    """The one group reader: a builtin name, or an inline table."""
+    return builtin_group(ref) if isinstance(ref, str) else group_from_json(ref)

@@ -49,9 +49,7 @@ class LabeledTree:
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self.labels.items(),
-                                 key=lambda kv: sort_key(kv[0])))
-            self._hash = hash((self.tree, items))
+            self._hash = hash((self.tree, frozenset(self.labels.items())))
         return self._hash
 
     def __repr__(self):
@@ -95,25 +93,10 @@ class PointedMap:
     def identity_on(cls, labels):
         return cls(labels, labels, {a: a for a in labels})
 
-    @property
-    def src_size(self):
-        return len(self.src_labels)
-
-    @property
-    def dst_size(self):
-        return len(self.dst_labels)
-
     def __call__(self, label):
         if label == PLUS:
             return PLUS
         return self.mapping[label]
-
-    def preimage(self, label):
-        """Source labels hitting `label`; includes "+" itself when asked."""
-        hits = [a for a in self.src_labels if self.mapping[a] == label]
-        if label == PLUS:
-            hits.append(PLUS)
-        return tuple(hits)
 
     def is_identity(self):
         return (self.src_labels == self.dst_labels

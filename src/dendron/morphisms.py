@@ -63,9 +63,8 @@ class TreeMorphism:
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self.mapping.items(),
-                                 key=lambda kv: sort_key(kv[0])))
-            self._hash = hash((self.src, self.dst, items))
+            self._hash = hash((self.src, self.dst,
+                               frozenset(self.mapping.items())))
         return self._hash
 
     def __repr__(self):

@@ -15,6 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+# failures a coherence report keeps; it counts every cell it checks
+MAX_FAILURES = 20
+
 
 class CategoryError(ValueError):
     pass
@@ -288,7 +291,7 @@ class CoherenceReport:
         return not self.failures
 
 
-def check_all_coherence(F, max_failures=20):
+def check_all_coherence(F):
     """Check every unit triangle and every associativity square.
 
     Triangles are checked for each arrow at each probe over its target
@@ -306,7 +309,7 @@ def check_all_coherence(F, max_failures=20):
         seen.add((f, x))
         report.triangles += 1
         if not check_oplax_units(F, f, x):
-            if len(report.failures) < max_failures:
+            if len(report.failures) < MAX_FAILURES:
                 report.failures.append(("triangle", f, x))
 
     for f in base.morphisms:
@@ -323,7 +326,7 @@ def check_all_coherence(F, max_failures=20):
             units(g, F.app_obj(h, x))
             units(f, F.app_obj(hg, x))
             if not check_coherence_square(F, f, g, h, x):
-                if len(report.failures) < max_failures:
+                if len(report.failures) < MAX_FAILURES:
                     report.failures.append(("square", f, g, h, x))
     return report
 

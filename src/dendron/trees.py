@@ -246,31 +246,9 @@ class Tree:
         return self._order_cache
 
 
-class CanonicalForm:
-    """Isomorphism-class fingerprint: a flat tuple of small ints."""
-
-    __slots__ = ("code",)
-
-    def __init__(self, code):
-        self.code = tuple(code)
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.code == other.code
-
-    def __lt__(self, other):
-        return self.code < other.code
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def __repr__(self):
-        return f"CanonicalForm{self.code!r}"
-
-
 def canonical_form(tree):
-    return CanonicalForm(tree.edge_codes()[tree.root])
+    """Isomorphism-class fingerprint: a flat tuple of small ints."""
+    return tree.edge_codes()[tree.root]
 
 
 def single_edge(name="e"):
@@ -480,7 +458,7 @@ def enumerate_trees(leaf_count, max_vertices):
     if leaf_count < 0 or max_vertices < 0:
         return []
     start = single_edge("e0")
-    seen = {canonical_form(start).code: start}
+    seen = {canonical_form(start): start}
     frontier = [start]
     while frontier:
         tree = frontier.pop()
@@ -494,12 +472,12 @@ def enumerate_trees(leaf_count, max_vertices):
                 bigger, _ = graft(tree, site, arity)
                 if len(bigger.leaves) - budget > leaf_count:
                     continue
-                key = canonical_form(bigger).code
+                key = canonical_form(bigger)
                 if key not in seen:
                     seen[key] = bigger
                     frontier.append(bigger)
     found = [t for t in seen.values() if len(t.leaves) == leaf_count]
-    found.sort(key=lambda t: (len(t.vertices), canonical_form(t).code))
+    found.sort(key=lambda t: (len(t.vertices), canonical_form(t)))
     return [relabel_canonical(t) for t in found]
 
 
@@ -514,7 +492,7 @@ def enumerate_all_trees(max_edges):
     if max_edges < 1:
         return []
     start = single_edge("e0")
-    seen = {canonical_form(start).code: start}
+    seen = {canonical_form(start): start}
     frontier = [start]
     while frontier:
         tree = frontier.pop()
@@ -522,7 +500,7 @@ def enumerate_all_trees(max_edges):
         for site in tree.leaves:
             for arity in range(budget + 1):
                 bigger, _ = graft(tree, site, arity)
-                key = canonical_form(bigger).code
+                key = canonical_form(bigger)
                 if key not in seen:
                     seen[key] = bigger
                     frontier.append(bigger)

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -17,9 +18,9 @@ from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
                      is_equivariant_morphism, TreeMorphism, identity,
                      factorize, builtin_group, enumerate_genuine_diagrams,
                      gforest_to_json, enumerate_all_trees,
-                     BUILTIN_GROUPS)
-from dendron import cli, forests
-from dendron.cli import main, SUITE_RUNNERS
+                     BUILTIN_GROUPS, DanglingEdge)
+from dendron import cli, forests, morphisms
+from dendron.cli import main, SUITES
 from dendron.pairs import _workers
 
 
@@ -27,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv, **env):
+    """`python argv` in a fresh process that imports dendron from this
+    checkout and runs one worker."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "DENDRON_WORKERS": "1", **env}
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 class TestEnumerate:
@@ -220,6 +230,21 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["coherence", "--max-size", "2", "--probe-edges", "3"],
+        ["factorization", "--max-edges", "3"]],
+        ids=["coherence", "factorization"])
+    def test_hash_seed_never_changes_the_bytes(self, argv):
+        # string hashes, and so set orders, vary with the seed; the worker
+        # count tests above run in one process under one seed
+        outs = []
+        for seed in ("0", "1"):
+            proc = run_module("-m", "dendron.cli", "check", *argv,
+                              PYTHONHASHSEED=seed)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
     def test_worker_count_is_clamped_to_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for raw, want in (("1000000", 4), ("3", 3), ("0", 1), ("x", 1)):
@@ -257,6 +282,14 @@ class TestInjectedFaults:
         f = _replayed(trees[ce["src"]], trees[ce["dst"]], ce["map"])
         assert factorize(f).composite() == f
         assert factorize(identity(f.src)).composite() != f
+
+    def test_a_fault_inside_a_suite_is_not_an_input_error(self,
+                                                          monkeypatch):
+        def broken(tree, out_edge):
+            raise DanglingEdge("injected")
+        monkeypatch.setattr(morphisms, "collapse_unary", broken)
+        with pytest.raises(DanglingEdge, match="injected"):
+            main(["check", "factorization", "--max-edges", "3"])
 
     def test_equivalence_reports_a_projection_that_is_not_a_bijection(
             self, capsys, monkeypatch):
@@ -604,21 +637,65 @@ class TestExitCodes:
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            SUITE_RUNNERS, "coherence",
-            lambda args: {"suite": "coherence", "ok": False,
-                          "counterexample": "forced"})
+            SUITES, "coherence",
+            (lambda args: {"suite": "coherence", "ok": False,
+                           "counterexample": "forced"},
+             SUITES["coherence"][1]))
         code, out, err = run(capsys, "check", "coherence")
         assert code == 1 and "FAIL" in err
         assert json.loads(out)["counterexample"] == "forced"
 
 
+# every bound flag of `check`, at its smallest value
+SMALLEST = {"max_edges": "1", "max_size": "0", "probe_edges": "1",
+            "group": "trivial", "per_stratum": "1"}
+
+
+def _flag_argv(flags):
+    return [a for f in flags for a in ("--" + f.replace("_", "-"),
+                                       SMALLEST[f])]
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its attributes are read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestSuiteFlags:
+    """`check <suite>` takes exactly the bound flags the suite reads."""
+
+    @pytest.mark.parametrize("suite, flag", [
+        (suite, flag) for suite, (_, flags) in SUITES.items()
+        for flag in SMALLEST if flag not in flags])
+    def test_a_flag_the_suite_does_not_read_is_a_usage_error(
+            self, capsys, suite, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", suite, *_flag_argv([flag])])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_the_suite_reads_every_flag_it_takes(self, monkeypatch, suite):
+        monkeypatch.setenv("DENDRON_WORKERS", "1")
+        runner, flags = SUITES[suite]
+        args = cli.build_parser().parse_args(
+            ["check", suite, *_flag_argv(flags)])
+        recorder = _ReadRecorder(**vars(args))
+        assert runner(recorder)["ok"]
+        assert recorder._reads == set(flags)
+
+
 class TestModuleEntryPoint:
     def test_runs_without_import_order_warnings(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "DENDRON_WORKERS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "dendron.cli", "check",
-             "genuine", "--max-edges", "1"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module("-W", "error", "-m", "dendron.cli", "check",
+                          "genuine", "--max-edges", "1")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"]

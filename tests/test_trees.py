@@ -330,7 +330,7 @@ class TestEnumerate:
 
     def test_no_duplicates(self):
         ts = enumerate_all_trees(4)
-        codes = [canonical_form(t).code for t in ts]
+        codes = [canonical_form(t) for t in ts]
         assert len(codes) == len(set(codes))
 
     def test_counts_small(self):
@@ -355,7 +355,7 @@ class TestEnumerate:
         for leaves in range(max_edges + 1):
             union += [t for t in enumerate_trees(leaves, max_edges)
                       if len(t.edges) <= max_edges]
-        union.sort(key=lambda t: (len(t.edges), canonical_form(t).code))
+        union.sort(key=lambda t: (len(t.edges), canonical_form(t)))
         assert ([tree_to_json(t) for t in enumerate_all_trees(max_edges)]
                 == [tree_to_json(t) for t in union])
 
