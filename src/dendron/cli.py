@@ -171,8 +171,10 @@ def _equivariant_pair(corpus, i, j):
                              "reason": "factorization replay disagrees "
                                        "with the filter"})
     pairs = groth_hom_G(la, lb)
+    # the filter above has decided every map lifted here: the maps of eq,
+    # and the projections, which are lifted only once they equal eq
     bad = _projection_failure(eq, pairs, F_functor,
-                              lambda f: lift_G(f, la, lb))
+                              lambda f: lift_G(f, la, lb, _checked=True))
     if bad:
         failures.append({"src": i, "dst": j, **bad})
     return (len(plain), len(eq), len(pairs)), failures
@@ -339,7 +341,7 @@ def build_parser():
     en.add_argument("--leaves", type=_int_from(0), required=True)
     en.add_argument("--max-vertices", type=_int_from(0), required=True)
     en.add_argument("--output", help="write the trees as JSON to this path")
-    en.set_defaults(run=cmd_enumerate)
+    en.set_defaults(run=cmd_enumerate, parser=en)
 
     bound_flags = {
         "max_edges": dict(type=_int_from(1), default=4,
@@ -359,7 +361,7 @@ def build_parser():
         for flag in flags:
             sp.add_argument("--" + flag.replace("_", "-"), **bound_flags[flag])
         sp.add_argument("--output", help="write the JSON report to this path")
-        sp.set_defaults(run=cmd_check)
+        sp.set_defaults(run=cmd_check, parser=sp)
 
     ex = sub.add_parser("export-dot",
                         help="render a tree or forest JSON file as DOT")
@@ -367,13 +369,17 @@ def build_parser():
     ex.add_argument("--color-orbits", action="store_true",
                     help="color edges by their orbit under the group action")
     ex.add_argument("--output", help="write DOT here instead of stdout")
-    ex.set_defaults(run=cmd_export_dot)
+    ex.set_defaults(run=cmd_export_dot, parser=ex)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # leftover arguments are reported by the command's own parser, whose
+    # usage line names the flags it takes; argparse would hand them back
+    # to the root parser
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.run(args)
     except (InputError, OSError) as exc:

@@ -275,16 +275,18 @@ class Orbit:
 class GSet:
     """A finite left G-set as a full action table.
 
-    action[g][x] is g.x, with one complete row per group element.
+    action[g][x] is g.x, with one complete row per group element.  A G-set
+    never changes after construction, so its orbits are computed once.
     """
 
-    __slots__ = ("group", "elements", "action", "_hash")
+    __slots__ = ("group", "elements", "action", "_hash", "_orbits")
 
     def __init__(self, group, elements, action):
         self.group = group
         self.elements = tuple(sorted(elements, key=sort_key))
         self.action = {g: dict(row) for g, row in action.items()}
         self._hash = None
+        self._orbits = None
         if len(set(self.elements)) != len(self.elements):
             raise GSetError("carrier has repeated elements")
         check_action(group, self.action, self.elements, GSetError)
@@ -314,15 +316,17 @@ class GSet:
 
     def orbits(self):
         """Orbit partition with a stabilizer per (minimal) representative."""
-        seen = set()
-        out = []
-        for x in self.elements:
-            if x in seen:
-                continue
-            members = self.orbit(x)
-            seen.update(members)
-            out.append(Orbit(x, members, self.stabilizer(x)))
-        return tuple(out)
+        if self._orbits is None:
+            seen = set()
+            out = []
+            for x in self.elements:
+                if x in seen:
+                    continue
+                members = self.orbit(x)
+                seen.update(members)
+                out.append(Orbit(x, members, self.stabilizer(x)))
+            self._orbits = tuple(out)
+        return self._orbits
 
     def is_transitive(self):
         return len(self.orbits()) <= 1 and self.size > 0

@@ -437,14 +437,15 @@ def groth_hom_G(src, dst):
     return tuple(out)
 
 
-def lift_G(f, src, dst):
+def lift_G(f, src, dst, _checked=False):
     """The unique equivariant Grothendieck morphism projecting to f.
 
     Raises NotEquivariant when f does not commute with the actions.  For
     an equivariant f the plain lift's pointed map and fiber commute with
-    the actions too, so the plain lift is returned as it is.
+    the actions too, so the plain lift is returned as it is.  `_checked`
+    is for a caller that has already decided f is equivariant.
     """
-    if not is_equivariant_morphism(src.gtree, dst.gtree, f):
+    if not _checked and not is_equivariant_morphism(src.gtree, dst.gtree, f):
         raise NotEquivariant("morphism does not commute with the actions")
     return lift_morphism(f, src.labeled, dst.labeled)
 

@@ -156,7 +156,7 @@ def contract_edge(tree, edge):
             vertices.append((o, (ins - {edge}) | above))
         else:
             vertices.append((o, ins))
-    smaller = Tree(tree.edges - {edge}, tree.root, vertices)
+    smaller = Tree(tree.edges - {edge}, tree.root, vertices, _checked=True)
     face = TreeMorphism(smaller, tree, {e: e for e in smaller.edges},
                         _checked=True)
     return smaller, face
@@ -215,7 +215,7 @@ def collapse_unary(tree, out_edge):
             vertices.append((out_edge, vins))
         else:
             vertices.append((o, vins))
-    smaller = Tree(tree.edges - {upper}, tree.root, vertices)
+    smaller = Tree(tree.edges - {upper}, tree.root, vertices, _checked=True)
     mapping = {e: e for e in smaller.edges}
     mapping[upper] = out_edge
     return smaller, TreeMorphism(tree, smaller, mapping, _checked=True)
@@ -424,7 +424,8 @@ def _normal_form(f, src_rows=(), dst_rows=()):
         raise FactorizationError("image does not span a subtree")
     span_edges, span_vertex_outs = grown
     middle = Tree(span_edges, image_root,
-                  [(o, dst.children_of(o)) for o in span_vertex_outs])
+                  [(o, dst.children_of(o)) for o in span_vertex_outs],
+                  _checked=True)
 
     # inner faces: contract the spanned edges missed by the image, orbit
     # by orbit in canonical edge order
@@ -469,7 +470,7 @@ def _normal_form(f, src_rows=(), dst_rows=()):
             orbit = (below,)
             ins = dst.children_of(below)
             bigger = Tree(cur.edges | {below} | ins, below,
-                          list(cur.vertices) + [(below, ins)])
+                          list(cur.vertices) + [(below, ins)], _checked=True)
         else:
             have = {o for o, _ in cur.vertices}
             sites = {o for o, _ in dst.vertices
@@ -487,7 +488,7 @@ def _normal_form(f, src_rows=(), dst_rows=()):
                 ins = dst.children_of(o)
                 edges = edges | ins
                 vertices.append((o, ins))
-            bigger = Tree(edges, cur.root, vertices)
+            bigger = Tree(edges, cur.root, vertices, _checked=True)
         step = TreeMorphism(cur, bigger, {e: e for e in cur.edges},
                             _checked=True)
         outer.append(GeneratorStep("outer", orbit, step))

@@ -229,7 +229,8 @@ def lift_morphism(f, src_labeled, dst_labeled):
     phi sends a target label j to the source label i whose leaf image sits
     above j's leaf, and to "+" when there is none; the fiber is forced: it
     agrees with f on old edges and matches fresh leaves and the fresh root
-    by label.
+    by label.  The fiber and the pair are built trusted: for a valid f
+    they are valid by construction, which tests/test_trusted.py pins.
     """
     if f.src != src_labeled.tree or f.dst != dst_labeled.tree:
         raise SourceTargetMismatch("morphism does not match the labelings")
@@ -248,8 +249,10 @@ def lift_morphism(f, src_labeled, dst_labeled):
     phi = PointedMap(dst_labeled.label_set, src_labeled.label_set, mapping)
     mid = phi_star(phi, src_labeled)
     fiber = TreeMorphism(mid.tree, dst_tree, _extend_fresh(
-        mid, dst_labeled, {e: f.mapping[e] for e in src_labeled.tree.edges}))
-    return GrothTreeMorphism(src_labeled, dst_labeled, phi, fiber)
+        mid, dst_labeled, {e: f.mapping[e] for e in src_labeled.tree.edges}),
+        _checked=True)
+    return GrothTreeMorphism(src_labeled, dst_labeled, phi, fiber,
+                             _checked=True)
 
 
 def pointed_category(max_size):

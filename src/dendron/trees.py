@@ -75,15 +75,21 @@ def sort_key(edge):
 class Tree:
     """Immutable rooted tree.  Validates its input on construction.
 
-    Derived order data (codes, canonical order, sorted edges, fresh graft
-    layer) is computed on first use and kept, since a tree never changes.
+    `_checked=True` is for trees built from an already-validated one by a
+    move that keeps it a tree (a collapse, contraction, span or growth): it
+    fills the same fields but skips the checks.  tests/test_trusted.py
+    pins every such caller against this validating path.
+
+    Derived order data (ancestor chains, codes, canonical order, sorted
+    edges, fresh graft layer) is computed on first use and kept, since a
+    tree never changes.
     """
 
     __slots__ = ("edges", "root", "vertices", "leaves", "_children",
                  "_parent", "_ancestors", "_code_cache", "_order_cache",
                  "_sorted", "_fresh")
 
-    def __init__(self, edges, root, vertices):
+    def __init__(self, edges, root, vertices, _checked=False):
         self.edges = frozenset(edges)
         self.root = root
         vs = []
@@ -91,7 +97,14 @@ class Tree:
             vs.append((out, frozenset(ins)))
         vs.sort(key=lambda v: sort_key(v[0]))
         self.vertices = tuple(vs)
-        self._validate()
+        if _checked:
+            self._children = dict(vs)
+            self._parent = {e: out for out, ins in vs for e in ins}
+        else:
+            self._validate()
+        self.leaves = tuple(sorted(
+            (e for e in self.edges if e not in self._children), key=sort_key))
+        self._ancestors = None
         self._code_cache = None
         self._order_cache = None
         self._sorted = None
@@ -138,21 +151,20 @@ class Tree:
             if e in walked:
                 raise Cyclic(f"edge {stray!r} sits on an out-edge cycle")
             raise Disconnected(f"edge {stray!r} never reaches the root")
-        self.leaves = tuple(sorted((e for e in self.edges if e not in children),
-                                   key=sort_key))
-        anc = {}
 
-        def ancestors_of(e):
-            if e not in anc:
-                chain = [e]
-                while chain[-1] in parent:
-                    chain.append(parent[chain[-1]])
-                anc[e] = tuple(chain)
-            return anc[e]
-
-        for e in self.edges:
-            ancestors_of(e)
-        self._ancestors = anc
+    def _chains(self):
+        """Each edge's path down to the root, inclusive, built on first use:
+        most trees never ask for one."""
+        if self._ancestors is None:
+            anc = {self.root: (self.root,)}
+            frontier = [self.root]
+            while frontier:
+                e = frontier.pop()
+                for c in self._children.get(e, ()):
+                    anc[c] = (c,) + anc[e]
+                    frontier.append(c)
+            self._ancestors = anc
+        return self._ancestors
 
     # --- basic geometry -------------------------------------------------
 
@@ -166,14 +178,14 @@ class Tree:
 
     def ancestors(self, edge):
         """Edges on the path from `edge` down to the root, inclusive."""
-        return self._ancestors[edge]
+        return self._chains()[edge]
 
     def depth(self, edge):
-        return len(self._ancestors[edge]) - 1
+        return len(self._chains()[edge]) - 1
 
     def le(self, x, y):
         """True iff the path from x to the root passes through y."""
-        return y in self._ancestors[x]
+        return y in self._chains()[x]
 
     def is_leaf(self, edge):
         return edge not in self._children

@@ -682,6 +682,21 @@ class TestSuiteFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, argv", [
+        ("check factorization", ["--max-edges", "1", "--group", "x"]),
+        ("enumerate", ["--leaves", "1", "--max-vertices", "1", "--group",
+                       "x"]),
+        ("export-dot", ["tree.json", "--group", "x"])])
+    def test_a_stray_flag_gets_the_commands_own_usage(self, capsys, command,
+                                                       argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: dendron {command} [-h]")
+        assert f"dendron {command}: error: unrecognized arguments: " \
+               "--group x" in err
+
     @pytest.mark.parametrize("suite", SUITES)
     def test_the_suite_reads_every_flag_it_takes(self, monkeypatch, suite):
         monkeypatch.setenv("DENDRON_WORKERS", "1")
