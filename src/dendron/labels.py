@@ -86,10 +86,6 @@ class PointedMap:
         self._hash = None
 
     @classmethod
-    def skeletal(cls, src_size, dst_size, mapping):
-        return cls(range(1, src_size + 1), range(1, dst_size + 1), mapping)
-
-    @classmethod
     def identity_on(cls, labels):
         return cls(labels, labels, {a: a for a in labels})
 

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,9 @@ from dendron import (
     cyclic_group, gset_pointed_category, coset_groupoid, coset_gset,
     subgroups, symmetric_group_3, skeletal_gsets, PointedMap,
     compose_pointed, enumerate_pointed_maps, EquivariantPointedMap,
-    enumerate_equivariant_pointed_maps,
+    enumerate_equivariant_pointed_maps, gtree_oplax_data, standard_probes,
 )
+from dendron import oplax
 
 
 def cyclic_cat(n, obj="*"):
@@ -424,6 +426,80 @@ class TestTreeDataAgreesWithBuilders:
         assert checked > 20
 
 
+def twisted_cells(F, only=None):
+    """F with the images of two fresh edges swapped in every composition
+    cell whose first arrow is `only` (every cell when only is None)."""
+    good = F.tau_comp
+
+    def bad(f, g, x):
+        cell = good(f, g, x)
+        if only is not None and f != only:
+            return cell
+        cell = dict(cell)
+        fresh = sorted(k for k in cell
+                       if isinstance(k, tuple) and k[0] == "graft"
+                       and isinstance(k[2], tuple))
+        if len(fresh) >= 2:
+            a, b = fresh[0], fresh[1]
+            cell[a], cell[b] = cell[b], cell[a]
+        return cell
+
+    return dataclasses.replace(F, tau_comp=bad)
+
+
+def reference_sweep(F):
+    """Every composable triple at every probe, each square checked on its
+    own with all three of its unit calls, nothing shared between squares:
+    (squares, triangles, failures), the failures uncapped."""
+    seen, failures = set(), []
+    squares = 0
+
+    def units(f, x):
+        if (f, x) not in seen:
+            seen.add((f, x))
+            if not check_oplax_units(F, f, x):
+                failures.append(("triangle", f, x))
+
+    for f in F.base.morphisms:
+        for x in F.fiber_objects(f.dst):
+            units(f, x)
+    for f, g, h in F.base.composable_triples():
+        hg = F.base.compose(g, h)
+        for x in F.fiber_objects(h.dst):
+            squares += 1
+            units(h, x)
+            units(g, F.app_obj(h, x))
+            units(f, F.app_obj(hg, x))
+            if not check_coherence_square(F, f, g, h, x):
+                failures.append(("square", f, g, h, x))
+    return squares, len(seen), failures
+
+
+REFERENCE_CASES = {
+    "tree": lambda: tree_oplax_data(2, tree_probes(3)),
+    "tree_twisted": lambda: twisted_cells(tree_oplax_data(2, tree_probes(3))),
+    "cocycle_coherent": lambda: twisted_data(2, 4, {(1, 1): 3}),
+    "cocycle_unit": lambda: twisted_data(2, 4, {(0, 1): 1}),
+    "cocycle_square": lambda: twisted_data(4, 2, {(1, 2): 1}),
+    "strict_swap": strict_swap_data,
+    "gtree_z2": lambda: gtree_oplax_data(
+        cyclic_group(2), 2,
+        standard_probes(skeletal_gsets(cyclic_group(2), 2), deep=False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_sweep_matches_the_reference_sweep(case, monkeypatch):
+    monkeypatch.setattr(oplax, "MAX_FAILURES", 10 ** 9)
+    F = REFERENCE_CASES[case]()
+    squares, triangles, failures = reference_sweep(F)
+    rep = check_all_coherence(F)
+    assert (rep.squares, rep.triangles) == (squares, triangles)
+    assert rep.ok == (not failures)
+    assert Counter(rep.failures) == Counter(failures)
+    assert squares > 0
+
+
 class TestTreeDataCoherence:
     def test_small_base_fully_coherent(self):
         probes = tree_probes(3)
@@ -446,20 +522,42 @@ class TestTreeDataCoherence:
     def test_twisted_cell_is_detected(self):
         probes = tree_probes(3)
         F = tree_oplax_data(2, probes)
-        good = F.tau_comp
-
-        def bad(f, g, x):
-            cell = dict(good(f, g, x))
-            fresh = sorted(k for k in cell
-                           if isinstance(k, tuple) and k[0] == "graft"
-                           and isinstance(k[2], tuple))
-            if len(fresh) >= 2:
-                a, b = fresh[0], fresh[1]
-                cell[a], cell[b] = cell[b], cell[a]
-            return cell
-
-        rep = check_all_coherence(dataclasses.replace(F, tau_comp=bad))
+        rep = check_all_coherence(twisted_cells(F))
         assert not rep.ok
+
+    def test_a_twist_at_one_arrow_is_detected(self, monkeypatch):
+        # the swap of 1..2 is one of nine arrows 2 -> 2, all with the same
+        # source labels, so a result shared on anything coarser than the
+        # arrow would hide its twist or spread it to another arrow
+        monkeypatch.setattr(oplax, "MAX_FAILURES", 10 ** 9)
+        clean = tree_oplax_data(2, tree_probes(3))
+        swap = next(m for m in clean.base.hom(2, 2)
+                    if m.name.mapping == {1: 2, 2: 1})
+        F = twisted_cells(clean, swap)
+        rep = check_all_coherence(F)
+        squares = [fail for fail in rep.failures if fail[0] == "square"]
+        assert squares and not rep.ok
+        for _, f, g, h, x in squares:
+            assert swap in (f, F.base.compose(f, g))
+        assert all(fail[1] == swap for fail in rep.failures
+                   if fail[0] == "triangle")
+        assert Counter(rep.failures) == Counter(reference_sweep(F)[2])
+
+    def test_app_obj_runs_three_times_per_side_and_twice_per_triangle(self):
+        F = tree_oplax_data(2, tree_probes(2))
+        app_obj = F.app_obj
+        calls = 0
+
+        def counted(f, x):
+            nonlocal calls
+            calls += 1
+            return app_obj(f, x)
+
+        rep = check_all_coherence(dataclasses.replace(F, app_obj=counted))
+        assert rep.ok and (rep.squares, rep.triangles) == (1916, 158)
+        sides = sum(len(F.fiber_objects(h.dst))
+                    for g, h in F.base.composable_pairs())
+        assert calls == 3 * sides + 2 * rep.triangles == 868
 
     def test_tree_cells_are_not_invertible(self):
         probes = tree_probes(3)

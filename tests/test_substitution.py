@@ -16,6 +16,8 @@ from dendron import (
 from dendron import substitution
 from dendron.trees import _fresh_layer
 
+from test_labels import skeletal
+
 
 def four_leaf_tree():
     t = Tree(["r", "e1", "e2", "l2", "l3", "l4"], "r",
@@ -23,8 +25,8 @@ def four_leaf_tree():
     return LabeledTree(t, {1: "e1", 2: "l2", 3: "l3", 4: "l4"})
 
 
-GAMMA = PointedMap.skeletal(3, 5, {1: 1, 2: 1, 3: 4})
-PHI = PointedMap.skeletal(5, 4, {1: 1, 2: 2, 3: 2, 4: 3, 5: 3})
+GAMMA = skeletal(3, 5, {1: 1, 2: 1, 3: 4})
+PHI = skeletal(5, 4, {1: 1, 2: 2, 3: 2, 4: 3, 5: 3})
 
 
 def small_labeled(max_edges=4):
@@ -40,7 +42,7 @@ class TestPhiStar:
 
     def test_empty_map_on_edge(self):
         eta = canonical_labeling(single_edge("e"))
-        phi = PointedMap.skeletal(0, 1, {})
+        phi = skeletal(0, 1, {})
         out = phi_star(phi, eta)
         # stump on the old leaf plus a unary root corolla
         assert len(out.tree.edges) == 2
@@ -50,7 +52,7 @@ class TestPhiStar:
     def test_zero_to_zero_on_edge(self):
         t = Tree(["e"], "e", [("e", [])])
         lt = LabeledTree(t, {})
-        out = phi_star(PointedMap.skeletal(0, 0, {}), lt)
+        out = phi_star(skeletal(0, 0, {}), lt)
         assert len(out.tree.edges) == 2
         assert len(out.tree.vertices) == 2
 
@@ -64,7 +66,7 @@ class TestPhiStar:
 
     def test_plus_preimage_feeds_root(self):
         c1 = canonical_labeling(corolla(1))
-        phi = PointedMap.skeletal(2, 1, {1: 1, 2: PLUS})
+        phi = skeletal(2, 1, {1: 1, 2: PLUS})
         out = phi_star(phi, c1)
         root_ins = out.tree.children_of(out.tree.root)
         assert c1.tree.root in root_ins
@@ -121,7 +123,7 @@ def test_module_caches_are_bounded():
 class TestPhiStarMor:
     def test_identity_pushes_to_identity(self):
         c2 = canonical_labeling(corolla(2))
-        phi = PointedMap.skeletal(2, 2, {1: 2, 2: 1})
+        phi = skeletal(2, 2, {1: 2, 2: 1})
         out = phi_star_mor(phi, identity(c2.tree), c2, c2)
         assert out.is_identity()
 
@@ -138,7 +140,7 @@ class TestPhiStarMor:
     def test_functorial_within_fiber(self):
         # chase every label-preserving composite among small 1-leaf trees
         shapes = [lt for lt in small_labeled(3) if lt.n == 1]
-        phi = PointedMap.skeletal(2, 1, {1: 1, 2: PLUS})
+        phi = skeletal(2, 1, {1: 1, 2: PLUS})
         checked = 0
         for a, b, c in itertools.product(shapes, repeat=3):
             for f in hom_labeled(a, b):
@@ -194,7 +196,7 @@ class TestTauComp:
 
     def test_associativity_square(self):
         src = four_leaf_tree()
-        delta = PointedMap.skeletal(2, 3, {1: 1, 2: PLUS})
+        delta = skeletal(2, 3, {1: 1, 2: PLUS})
         gd = compose_pointed(delta, GAMMA)
         pg = compose_pointed(GAMMA, PHI)
         one = compose(tau_comp(gd, PHI, src),
@@ -246,7 +248,7 @@ class TestIota:
 class TestGrothCategory:
     def test_fiber_must_preserve_labels(self):
         c2 = canonical_labeling(corolla(2))
-        swap = PointedMap.skeletal(2, 2, {1: 2, 2: 1})
+        swap = skeletal(2, 2, {1: 2, 2: 1})
         mid = phi_star(swap, c2)
         bad = [f for f in hom_set(mid.tree, c2.tree)
                if not is_ok(f, mid, c2)]
