@@ -51,8 +51,7 @@ from .forests import (
     ForestError, ActionNotFunctorial, ComponentIsoInvalid, ForestMorphism,
     GForest, gtree_to_gforest, is_genuine, is_equivariant_forest_morphism,
     forest_hom, subgroup_group, coset_groupoid, bh_to_coset_groupoid,
-    CosetDiagram, diagram_from_gtree, DiagramMorphism, diagram_hom,
-    RetractiveGSet,
+    diagram_from_gtree, DiagramMorphism, diagram_hom, RetractiveGSet,
     RetractiveMap, enumerate_retractive_maps, fiber_pointed_map,
     GenuineTree, self_labeled_genuine, phi_star_genuine, GenuineMorphism,
     genuine_hom, eta_morphism, q_star_diagram, q_star_diagram_morphism,

@@ -6,9 +6,12 @@ isomorphisms that carry the action along; one whose roots form a single
 orbit is the genuine kind.  Indexed by the cosets of a subgroup, the same
 data is a diagram over the coset groupoid, and a natural transformation
 is a forest morphism over the identity of the cosets: one type serves
-both.  Labeled by a retractive G-set, a diagram is a genuine tree.  The
-module checks exhaustively, on small corpora, that forest homs, pairs
-(orbit map, transformation) and labeled triples match up.
+both.  The coset G-set base is the only record of the orbit a diagram or
+retractive G-set lives over, and the pullbacks along an orbit map q take
+the coset G-set q leaves from.  Labeled by a retractive G-set, a diagram
+is a genuine tree.  The module checks exhaustively, on small corpora,
+that forest homs, pairs (orbit map, transformation) and labeled triples
+match up.
 
 On each coset a labeled genuine tree is a plain labeled tree, and the
 genuine layer works through those: substitution is the plain phi_star
@@ -287,24 +290,6 @@ def bh_to_coset_groupoid(group, sub):
     return functor, check_equivalence(functor)
 
 
-class CosetDiagram(GForest):
-    """A functor from a coset groupoid to trees: the G-forest indexed by
-    the coset G-set base of a subgroup, with one edge bijection per
-    translation arrow.  sub is that subgroup, the stabilizer of the
-    identity coset 0.
-    """
-
-    __slots__ = ("sub",)
-
-    def __init__(self, base, trees, isos):
-        super().__init__(base, trees, isos)
-        self.sub = base.stabilizer(0)
-
-    @property
-    def cosets(self):
-        return self.base.elements
-
-
 def diagram_from_gtree(gtree, group, sub):
     """Spread a tree with a subgroup action over the whole coset groupoid.
 
@@ -329,7 +314,7 @@ def diagram_from_gtree(gtree, group, sub):
             if h not in subset:
                 raise NotEquivariant("coset representatives are broken")
             isos[(x, c)] = gtree.action[pos[h]]
-    return CosetDiagram(base, trees, isos)
+    return GForest(base, trees, isos)
 
 
 class DiagramMorphism(ForestMorphism):
@@ -339,7 +324,7 @@ class DiagramMorphism(ForestMorphism):
     __slots__ = ()
 
     def __init__(self, src, dst, components, _checked=False):
-        if not _checked and src.sub != dst.sub:
+        if not _checked and src.base != dst.base:
             raise ForestError("diagrams live over different groupoids")
         super().__init__(src, dst, {c: c for c in src.trees}, components,
                          _checked)
@@ -354,7 +339,7 @@ def diagram_hom(src, dst):
     translation; candidates must commute with the arrows stabilizing that
     coset.  The engine builds them natural, so they are not re-checked.
     """
-    if (src.group, src.sub) != (dst.group, dst.sub):
+    if src.base != dst.base:
         raise ForestError("diagrams live over different groupoids")
     return tuple(DiagramMorphism(src, dst, comps, _checked=True)
                  for _, comps in _family_maps(src, dst, lambda c: [c]))
@@ -368,18 +353,16 @@ class RetractiveGSet:
     """A G-set split over an orbit: section and retraction compose to the
     identity of the cosets.
 
-    base is the coset G-set of the orbit and sub its subgroup, the
-    stabilizer of the identity coset 0.  labels is the carrier minus the
+    base is the coset G-set of the orbit.  labels is the carrier minus the
     section image, in carrier order, and fibers[c] the labels over coset
     c; both are built once.
     """
 
-    __slots__ = ("group", "sub", "base", "carrier", "section", "retraction",
+    __slots__ = ("group", "base", "carrier", "section", "retraction",
                  "labels", "fibers", "_hash")
 
     def __init__(self, base, carrier, section, retraction):
         self.group = group = base.group
-        self.sub = base.stabilizer(0)
         self.base = base
         self.carrier = carrier
         self.section = dict(section)
@@ -413,14 +396,13 @@ class RetractiveGSet:
     def __eq__(self, other):
         if not isinstance(other, RetractiveGSet):
             return NotImplemented
-        return (self.group == other.group and self.sub == other.sub
-                and self.carrier == other.carrier
+        return (self.base == other.base and self.carrier == other.carrier
                 and self.section == other.section
                 and self.retraction == other.retraction)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.group, self.sub, self.carrier))
+            self._hash = hash((self.base, self.carrier))
         return self._hash
 
     def __repr__(self):
@@ -434,7 +416,7 @@ class RetractiveMap:
     __slots__ = ("src", "dst", "mapping", "_hash")
 
     def __init__(self, src, dst, mapping):
-        if (src.group, src.sub) != (dst.group, dst.sub):
+        if src.base != dst.base:
             raise ForestError("retractive sets live over different orbits")
         self.src = src
         self.dst = dst
@@ -517,7 +499,7 @@ class GenuineTree:
     __slots__ = ("labels", "diagram", "leaf_map", "components", "_hash")
 
     def __init__(self, labels, diagram, leaf_map):
-        if (labels.group, labels.sub) != (diagram.group, diagram.sub):
+        if labels.base != diagram.base:
             raise ForestError("labels and diagram over different orbits")
         self.labels = labels
         self.diagram = diagram
@@ -607,8 +589,7 @@ def phi_star_genuine(rm, gt):
                                   dict(diagram.isos[(x, c)]),
                                   lambda b: rm.src.carrier.act(x, b))
             for x in group.elements for c in base.elements}
-    new_diag = CosetDiagram(base, {c: out.tree for c, out in pieces.items()},
-                            isos)
+    new_diag = GForest(base, {c: out.tree for c, out in pieces.items()}, isos)
     leaf_map = {b: leaf for out in pieces.values()
                 for b, leaf in out.labels.items()}
     return GenuineTree(rm.src, new_diag, leaf_map)
@@ -677,27 +658,24 @@ def eta_morphism(gm):
 # pullback along orbit maps
 
 
-def _is_identity_map(q, src_sub, dst_sub):
-    return tuple(sorted(src_sub)) == tuple(sorted(dst_sub)) \
-        and all(v == k for k, v in q.items())
+def _is_identity_map(q, base, dst_base):
+    return base == dst_base and all(v == k for k, v in q.items())
 
 
-def q_star_diagram(q, src_sub, diagram):
-    """Reindex a diagram along an orbit map; the identity map gives back
-    the same object."""
-    if _is_identity_map(q, src_sub, diagram.sub):
+def q_star_diagram(q, base, diagram):
+    """Reindex a diagram along an orbit map q out of the coset G-set base;
+    the identity map gives back the same object."""
+    if _is_identity_map(q, base, diagram.base):
         return diagram
-    base = coset_gset(diagram.group, src_sub)  # q is a map out of it
-    return CosetDiagram(base, {c: diagram.trees[q[c]] for c in base.elements},
-                        {(x, c): diagram.isos[(x, q[c])]
-                         for x in diagram.group.elements
-                         for c in base.elements})
+    return GForest(base, {c: diagram.trees[q[c]] for c in base.elements},
+                   {(x, c): diagram.isos[(x, q[c])]
+                    for x in diagram.group.elements for c in base.elements})
 
 
-def q_star_diagram_morphism(q, src_sub, dm):
+def q_star_diagram_morphism(q, base, dm):
     """Reindex a transformation along an orbit map."""
-    src = q_star_diagram(q, src_sub, dm.src)
-    dst = q_star_diagram(q, src_sub, dm.dst)
+    src = q_star_diagram(q, base, dm.src)
+    dst = q_star_diagram(q, base, dm.dst)
     if src is dm.src:
         return dm
     comps = {c: TreeMorphism(src.trees[c], dst.trees[c],
@@ -706,17 +684,15 @@ def q_star_diagram_morphism(q, src_sub, dm):
     return DiagramMorphism(src, dst, comps, _checked=True)
 
 
-def q_star_retractive(q, src_sub, ret):
-    """Pull a retractive set back along an orbit map.
+def q_star_retractive(q, base, ret):
+    """Pull a retractive set back along an orbit map q out of base.
 
     Carrier elements are pairs (coset, element over its image); the
     identity map gives back the same object.
     """
-    if _is_identity_map(q, src_sub, ret.sub):
+    if _is_identity_map(q, base, ret.base):
         return ret
     group = ret.group
-    src_sub = tuple(sorted(src_sub))
-    base = coset_gset(group, src_sub)
     elems = [(c, x) for c in base.elements
              for x in ret.carrier.elements if ret.retraction[x] == q[c]]
     rows = {g: {(c, x): (base.act(g, c), ret.carrier.act(g, x))
@@ -728,36 +704,36 @@ def q_star_retractive(q, src_sub, ret):
     return RetractiveGSet(base, carrier, section, retraction)
 
 
-def q_star_retractive_map(q, src_sub, rm):
-    src = q_star_retractive(q, src_sub, rm.src)
-    dst = q_star_retractive(q, src_sub, rm.dst)
+def q_star_retractive_map(q, base, rm):
+    src = q_star_retractive(q, base, rm.src)
+    dst = q_star_retractive(q, base, rm.dst)
     if src is rm.src:
         return rm
     mapping = {(c, x): (c, rm.mapping[x]) for c, x in src.carrier.elements}
     return RetractiveMap(src, dst, mapping)
 
 
-def q_star_genuine(q, src_sub, gt):
+def q_star_genuine(q, base, gt):
     """Pull a labeled genuine tree back along an orbit map."""
-    if _is_identity_map(q, src_sub, gt.labels.sub):
+    if _is_identity_map(q, base, gt.labels.base):
         return gt
-    ret = q_star_retractive(q, src_sub, gt.labels)
-    diag = q_star_diagram(q, src_sub, gt.diagram)
+    ret = q_star_retractive(q, base, gt.labels)
+    diag = q_star_diagram(q, base, gt.diagram)
     leaf_map = {(c, a): gt.leaf_map[a] for c, a in ret.labels}
     return GenuineTree(ret, diag, leaf_map)
 
 
-def q_star_genuine_morphism(q, src_sub, gm):
+def q_star_genuine_morphism(q, base, gm):
     """Pull a genuine morphism back along an orbit map.
 
     The pulled substitution renames its fresh edges after the pulled-back
     labels, so the fiber components are rewritten through that renaming.
     """
-    src = q_star_genuine(q, src_sub, gm.src)
-    dst = q_star_genuine(q, src_sub, gm.dst)
+    src = q_star_genuine(q, base, gm.src)
+    dst = q_star_genuine(q, base, gm.dst)
     if src is gm.src:
         return gm
-    phi = q_star_retractive_map(q, src_sub, gm.phi)
+    phi = q_star_retractive_map(q, base, gm.phi)
     old_sub = phi_star_genuine(gm.phi, gm.src)
     sub = phi_star_genuine(phi, src)
     comps = {}
@@ -776,16 +752,17 @@ def q_star_genuine_morphism(q, src_sub, gm):
     return GenuineMorphism(phi, fiber, src, dst)
 
 
-def q_star_compare(p, q, src_sub, mid_sub, ret):
-    """The canonical carrier bijection between (p after q)* and q* p*.
+def q_star_compare(p, q, src, mid, ret):
+    """The canonical carrier bijection between (p after q)* and q* p*, for
+    q out of the coset G-set src and p out of mid.
 
     Returns (one-step pullback, two-step pullback, dict between their
     carriers).  The two pullbacks differ only by this renaming.
     """
     pq = {c: p[q[c]] for c in q}
-    once = q_star_retractive(pq, src_sub, ret)
-    inner = q_star_retractive(p, mid_sub, ret)
-    twice = q_star_retractive(q, src_sub, inner)
+    once = q_star_retractive(pq, src, ret)
+    inner = q_star_retractive(p, mid, ret)
+    twice = q_star_retractive(q, src, inner)
     iso = {}
     for x in once.carrier.elements:
         if twice is inner:
@@ -837,11 +814,11 @@ def _genuine_pair(corpus, i, j):
     assembled = set()
     failures = []
     for q in equivariant_maps(x.base, y.base):
-        alphas = diagram_hom(x, q_star_diagram(q, x.sub, y))
+        alphas = diagram_hom(x, q_star_diagram(q, x.base, y))
         pair_count += len(alphas)
         assembled.update(ForestMorphism(x, y, q, al.components, _checked=True)
                          for al in alphas)
-        gms = genuine_hom(lx, q_star_genuine(q, x.sub, ly))
+        gms = genuine_hom(lx, q_star_genuine(q, x.base, ly))
         triple_count += len(gms)
         ems = {eta_morphism(gm) for gm in gms}
         if len(ems) != len(gms) or ems != set(alphas):

@@ -298,40 +298,41 @@ class CoherenceReport:
 def check_all_coherence(F):
     """Check every unit triangle and every associativity square.
 
-    Triangles are checked for each arrow at each probe over its target (so
-    at (h, x) of every square) and at each object a square visits, each
-    once.  Squares are checked for every composable triple f, g, h at each
-    probe x over h.dst, visited g, h, x, f: `_side` runs once per (g, h, x)
-    and f;g once per (f, g).
+    Triangles come first.  For each object b they are checked for each
+    arrow f into b at each distinct y among the probes over b and the
+    k.x for k out of b and x over k.dst: every (f, y) a square's sides
+    reach, since every arrow out of b is some g;h.  Squares are checked
+    for every composable triple f, g, h at each probe x over h.dst,
+    visited g, h, x, f: `_side` runs once per (g, h, x) and f;g once per
+    (f, g).  Failures list the triangles before the squares.
     """
     report = CoherenceReport()
     base = F.base
-    seen = set()
 
-    def units(f, x):
-        if (f, x) not in seen:
-            seen.add((f, x))
-            report.triangles += 1
-            if not check_oplax_units(F, f, x) \
-                    and len(report.failures) < MAX_FAILURES:
-                report.failures.append(("triangle", f, x))
+    def fail(*failure):
+        if len(report.failures) < MAX_FAILURES:
+            report.failures.append(failure)
 
-    for f in base.morphisms:
-        for x in F.fiber_objects(f.dst):
-            units(f, x)
+    for b in base.objects:
+        ys = dict.fromkeys([*F.fiber_objects(b), *(
+            F.app_obj(k, x) for k in base._by_src.get(b, ())
+            for x in F.fiber_objects(k.dst))])
+        for a in base.objects:
+            for f in base.hom(a, b):
+                for y in ys:
+                    report.triangles += 1
+                    if not check_oplax_units(F, f, y):
+                        fail("triangle", f, y)
     for g in base.morphisms:
         into = [(f, base.compose(f, g))
                 for a in base.objects for f in base.hom(a, g.src)]
         for h in base._by_src.get(g.dst, ()):
             for x in F.fiber_objects(h.dst):
                 side = _side(F, g, h, x)
-                units(g, side[1])
                 for f, gf in into:
                     report.squares += 1
-                    units(f, side[2])
-                    if not check_coherence_square(F, f, g, h, x, gf, side) \
-                            and len(report.failures) < MAX_FAILURES:
-                        report.failures.append(("square", f, g, h, x))
+                    if not check_coherence_square(F, f, g, h, x, gf, side):
+                        fail("square", f, g, h, x)
     return report
 
 

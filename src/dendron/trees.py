@@ -176,10 +176,6 @@ class Tree:
         """Out-edge of the vertex below `edge`, or None at the root."""
         return self._parent.get(edge)
 
-    def ancestors(self, edge):
-        """Edges on the path from `edge` down to the root, inclusive."""
-        return self._chains()[edge]
-
     def depth(self, edge):
         return len(self._chains()[edge]) - 1
 

@@ -103,11 +103,12 @@ def test_criterion_5_genuine_suite():
     gts = enumerate_gtrees(Z2, 3)
     x = self_labeled_genuine(diagram_from_gtree(gts[4], Z2, (0, 1)))
     y = self_labeled_genuine(diagram_from_gtree(gts[2], Z2, (0, 1)))
-    q = equivariant_maps(coset_gset(Z2, (0,)), coset_gset(Z2, (0, 1)))[0]
+    half = coset_gset(Z2, (0,))
+    q = equivariant_maps(half, coset_gset(Z2, (0, 1)))[0]
     squares = 0
     for gm in genuine_hom(x, y):
-        left = eta_morphism(q_star_genuine_morphism(q, (0,), gm))
-        right = q_star_diagram_morphism(q, (0,), eta_morphism(gm))
+        left = eta_morphism(q_star_genuine_morphism(q, half, gm))
+        right = q_star_diagram_morphism(q, half, eta_morphism(gm))
         ok = ok and left == right
         squares += 1
     ok = ok and squares == 4

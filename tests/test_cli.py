@@ -349,8 +349,8 @@ class TestInjectedFaults:
             capsys, monkeypatch, "eta_morphism", lambda gm: None)
         assert ce["reason"] == "forgetting labels is not a bijection"
         x, y = corpus[ce["src"]][0], corpus[ce["dst"]][0]
-        assert set(ce["map"]) == set(map(str, x.cosets))
-        assert set(ce["map"].values()) <= set(map(str, y.cosets))
+        assert set(ce["map"]) == set(map(str, x.base.elements))
+        assert set(ce["map"].values()) <= set(map(str, y.base.elements))
 
 
 class TestExportDot:

@@ -10,7 +10,7 @@ from dendron import (
     ForestMorphism, GForest, ForestError, ActionNotFunctorial,
     ComponentIsoInvalid, gtree_to_gforest, is_genuine,
     is_equivariant_forest_morphism, forest_hom, subgroup_group,
-    coset_groupoid, bh_to_coset_groupoid, CosetDiagram, diagram_from_gtree,
+    coset_groupoid, bh_to_coset_groupoid, diagram_from_gtree,
     DiagramMorphism, diagram_hom, RetractiveGSet,
     RetractiveMap, enumerate_retractive_maps, fiber_pointed_map,
     self_labeled_genuine, phi_star_genuine, genuine_hom, eta_morphism,
@@ -78,15 +78,15 @@ def trivial_sub_diagrams():
 
 def identity_coset_gtree(diagram):
     """The tree at the identity coset with its subgroup action."""
-    hgrp, elems = subgroup_group(diagram.group, diagram.sub)
-    c0 = min(diagram.cosets)
+    hgrp, elems = subgroup_group(diagram.group, diagram.base.stabilizer(0))
+    c0 = min(diagram.base.elements)
     rows = {i: dict(diagram.isos[(x, c0)]) for i, x in enumerate(elems)}
     return GTree(diagram.trees[c0], hgrp, rows)
 
 
 def identity_coset_fiber(ret):
     """The labels over the identity coset as a set with a subgroup action."""
-    hgrp, elems = subgroup_group(ret.group, ret.sub)
+    hgrp, elems = subgroup_group(ret.group, ret.base.stabilizer(0))
     fib = ret.fiber(min(ret.base.elements))
     rows = {i: {x: ret.carrier.act(h, x) for x in fib}
             for i, h in enumerate(elems)}
@@ -114,13 +114,13 @@ def fiber_glabeled(gt_obj):
     """The identity-coset component as a labeled tree with a subgroup action."""
     gtree = identity_coset_gtree(gt_obj.diagram)
     fib = identity_coset_fiber(gt_obj.labels)
-    c0 = min(gt_obj.diagram.cosets)
+    c0 = min(gt_obj.diagram.base.elements)
     labels = {a: gt_obj.leaf_map[a] for a in gt_obj.labels.fiber(c0)}
     return GLabeledTree(gtree, fib, labels)
 
 
 def fiber_labeled(gt_obj):
-    c0 = min(gt_obj.diagram.cosets)
+    c0 = min(gt_obj.diagram.base.elements)
     labels = {a: gt_obj.leaf_map[a] for a in gt_obj.labels.fiber(c0)}
     return LabeledTree(gt_obj.diagram.trees[c0], labels)
 
@@ -438,31 +438,31 @@ class TestCosetDiagramValidation:
         return out
 
     def test_straight_translations_are_accepted(self):
-        d = CosetDiagram(self.BASE, {0: self.T, 1: self.T}, self.isos())
+        d = GForest(self.BASE, {0: self.T, 1: self.T}, self.isos())
         assert d.base.elements == (0, 1) and d.base.act(1, 0) == 1
 
     def test_missing_coset_tree_rejected(self):
         with pytest.raises(ForestError):
-            CosetDiagram(self.BASE, {0: self.T}, self.isos())
+            GForest(self.BASE, {0: self.T}, self.isos())
 
     def test_translation_must_be_a_tree_isomorphism(self):
         folded = {"r": "r", "l0": "l0", "l1": "l0"}
         with pytest.raises(ComponentIsoInvalid):
-            CosetDiagram(self.BASE, {0: self.T, 1: self.T},
-                         self.isos({(1, 0): folded}))
+            GForest(self.BASE, {0: self.T, 1: self.T},
+                    self.isos({(1, 0): folded}))
 
     def test_identity_translation_must_be_trivial(self):
         with pytest.raises(ActionNotFunctorial):
-            CosetDiagram(self.BASE, {0: self.T, 1: self.T},
-                         self.isos({(0, 0): self.SWAP}))
+            GForest(self.BASE, {0: self.T, 1: self.T},
+                    self.isos({(0, 0): self.SWAP}))
 
     def test_translations_must_compose_like_the_group(self):
         with pytest.raises(ActionNotFunctorial):
-            CosetDiagram(self.BASE, {0: self.T, 1: self.T},
-                         self.isos({(1, 0): self.SWAP}))
+            GForest(self.BASE, {0: self.T, 1: self.T},
+                    self.isos({(1, 0): self.SWAP}))
 
     def test_components_must_commute_with_translations(self):
-        d = CosetDiagram(self.BASE, {0: self.T, 1: self.T}, self.isos())
+        d = GForest(self.BASE, {0: self.T, 1: self.T}, self.isos())
         swap = next(f for f in hom_set(self.T, self.T)
                     if f.mapping == self.SWAP)
         assert DiagramMorphism(d, d, {0: swap, 1: swap}).components
@@ -488,7 +488,7 @@ class TestDiagramHom:
         ds = enumerate_genuine_diagrams(group, 3)
         total = 0
         for src, dst in itertools.product(ds, repeat=2):
-            if src.sub != dst.sub:
+            if src.base != dst.base:
                 continue
             fast = diagram_hom(src, dst)
             assert len(set(fast)) == len(fast)
@@ -511,7 +511,7 @@ class TestDiagramHom:
                        for e, v in comps[c].mapping.items())
 
         partial = [{}]
-        for c in src.cosets:
+        for c in src.base.elements:
             grown = []
             for comps in partial:
                 for f in hom_set(src.trees[c], dst.trees[c]):
@@ -565,8 +565,9 @@ class TestRetractive:
         assert "labels" in RetractiveGSet.__slots__
         x = self_labeled_genuine(diagram_from_gtree(z2_gtrees()[4], Z2,
                                                     (0, 1)))
-        q = equivariant_maps(coset_gset(Z2, (0,)), x.labels.base)[0]
-        ret = q_star_retractive(q, (0,), x.labels)
+        half = coset_gset(Z2, (0,))
+        q = equivariant_maps(half, x.labels.base)[0]
+        ret = q_star_retractive(q, half, x.labels)
         assert ret is not x.labels
         pts = set(ret.section.values())
         labels = tuple(a for a in ret.carrier.elements if a not in pts)
@@ -663,7 +664,7 @@ class TestGenuineHom:
               for g in z2_gtrees()[:5]]
         for a in xs:
             for b in xs:
-                c0 = min(a.diagram.cosets)
+                c0 = min(a.diagram.base.elements)
                 restricted = {(fiber_pointed_map(gm.phi, c0),
                                gm.fiber.components[c0])
                               for gm in genuine_hom(a, b)}
@@ -679,7 +680,7 @@ class TestGenuineHom:
               for d in enumerate_genuine_diagrams(group, max_edges)]
         total = 0
         for src, dst in itertools.product(xs, repeat=2):
-            if src.labels.sub != dst.labels.sub:
+            if src.labels.base != dst.labels.base:
                 continue
             fast = genuine_hom(src, dst)
             assert fast == self._brute_force(src, dst)
@@ -757,13 +758,13 @@ class TestOrbitPullbacks:
     def test_identity_pullback_is_the_same_object(self):
         d, x, _, _, gg = self.fixtures()
         idq = {c: c for c in gg.elements}
-        assert q_star_diagram(idq, (0, 1), d) is d
-        assert q_star_genuine(idq, (0, 1), x) is x
+        assert q_star_diagram(idq, gg, d) is d
+        assert q_star_genuine(idq, gg, x) is x
 
     def test_pulled_components_copy_the_original_tree(self):
         d, x, _, ge, gg = self.fixtures()
         q = equivariant_maps(ge, gg)[0]
-        xq = q_star_genuine(q, (0,), x)
+        xq = q_star_genuine(q, ge, x)
         assert sorted(xq.diagram.trees) == [0, 1]
         assert all(t == d.trees[0] for t in xq.diagram.trees.values())
         assert all(lab[0] in (0, 1) for lab in xq.labels.labels)
@@ -772,9 +773,9 @@ class TestOrbitPullbacks:
         _, x, y, ge, gg = self.fixtures()
         q = equivariant_maps(ge, gg)[0]
         gms = genuine_hom(x, y)
-        xq = q_star_genuine(q, (0,), x)
-        yq = q_star_genuine(q, (0,), y)
-        pulled = {q_star_genuine_morphism(q, (0,), gm) for gm in gms}
+        xq = q_star_genuine(q, ge, x)
+        yq = q_star_genuine(q, ge, y)
+        pulled = {q_star_genuine_morphism(q, ge, gm) for gm in gms}
         for gm in pulled:
             assert gm.src == xq and gm.dst == yq
         full = set(genuine_hom(xq, yq))
@@ -785,8 +786,8 @@ class TestOrbitPullbacks:
         _, x, y, ge, gg = self.fixtures()
         q = equivariant_maps(ge, gg)[0]
         for gm in genuine_hom(x, y):
-            left = eta_morphism(q_star_genuine_morphism(q, (0,), gm))
-            right = q_star_diagram_morphism(q, (0,), eta_morphism(gm))
+            left = eta_morphism(q_star_genuine_morphism(q, ge, gm))
+            right = q_star_diagram_morphism(q, ge, eta_morphism(gm))
             assert left == right
 
     def test_composite_pullbacks_differ_by_a_recorded_iso(self):
@@ -795,7 +796,7 @@ class TestOrbitPullbacks:
         ide = {c: c for c in ge.elements}
         swap = [m for m in equivariant_maps(ge, ge) if m != ide][0]
         for q in (ide, swap):
-            once, twice, iso = q_star_compare(p, q, (0,), (0,), x.labels)
+            once, twice, iso = q_star_compare(p, q, ge, ge, x.labels)
             assert set(iso) == set(once.carrier.elements)
             assert set(iso.values()) == set(twice.carrier.elements)
 

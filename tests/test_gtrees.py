@@ -475,6 +475,45 @@ class TestEnumeration:
             == [equivariant_canonical_key(t) for t in two]
 
 
+def brute_force_gtree_keys(group, max_edges):
+    """The key of every action of group on every tree of at most max_edges
+    edges: each assignment of automorphisms to the generators that closes
+    to an action."""
+    keys = set()
+    for tree in enumerate_all_trees(max_edges):
+        autos = list(all_isomorphisms(tree, tree))
+        for rows in itertools.product(autos, repeat=len(group.generators)):
+            try:
+                gtree = GTree.from_generator_rows(
+                    tree, group, dict(zip(group.generators, rows)))
+            except NotEquivariant:
+                continue
+            keys.add(equivariant_canonical_key(gtree))
+    return keys
+
+
+class TestEnumerationIsComplete:
+    """enumerate_gtrees holds every G-tree up to isomorphism, once."""
+
+    @pytest.mark.parametrize("group, classes", [
+        ("trivial", 59), ("z2", 92), ("z3", 67), ("z4", 94), ("s3", 100)])
+    def test_matches_brute_force_at_five_edges(self, group, classes):
+        g = builtin_group(group)
+        keys = [equivariant_canonical_key(t) for t in enumerate_gtrees(g, 5)]
+        assert len(set(keys)) == len(keys) == classes
+        assert set(keys) == brute_force_gtree_keys(g, 5)
+
+    # max_corolla=4 never grafts a vertex of arity 5: 6 of 167 classes
+    # (trivial) and 20 of 287 (z2) are missing
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="enumerate_gtrees caps corollas at 4 leaves")
+    @pytest.mark.parametrize("group", ["trivial", "z2"])
+    def test_matches_brute_force_at_six_edges(self, group):
+        g = builtin_group(group)
+        keys = {equivariant_canonical_key(t) for t in enumerate_gtrees(g, 6)}
+        assert keys == brute_force_gtree_keys(g, 6)
+
+
 class TestCanonicalKey:
     def test_invariant_under_renaming(self):
         big = SAMPLE.big.gtree

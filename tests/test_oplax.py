@@ -543,7 +543,7 @@ class TestTreeDataCoherence:
                    if fail[0] == "triangle")
         assert Counter(rep.failures) == Counter(reference_sweep(F)[2])
 
-    def test_app_obj_runs_three_times_per_side_and_twice_per_triangle(self):
+    def test_app_obj_calls_per_side_triangle_and_arrow_probe(self):
         F = tree_oplax_data(2, tree_probes(2))
         app_obj = F.app_obj
         calls = 0
@@ -557,7 +557,8 @@ class TestTreeDataCoherence:
         assert rep.ok and (rep.squares, rep.triangles) == (1916, 158)
         sides = sum(len(F.fiber_objects(h.dst))
                     for g, h in F.base.composable_pairs())
-        assert calls == 3 * sides + 2 * rep.triangles == 868
+        probes = sum(len(F.fiber_objects(k.dst)) for k in F.base.morphisms)
+        assert calls == 3 * sides + 2 * rep.triangles + probes == 888
 
     def test_tree_cells_are_not_invertible(self):
         probes = tree_probes(3)

@@ -1,8 +1,11 @@
-"""Every exported name is reached by the library or by the acceptance tests.
+"""Every exported name, and every public method and property of an
+exported class, is reached by the library or by the acceptance tests.
 
 A name that only its own unit tests call is dead surface: it costs lines
 and review, and nothing the verifier reports depends on it.  Names kept on
-purpose are listed below, each with its reason.
+purpose are listed below, each with its reason.  A method or property
+counts as reached when its name is read as an attribute anywhere in those
+sources, on whatever object.
 """
 
 import ast
@@ -32,6 +35,9 @@ KEEP = {
     "standard_probes": "the probes a G-coherence suite will run",
 }
 
+# "Class.name" of a public method or property kept on purpose -> reason
+METHODS_KEEP = {}
+
 
 def _used_names(source):
     """Names loaded in a module source.  A top-level definition's references
@@ -51,13 +57,35 @@ def _used_names(source):
     return used
 
 
-def _unreached():
+def _sources():
     package = pathlib.Path(dendron.__file__).parent
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     sources.append(pathlib.Path(__file__).parent / "test_acceptance.py")
-    used = set().union(*(_used_names(p.read_text()) for p in sources))
+    return [p.read_text() for p in sources]
+
+
+def _unreached():
+    used = set().union(*map(_used_names, _sources()))
     return {n for n in dendron.__all__
             if not inspect.ismodule(getattr(dendron, n)) and n not in used}
+
+
+def _public_members():
+    """(class, name) for each public method and property that an exported
+    class defines itself."""
+    return {(c, name) for c in dendron.__all__
+            if inspect.isclass(getattr(dendron, c))
+            for name, v in vars(getattr(dendron, c)).items()
+            if not name.startswith("_") and (
+                inspect.isfunction(v) or isinstance(
+                    v, (property, classmethod, staticmethod)))}
+
+
+def _unread_members():
+    read = {n.attr for source in _sources()
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return {f"{c}.{name}" for c, name in _public_members() if name not in read}
 
 
 def test_every_export_is_reached_or_kept_on_purpose():
@@ -76,3 +104,18 @@ def test_names_a_definition_binds_are_not_uses():
         "def again():\n"
         "    return again, hom_set\n")
     assert _used_names(source) == {"graft", "hom_set"}
+
+
+def test_every_public_member_is_read_or_kept_on_purpose():
+    assert sorted(_unread_members() - set(METHODS_KEEP)) == []
+
+
+def test_the_member_keep_list_holds_only_unread_members():
+    assert sorted(set(METHODS_KEEP) - _unread_members()) == []
+
+
+def test_members_cover_methods_and_properties():
+    members = _public_members()
+    assert {("Tree", "le"), ("Tree", "depth"), ("GSet", "size"),
+            ("GSet", "from_generator_rows")} <= members
+    assert not any(name.startswith("_") for _, name in members)

@@ -33,7 +33,9 @@ def assert_as_validated(t):
         chain = [e]
         while ref.parent_of(chain[-1]) is not None:
             chain.append(ref.parent_of(chain[-1]))
-        assert t.ancestors(e) == tuple(chain)
+        assert sorted((x for x in t.edges if t.le(e, x)),
+                      key=t.depth, reverse=True) == chain
+        assert t.depth(e) == len(chain) - 1
 
 
 def check_builders(tree):
