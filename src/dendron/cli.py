@@ -9,7 +9,9 @@ produce identical bytes.  The DENDRON_WORKERS environment variable caps
 worker processes, at most one per CPU, for the four pairwise suites
 (factorization, equivalence, equivariant, genuine; only coherence runs in
 one process); results are merged in a fixed order, so the worker count
-never changes the report.
+never changes the report.  Each worker's stride of pairs owns one memo,
+dropped when the stride ends, through which the factorization suite
+shares the normal form's stage chains (`morphisms.factorize`).
 """
 
 import argparse
@@ -78,13 +80,13 @@ def _projection_failure(homs, pairs, project, lift):
 
 # -- factorization suite ----------------------------------------------------
 
-def _factorization_pair(trees, i, j):
+def _factorization_pair(trees, i, j, memo=None):
     homs = hom_set(trees[i], trees[j])
     failures = []
     for f in homs:
-        fact = factorize(f)
+        fact = factorize(f, memo)
         back = fact.composite()
-        if back.mapping != f.mapping or factorize(back) != fact:
+        if back.mapping != f.mapping or factorize(back, memo) != fact:
             failures.append({"src": i, "dst": j, "map": _mapping_doc(f)})
     return len(homs), failures
 
@@ -124,7 +126,7 @@ def _labeled_trees(max_edges):
     return [(t, canonical_labeling(t)) for t in enumerate_all_trees(max_edges)]
 
 
-def _equivalence_pair(corpus, i, j):
+def _equivalence_pair(corpus, i, j, memo=None):
     (a, la), (b, lb) = corpus[i], corpus[j]
     gh = groth_hom(la, lb)
     bad = _projection_failure(hom_set(a, b), gh, F_functor,
@@ -152,7 +154,7 @@ def _labeled_gtrees(group, max_edges, per_stratum):
                                       per_stratum=per_stratum)]
 
 
-def _equivariant_pair(corpus, i, j):
+def _equivariant_pair(corpus, i, j, memo=None):
     (a, la), (b, lb) = corpus[i], corpus[j]
     plain = hom_set(a.tree, b.tree)
     eq = []

@@ -799,7 +799,7 @@ def _genuine_corpus(group, max_edges, per_stratum):
                                                 per_stratum=per_stratum)]
 
 
-def _genuine_pair(corpus, i, j):
+def _genuine_pair(corpus, i, j, memo=None):
     """Match up three hom-sets from object i to object j.
 
     Assembly must be a bijection from pairs (orbit map q, natural

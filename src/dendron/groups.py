@@ -340,6 +340,8 @@ class GSet:
         return tuple(sorted(sig))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, GSet):
             return NotImplemented
         return (self.group == other.group and self.elements == other.elements

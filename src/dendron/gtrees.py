@@ -18,6 +18,7 @@ action, and the comparison cells need no equivariant correction at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .trees import (
     Tree,
@@ -465,17 +466,15 @@ def equivariant_canonical_key(gtree):
     return (canonical_form(gtree.tree), best)
 
 
-def _orbit_graft_options(group, gtree, leaf, budget, max_corolla):
-    """Corollas available over a leaf orbit: multisets of coset G-sets G/K
-    with K inside the stabilizer, attached by translation; sizes bounded
-    by the remaining edge budget.  The empty corolla (a stump orbit) is
-    always an option."""
-    stab = gtree.edge_stabilizer(leaf)
-    types = []
-    for sub in sorted(subgroup_class_reps(group, within=stab)):
-        part = coset_gset(group, sub)
-        if part.size <= min(budget, max_corolla):
-            types.append(part)
+@lru_cache(maxsize=1 << 10)
+def _corollas(group, stab, cap):
+    """Every multiset of coset G-sets G/K with K inside stab and total size
+    at most cap, with its disjoint union: (parts, corolla) pairs, the
+    empty multiset (a stump orbit) first.  No tree enters, so the list is
+    built once per (group, stabilizer, cap) and shared."""
+    types = [part for part in (coset_gset(group, sub) for sub in
+                               sorted(subgroup_class_reps(group, within=stab)))
+             if part.size <= cap]
     options = [()]
 
     def build(start, left, chosen):
@@ -485,19 +484,20 @@ def _orbit_graft_options(group, gtree, leaf, budget, max_corolla):
                 options.append(tuple(chosen + [t]))
                 build(i, left - t.size, chosen + [t])
 
-    build(0, min(budget, max_corolla), [])
-    out = []
-    for parts in options:
-        if parts:
-            corolla = disjoint_union_gsets(list(parts))
-        else:
-            corolla = trivial_gset(group, ())
-        attach = {(i, x): gtree.act(x, leaf)
-                  for i, p in enumerate(parts) for x in p.elements}
-        if not parts:
-            attach = {}
-        out.append((corolla, attach))
-    return out
+    build(0, cap, [])
+    return tuple((parts, disjoint_union_gsets(list(parts)) if parts
+                  else trivial_gset(group, ())) for parts in options)
+
+
+def _orbit_graft_options(group, gtree, leaf, budget, max_corolla):
+    """Corollas available over a leaf orbit: multisets of coset G-sets G/K
+    with K inside the stabilizer, attached by translation; sizes bounded
+    by the remaining edge budget.  The empty corolla (a stump orbit) is
+    always an option."""
+    return [(corolla, {(i, x): gtree.act(x, leaf)
+                       for i, p in enumerate(parts) for x in p.elements})
+            for parts, corolla in _corollas(
+                group, gtree.edge_stabilizer(leaf), min(budget, max_corolla))]
 
 
 def enumerate_gtrees(group, max_edges, max_corolla=4, per_stratum=None):

@@ -9,7 +9,11 @@ legal.
 
 Every such map factors as degeneracies, then an isomorphism, then inner
 faces, then outer faces; `factorize` computes that normal form and
-`Factorization.composite` recomposes it exactly.
+`Factorization.composite` recomposes it exactly.  Only the isomorphism
+reads the map itself: the degeneracy chain reads the source and the kernel
+classes, the face chains the target and the image.  So maps factored
+through one memo, a dict their caller owns, build each chain once per key;
+the pairwise suites keep one memo per pair stride.
 """
 
 from __future__ import annotations
@@ -337,6 +341,8 @@ class NotEquivariant(ValueError):
 
 
 def _kernel_classes(f):
+    """The fibers of f with more than one edge, each topmost member first,
+    listed in the name order of their images."""
     fibers = {}
     for e in f.src.sorted_edges():
         fibers.setdefault(f.mapping[e], []).append(e)
@@ -345,8 +351,8 @@ def _kernel_classes(f):
         members = fibers.get(image, ())
         if len(members) > 1:
             members.sort(key=lambda e: -f.src.depth(e))  # topmost first
-            classes.append(members)
-    return classes
+            classes.append(tuple(members))
+    return tuple(classes)
 
 
 def _class_orbits(classes, rows):
@@ -361,7 +367,7 @@ def _class_orbits(classes, rows):
     for i, cls in enumerate(classes):
         members = {i}
         for row in rows:
-            mapped = [row[m] for m in cls]
+            mapped = tuple(row[m] for m in cls)
             j = by_key.get(frozenset(mapped))
             if j is None or classes[j] != mapped:
                 raise NotEquivariant("kernel classes are not permuted by "
@@ -383,23 +389,27 @@ def _edge_orbit(e, rows):
     return tuple(sorted(moved, key=sort_key))
 
 
-def _normal_form(f, src_rows=(), dst_rows=()):
-    """The normal form of f in orbit-sized stages, as a Factorization.
+def _chain(memo, build, *args):
+    """build(*args), built once per memo for equal arguments.
 
-    src_rows and dst_rows are the edge permutations of the non-identity
-    group elements on f.src and f.dst, in the same order.  With no rows
-    every orbit is a single edge, which is the plain normal form.
-
-    Raises NotEquivariant when the stages cannot be grouped into orbits or
-    the residual renaming does not commute with the rows.
+    Without a memo every call builds afresh.  A build that raises stores
+    nothing, so each map that reaches it raises again, in its own turn.
     """
-    src, dst = f.src, f.dst
+    if memo is None:
+        return build(*args)
+    key = (build, args)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = build(*args)
+    return out
 
-    # degeneracies: collapse kernel-class orbits top-down onto their
-    # rootward representatives
-    degeneracies = []
+
+def _degeneracy_chain(src, classes, src_rows):
+    """Collapse the kernel-class orbits top-down onto their rootward
+    representatives: (steps, collapsed source)."""
+    steps = []
     work = src
-    for orbit in _class_orbits(_kernel_classes(f), src_rows):
+    for orbit in _class_orbits(classes, src_rows):
         for i in range(len(orbit[0]) - 1):
             step = None
             for cls in orbit:
@@ -408,12 +418,15 @@ def _normal_form(f, src_rows=(), dst_rows=()):
                         "kernel class is not a unary chain")
                 work, one = collapse_unary(work, cls[i + 1])
                 step = one if step is None else compose(step, one)
-            degeneracies.append(GeneratorStep(
+            steps.append(GeneratorStep(
                 "degeneracy", _edge_orbit(orbit[0][i + 1], src_rows), step))
+    return tuple(steps), work
 
-    # the subtree of dst spanned by the image
-    image_root = f.mapping[src.root]
-    image_leaves = frozenset(f.mapping[l] for l in src.leaves)
+
+def _inner_chain(dst, image_root, image_leaves, image_edges, dst_rows):
+    """The subtree of dst spanned by an image, and the inner faces that
+    contract its edges the image misses, orbit by orbit in canonical edge
+    order: (middle, steps in application order, contracted middle)."""
     for row in dst_rows:
         if row[image_root] != image_root:
             raise NotEquivariant("image root is not fixed")
@@ -427,9 +440,6 @@ def _normal_form(f, src_rows=(), dst_rows=()):
                   [(o, dst.children_of(o)) for o in span_vertex_outs],
                   _checked=True)
 
-    # inner faces: contract the spanned edges missed by the image, orbit
-    # by orbit in canonical edge order
-    image_edges = set(f.mapping.values())
     to_contract = [e for e in middle.canonical_edge_order()
                    if e not in image_edges]
     for row in dst_rows:
@@ -447,21 +457,12 @@ def _normal_form(f, src_rows=(), dst_rows=()):
         cur, face = _contract_edges(cur, orbit)
         inner.append(GeneratorStep("inner", orbit, face))
     inner.reverse()  # list in application order, t2 -> middle
+    return middle, tuple(inner), cur
 
-    # what remains of the map is a renaming; a bijection matching roots
-    # and vertices is a valid edge map, so the test below covers the
-    # validation the constructor would repeat
-    iso = TreeMorphism(work, cur, {e: f.mapping[e] for e in work.edges},
-                       _checked=True)
-    if not iso.is_isomorphism():
-        raise FactorizationError("residual stage is not an isomorphism")
-    for srow, drow in zip(src_rows, dst_rows):
-        if any(iso.mapping[srow[e]] != drow[v]
-               for e, v in iso.mapping.items()):
-            raise NotEquivariant("residual renaming does not commute")
 
-    # outer faces: grow the middle subtree out to the whole target,
-    # rootward first, then leafward by site order
+def _outer_chain(dst, middle, dst_rows):
+    """The outer faces that grow middle out to the whole of dst, rootward
+    first, then leafward by site order."""
     outer = []
     cur = middle
     while cur.edges != dst.edges or set(cur.vertices) != set(dst.vertices):
@@ -495,17 +496,63 @@ def _normal_form(f, src_rows=(), dst_rows=()):
         cur = bigger
     if cur != dst:
         raise FactorizationError("outer growth missed the target")
-
-    return Factorization(tuple(degeneracies), iso, tuple(inner),
-                         tuple(outer))
+    return tuple(outer)
 
 
-def factorize(f):
+def _normal_form(f, src_rows=(), dst_rows=(), memo=None):
+    """The normal form of f in orbit-sized stages, as a Factorization.
+
+    src_rows and dst_rows are the edge permutations of the non-identity
+    group elements on f.src and f.dst, in the same order.  With no rows
+    every orbit is a single edge, which is the plain normal form; only it
+    takes a memo (see `factorize`).
+
+    Raises NotEquivariant when the stages cannot be grouped into orbits or
+    the residual renaming does not commute with the rows.
+    """
+    if memo is not None and (src_rows or dst_rows):
+        raise ValueError("a chain memo serves only the plain normal form")
+    src = f.src
+    degeneracies, work = _chain(memo, _degeneracy_chain, src,
+                                _kernel_classes(f), src_rows)
+    middle, inner, cur = _chain(
+        memo, _inner_chain, f.dst, f.mapping[src.root],
+        frozenset(f.mapping[l] for l in src.leaves),
+        frozenset(f.mapping.values()), dst_rows)
+
+    # what remains of the map is a renaming; a bijection matching roots
+    # and vertices is a valid edge map, so the test below covers the
+    # validation the constructor would repeat
+    iso = TreeMorphism(work, cur, {e: f.mapping[e] for e in work.edges},
+                       _checked=True)
+    if not iso.is_isomorphism():
+        raise FactorizationError("residual stage is not an isomorphism")
+    for srow, drow in zip(src_rows, dst_rows):
+        if any(iso.mapping[srow[e]] != drow[v]
+               for e, v in iso.mapping.items()):
+            raise NotEquivariant("residual renaming does not commute")
+
+    outer = _chain(memo, _outer_chain, f.dst, middle, dst_rows)
+    return Factorization(degeneracies, iso, inner, outer)
+
+
+def factorize(f, memo=None):
     """Normal form: degeneracies, isomorphism, inner faces, outer faces.
 
     Deterministic stage listing: degeneracy chains collapse top-down per
     kernel class (classes by name order); inner faces contract in canonical
     edge order of the middle subtree; outer faces grow rootward first, then
     leafward by site order.
+
+    Without a memo every stage is built afresh; that is the reference
+    path.  A memo is a dict owned by the caller, and the maps factored
+    through it share their stage chains: the degeneracies are built once
+    per (source, kernel classes), the middle subtree and inner faces once
+    per (target, image root, image leaves, image edges), the outer faces
+    once per (target, middle subtree).  Each map still builds and checks
+    its own residual isomorphism, and the checks raise in the same order.
+    The memo holds one entry per distinct key, and its stage objects are
+    shared, so no caller may change them.  The suites keep one memo per
+    pair stride (`pairs._pair_stride`).
     """
-    return _normal_form(f)
+    return _normal_form(f, memo=memo)

@@ -16,20 +16,25 @@ def _workers():
 
 
 def _pair_stride(build, bounds, check, start, step, corpus=None):
-    """Run check over the pair indices start, start + step, ... of an n x n
-    product; a pool worker builds its own corpus from the bounds."""
+    """Run check(corpus, i, j, memo) over the pair indices start,
+    start + step, ... of an n x n product; a pool worker builds its own
+    corpus from the bounds.  memo is one dict for the whole stride, which
+    a check may fill with what its pairs share (`morphisms.factorize`
+    does); it is dropped when the stride returns."""
     if corpus is None:
         corpus = build(*bounds)
+    memo = {}
     counts, failures = [], []
     for k in range(start, len(corpus) ** 2, step):
-        count, bad = check(corpus, *divmod(k, len(corpus)))
+        count, bad = check(corpus, *divmod(k, len(corpus)), memo)
         counts.append(count)
         failures.extend(bad)
     return counts, failures
 
 
 def _run_pairs(build, bounds, check):
-    """Run check(corpus, i, j) over every ordered pair of build(*bounds).
+    """Run check(corpus, i, j, memo) over every ordered pair of
+    build(*bounds), with one memo per stride (see `_pair_stride`).
 
     Worker w of N takes every N-th pair from w, so the heavy pairs at the
     end of the size-sorted corpus are shared out; a corpus is never

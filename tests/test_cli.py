@@ -272,7 +272,7 @@ class TestInjectedFaults:
     def test_factorization_reports_the_map_that_does_not_replay(
             self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "factorize",
-                            lambda f: factorize(identity(f.src)))
+                            lambda f, memo=None: factorize(identity(f.src)))
         code, out, err = run(capsys, "check", "factorization",
                              "--max-edges", "2")
         report = json.loads(out)

@@ -129,6 +129,13 @@ class TestGSetValidation:
         assert a.act(3, "x") == "w"
         assert a.is_transitive()
 
+    def test_equality_is_by_value_not_identity(self):
+        g = cyclic_group(4)
+        a, b = coset_gset(g, (0, 2)), coset_gset(g, (0, 2))
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a == a and a != coset_gset(g, (0,))
+
 
 def check_action_on_all_pairs(group, action, carrier, error):
     """`check_action` with composition checked for every pair (a, b)."""

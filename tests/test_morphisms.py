@@ -1,5 +1,7 @@
 import gc
 import itertools
+import weakref
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,9 @@ from dendron import (
     all_isomorphisms,
 )
 
+from dendron import morphisms
+from dendron.cli import _factorization_pair
+from dendron.pairs import _pair_stride
 from test_trees import random_trees
 
 
@@ -102,6 +107,15 @@ class TestHomSets:
     @settings(max_examples=25, deadline=None)
     def test_identity_found(self, t):
         assert any(f.is_identity() for f in hom_set(t, t))
+
+    def test_linear_trees_give_the_simplex_category(self):
+        # Δ is the full subcategory of Ω on the linear trees, and its maps
+        # [m] -> [n] are the C(m+n+1, m+1) monotone functions; this oracle
+        # shares no code with the validator
+        for m in range(6):
+            for n in range(6):
+                assert len(hom_set(linear_tree(m), linear_tree(n))) == \
+                    comb(m + n + 1, m + 1), (m, n)
 
     def test_order_is_the_sort_signature(self):
         trees = enumerate_all_trees(4)
@@ -276,3 +290,79 @@ class TestFactorize:
             assert m.src == prev
             prev = m.dst
         assert prev == f.dst
+
+
+def stage_view(fact):
+    """Each stage's kind, orbit, source, target and mapping."""
+    steps = [(s.kind, s.orbit, s.morphism) for s in fact.degeneracies]
+    steps.append(("iso", None, fact.iso))
+    steps += [(s.kind, s.orbit, s.morphism)
+              for s in fact.inner_faces + fact.outer_faces]
+    return [(kind, orbit, m.src, m.dst, m.mapping)
+            for kind, orbit, m in steps]
+
+
+def corpus_maps(max_edges):
+    trees = enumerate_all_trees(max_edges)
+    return [f for src in trees for dst in trees for f in hom_set(src, dst)]
+
+
+def memo_disagreements(maps):
+    """Maps whose factorization through one shared memo differs from the
+    reference, or raises."""
+    memo = {}
+    bad = 0
+    for f in maps:
+        try:
+            shared = stage_view(factorize(f, memo))
+        except (MorphismError, KeyError):
+            bad += 1
+            continue
+        bad += shared != stage_view(factorize(f))
+    return bad
+
+
+class TestChainMemo:
+    """factorize with a memo shares its stage chains between maps, and
+    must build exactly the stages of the reference path."""
+
+    def test_memo_matches_the_reference_on_the_c1_corpus(self):
+        maps = corpus_maps(5)
+        assert len(maps) == 13133
+        assert memo_disagreements(maps) == 0
+
+    def test_a_memo_returning_another_keys_chain_is_caught(self,
+                                                           monkeypatch):
+        def wrong_key(memo, build, *args):
+            if memo is None:
+                return build(*args)
+            key = (build, args)
+            if key not in memo:
+                memo[key] = build(*args)
+            return next((v for k, v in memo.items()
+                         if k[0] is build and k != key), memo[key])
+        monkeypatch.setattr(morphisms, "_chain", wrong_key)
+        assert memo_disagreements(corpus_maps(3)) > 0
+
+    def test_rows_refuse_a_memo(self):
+        f = identity(corolla(2))
+        rows = [{e: e for e in f.src.edges}]
+        with pytest.raises(ValueError):
+            morphisms._normal_form(f, rows, rows, memo={})
+
+    def test_the_memo_dies_with_its_pair_stride(self):
+        refs = []
+
+        def check(trees, i, j, memo):
+            for f in hom_set(trees[i], trees[j]):
+                fact = factorize(f, memo)
+                refs.extend(weakref.ref(s) for s in fact.degeneracies
+                            + fact.inner_faces + fact.outer_faces)
+            return _factorization_pair(trees, i, j, memo)
+
+        counts, failures = _pair_stride(enumerate_all_trees, (3,), check,
+                                        0, 1)
+        assert failures == [] and sum(counts) > 0
+        assert refs
+        gc.collect()
+        assert all(r() is None for r in refs)
