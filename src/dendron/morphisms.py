@@ -5,7 +5,8 @@ A map of trees src -> dst is a function on edge sets such that each vertex
 must be a subtree of dst rooted at the image of e0 whose leaf set is exactly
 the images of e1..en, taken pairwise distinct.  The single-edge subtree
 counts its edge as both root and leaf, which is what makes unary collapses
-legal.
+legal.  `hom_set` generates maps from this description directly: each
+vertex takes an ordering of such a leaf set.
 
 Every such map factors as degeneracies, then an isomorphism, then inner
 faces, then outer faces; `factorize` computes that normal form and
@@ -19,6 +20,7 @@ the pairwise suites keep one memo per pair stride.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .trees import Tree, sort_key, spanned_subtree
 
@@ -225,38 +227,41 @@ def collapse_unary(tree, out_edge):
     return smaller, TreeMorphism(tree, smaller, mapping, _checked=True)
 
 
-def _injective_images(pools, used=frozenset()):
-    """Yield one pick from each pool, all picks distinct, in product order."""
-    if not pools:
-        yield ()
-        return
-    for z in pools[0]:
-        if z not in used:
-            for rest in _injective_images(pools[1:], used | {z}):
-                yield (z,) + rest
+def _leaf_sets(tree, y, cuts):
+    """The leaf sets of the subtrees of `tree` rooted at y, as tuples: (y,)
+    itself, then, when y has a vertex, every union of one leaf set per
+    child.  `cuts` memoizes them by root edge for one caller."""
+    out = cuts.get(y)
+    if out is None:
+        out = [(y,)]
+        ins = tree.children_of(y)
+        if ins is not None:
+            unions = [()]
+            for c in ins:
+                unions = [u + s for u in unions
+                          for s in _leaf_sets(tree, c, cuts)]
+            out += unions
+        cuts[y] = out
+    return out
 
 
 def hom_set(src, dst, pins=None):
     """Every map src -> dst, in a deterministic order.
 
-    Backtracking over the full candidate space: the root image ranges over
-    all target edges, each in-edge image over the down-set of its vertex's
-    out-image (order preservation), pruned by in-edge distinctness and the
-    vertex condition as soon as a vertex is fully assigned.  `pins` fixes
+    A map sends each vertex to a subtree of dst, so the images of a
+    vertex's in-edges are exactly the leaf set of a subtree rooted at the
+    image of its out-edge.  The root image ranges over all target edges;
+    the vertices are then placed depth-first, each taking every ordering
+    of every leaf set of its arity below its out-image.  `pins` fixes
     chosen images in advance (used for label-preserving enumeration).
+    The results are sorted by the images of src's canonical edge order.
     """
     pins = pins or {}
     dedges = dst.sorted_edges()
     # source vertices by depth, then name; in-edges in name order
     verts = sorted(((o, [e for e in src.sorted_edges() if e in ins])
                     for o, ins in src.vertices), key=lambda v: src.depth(v[0]))
-    desc = {y: tuple(z for z in dedges if dst.le(z, y)) for y in dedges}
-
-    def candidates(edge, pool):
-        if edge in pins:
-            p = pins[edge]
-            return (p,) if p in pool else ()
-        return pool
+    cuts = {}
 
     # the images a vertex may take depend only on its out-edge's image
     choices = {}
@@ -264,14 +269,16 @@ def hom_set(src, dst, pins=None):
     def vertex_images(i, base):
         key = (i, base)
         if key not in choices:
-            pools = [candidates(e, desc[base]) for e in verts[i][1]]
+            ins = verts[i][1]
             choices[key] = [
-                images for images in _injective_images(pools)
-                if spanned_subtree(dst, base, frozenset(images)) is not None]
+                images for leaves in _leaf_sets(dst, base, cuts)
+                if len(leaves) == len(ins)
+                for images in permutations(leaves)
+                if all(pins.get(e, z) == z for e, z in zip(ins, images))]
         return choices[key]
 
     results = []
-    for r in candidates(src.root, dedges):
+    for r in (x for x in dedges if pins.get(src.root, x) == x):
         assignment = {src.root: r}
         if not verts:
             results.append(TreeMorphism(src, dst, assignment, _checked=True))

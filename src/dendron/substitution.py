@@ -176,9 +176,6 @@ class GrothTreeMorphism:
     def __repr__(self):
         return f"<GrothTreeMorphism {self.phi!r} with {self.fiber!r}>"
 
-    def sort_signature(self):
-        return (self.phi.sort_signature(), self.fiber.sort_signature())
-
 
 def groth_identity(labeled):
     """The identity pair: identity pointed map with the tau_id fiber."""

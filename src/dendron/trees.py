@@ -201,6 +201,8 @@ class Tree:
     # --- identity --------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Tree):
             return NotImplemented
         return (self.root == other.root and self.edges == other.edges

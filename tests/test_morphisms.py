@@ -11,7 +11,8 @@ from dendron import (
     VertexConditionFails, NotInnerEdge, MorphismError, identity, compose,
     contract_edge, split_edge, collapse_unary, hom_set, factorize,
     single_edge, corolla, linear_tree, canonical_form, enumerate_all_trees,
-    all_isomorphisms,
+    all_isomorphisms, canonical_labeling, hom_labeled, is_label_preserving,
+    spanned_subtree,
 )
 
 from dendron import morphisms
@@ -31,6 +32,28 @@ def brute_force_homs(src, dst):
         except MorphismError:
             pass
     return found
+
+
+def oracle_disagreements(trees):
+    """Pairs of `trees` on which hom_set and the brute force differ, as
+    ordered lists of maps (the brute force in hom_set's sort order)."""
+    bad = 0
+    for src in trees:
+        for dst in trees:
+            fast = [f.mapping for f in hom_set(src, dst)]
+            slow = [f.mapping for f in sorted(brute_force_homs(src, dst),
+                                              key=TreeMorphism.sort_signature)]
+            bad += fast != slow
+    return bad
+
+
+def lax_spanned_subtree(tree, root_edge, leaf_set):
+    """Mutant: a demanded edge below another demanded edge passes as a
+    leaf, so an inner edge of the subtree is accepted among its leaves."""
+    leaf_set = frozenset(leaf_set)
+    tops = {e for e in leaf_set
+            if not any(l != e and tree.le(l, e) for l in leaf_set)}
+    return spanned_subtree(tree, root_edge, tops)
 
 
 class TestValidate:
@@ -91,6 +114,29 @@ class TestHomSets:
                 assert sorted(f.sort_signature() for f in fast) == \
                     sorted(f.sort_signature() for f in slow), (src, dst)
                 assert len(fast) == len(set(fast))
+
+    def test_matches_brute_force_at_four_edges(self):
+        assert oracle_disagreements(enumerate_all_trees(4)) == 0
+
+    def test_oracle_kills_a_lax_vertex_condition(self, monkeypatch):
+        # the validator alone reads the mutant: hom_set builds its images
+        # from the target's leaf sets, not through spanned_subtree
+        monkeypatch.setattr(morphisms, "spanned_subtree", lax_spanned_subtree)
+        assert oracle_disagreements(enumerate_all_trees(4)) > 0
+
+    def test_labeled_matches_filtered_brute_force(self):
+        trees = [canonical_labeling(t) for t in enumerate_all_trees(4)]
+        total = 0
+        for src in trees:
+            for dst in trees:
+                fast = [f.mapping for f in hom_labeled(src, dst)]
+                slow = [f.mapping for f in sorted(
+                    brute_force_homs(src.tree, dst.tree),
+                    key=TreeMorphism.sort_signature)
+                    if is_label_preserving(f, src, dst)]
+                assert fast == slow, (src, dst)
+                total += len(fast)
+        assert total == 336
 
     def test_deterministic_order(self):
         a = [f.mapping for f in hom_set(corolla(2), corolla(3))]

@@ -36,6 +36,13 @@ class TestValidation:
         assert t.root == "e"
         assert t.children_of("e") is None
 
+    def test_equality_is_by_value_not_identity(self):
+        a = Tree(["r", "a", "b"], "r", [("r", ["a", "b"]), ("a", [])])
+        b = Tree(["b", "a", "r"], "r", [("a", []), ("r", ["b", "a"])])
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a == a and not a != a and a != corolla(2)
+
     def test_stump_has_no_leaves(self):
         t = corolla(0)
         assert t.leaves == ()
