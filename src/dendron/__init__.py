@@ -5,8 +5,7 @@ from .trees import (
     Disconnected, Cyclic, SiteNotLeafOrRoot, canonical_form,
     single_edge, corolla, linear_tree, relabel, relabel_canonical,
     all_isomorphisms, are_isomorphic, spanned_subtree, graft,
-    enumerate_trees, enumerate_all_trees, tree_to_json, tree_from_json,
-    tree_to_dot, sort_key,
+    enumerate_all_trees, tree_to_json, tree_from_json, sort_key,
 )
 from .morphisms import (
     MorphismError, SourceTargetMismatch, NotMonotone, VertexConditionFails,
@@ -49,7 +48,7 @@ from .gtrees import (
 )
 from .forests import (
     ForestError, ActionNotFunctorial, ComponentIsoInvalid, ForestMorphism,
-    GForest, gtree_to_gforest, is_genuine, is_equivariant_forest_morphism,
+    GForest, is_genuine, is_equivariant_forest_morphism,
     forest_hom, subgroup_group, coset_groupoid, bh_to_coset_groupoid,
     diagram_from_gtree, DiagramMorphism, diagram_hom, RetractiveGSet,
     RetractiveMap, enumerate_retractive_maps, fiber_pointed_map,

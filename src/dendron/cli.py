@@ -1,11 +1,11 @@
-"""Command line front end: enumeration, verification suites, DOT export.
+"""Command line front end: the verification suites of `dendron check`.
 
 Exit codes: 0 all checks pass, 1 a check failed (counterexample in the
-report), 2 a usage error or outside input that cannot be used (a
-document, a group name or file, an output path).  A fault raised inside
-a suite is a program error and propagates as a traceback.  Reports are
-JSON with sorted keys and record the exact bounds used, so reruns
-produce identical bytes.  The DENDRON_WORKERS environment variable caps
+report), 2 a usage error or outside input that cannot be used (a group
+name, a group file, an output path).  A fault raised inside a suite is a
+program error and propagates as a traceback.  Reports are JSON with
+sorted keys and record the exact bounds used, so reruns produce
+identical bytes.  The DENDRON_WORKERS environment variable caps
 worker processes, at most one per CPU, for the four pairwise suites
 (factorization, equivalence, equivariant, genuine; only coherence runs in
 one process); results are merged in a fixed order, so the worker count
@@ -18,39 +18,36 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
-from .trees import (enumerate_trees, enumerate_all_trees,
-                    tree_to_json, tree_from_json, tree_to_dot)
+from .trees import enumerate_all_trees
 from .morphisms import hom_set, factorize
 from .labels import canonical_labeling
 from .substitution import (groth_hom, F_functor, lift_morphism,
                            tree_oplax_data)
 from .oplax import check_all_coherence
-from .groups import GSet, group_from_ref, subgroups
+from .groups import group_from_ref, subgroups
 from .gtrees import (GLabeledTree, NotEquivariant, enumerate_gtrees,
                      is_equivariant_morphism, equivariant_factorize,
                      groth_hom_G, lift_G)
-from .forests import (bh_to_coset_groupoid, gforest_from_json,
-                      genuine_equivalence_check)
+from .forests import bh_to_coset_groupoid, genuine_equivalence_check
 from .pairs import _run_pairs
-
-PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910",
-           "#148f77", "#884ea0", "#2e4053", "#a04000", "#5d6d7e",
-           "#7d6608", "#633974")
-
-
-def _write_atomic(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _emit(report, output):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if output:
-        _write_atomic(output, text)
+        # a reader never sees half a report, and a failed write leaves
+        # no temp file behind
+        tmp = f"{output}.tmp.{os.getpid()}"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, output)
+        except BaseException:
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
     else:
         sys.stdout.write(text)
     summary = "pass" if report["ok"] else "FAIL"
@@ -230,7 +227,7 @@ SUITES = {"factorization": (suite_factorization, ("max_edges",)),
 # -- outside input ----------------------------------------------------------
 
 class InputError(Exception):
-    """Outside input that cannot be used: a document, a group name or file."""
+    """Outside input that cannot be used: a group name or a group file."""
 
 
 @contextmanager
@@ -243,76 +240,13 @@ def _reading():
         raise InputError(exc) from exc
 
 
-def _json_file(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_group(ref):
     """The group --group names: a builtin name or a group JSON file."""
     with _reading():
-        return group_from_ref(_json_file(ref) if os.path.exists(ref)
-                              else ref)
-
-
-# -- DOT export -------------------------------------------------------------
-
-def _forest_edge_orbits(gforest):
-    """Orbits of (index, edge) pairs under the forest's action."""
-    pairs = [(i, e) for i, t in gforest.trees.items() for e in t.edges]
-    rows = {g: {(i, e): (gforest.base.act(g, i), gforest.isos[(g, i)][e])
-                for i, e in pairs}
-            for g in gforest.group.elements}
-    return [o.members for o in GSet(gforest.group, pairs, rows).orbits()]
-
-
-def forest_to_dot(gforest, color_orbits=False):
-    """One digraph per tree, in index order; orbit coloring spans trees."""
-    colors = {}
-    if color_orbits:
-        for k, orbit in enumerate(_forest_edge_orbits(gforest)):
-            for pair in orbit:
-                colors[pair] = PALETTE[k % len(PALETTE)]
-    out = []
-    for k, i in enumerate(gforest.base.elements):
-        per_tree = {e: c for (j, e), c in colors.items() if j == i}
-        out.append(tree_to_dot(gforest.trees[i], per_tree or None,
-                               name=f"tree{k}"))
-    return "".join(out)
-
-
-def cmd_export_dot(args):
-    with _reading():
-        data = _json_file(args.file)
-        forest = isinstance(data, dict) and \
-            {"group", "components", "action", "isos"} <= set(data)
-        doc = (gforest_from_json if forest else tree_from_json)(data)
-    if forest:
-        text = forest_to_dot(doc, color_orbits=args.color_orbits)
-    else:
-        colors = None
-        if args.color_orbits:
-            order = doc.canonical_edge_order()
-            colors = {e: PALETTE[k % len(PALETTE)]
-                      for k, e in enumerate(order)}
-        text = tree_to_dot(doc, colors)
-    if args.output:
-        _write_atomic(args.output, text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-# -- enumeration ------------------------------------------------------------
-
-def cmd_enumerate(args):
-    trees = enumerate_trees(args.leaves, args.max_vertices)
-    if args.output:
-        docs = [tree_to_json(t) for t in trees]
-        _write_atomic(args.output,
-                      json.dumps(docs, indent=2, sort_keys=True) + "\n")
-    print(len(trees))
-    return 0
+        if os.path.exists(ref):
+            with open(ref) as fh:
+                return group_from_ref(json.load(fh))
+        return group_from_ref(ref)
 
 
 def cmd_check(args):
@@ -334,16 +268,10 @@ def _int_from(low):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dendron",
-        description="Enumerate operadic trees, verify the category's "
-                    "theorems on small instances, and export DOT drawings.")
+        description="Verify the equivalences of categories for trees, "
+                    "G-trees and genuine G-trees on small instances, by "
+                    "comparing hom-sets exhaustively.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    en = sub.add_parser("enumerate",
-                        help="count (and optionally write) canonical trees")
-    en.add_argument("--leaves", type=_int_from(0), required=True)
-    en.add_argument("--max-vertices", type=_int_from(0), required=True)
-    en.add_argument("--output", help="write the trees as JSON to this path")
-    en.set_defaults(run=cmd_enumerate, parser=en)
 
     bound_flags = {
         "max_edges": dict(type=_int_from(1), default=4,
@@ -365,13 +293,6 @@ def build_parser():
         sp.add_argument("--output", help="write the JSON report to this path")
         sp.set_defaults(run=cmd_check, parser=sp)
 
-    ex = sub.add_parser("export-dot",
-                        help="render a tree or forest JSON file as DOT")
-    ex.add_argument("file")
-    ex.add_argument("--color-orbits", action="store_true",
-                    help="color edges by their orbit under the group action")
-    ex.add_argument("--output", help="write DOT here instead of stdout")
-    ex.set_defaults(run=cmd_export_dot, parser=ex)
     return parser
 
 

@@ -28,7 +28,7 @@ from .oplax import FiniteCategory, FcFunctor, group_category, \
     check_equivalence
 from .groups import FiniteGroup, GSet, GSetError, GroupError, \
     check_action, coset_gset, equivariant_maps, group_from_ref, \
-    is_equivariant, maps_by_orbit_reps, subgroup_class_reps, trivial_gset
+    is_equivariant, maps_by_orbit_reps, subgroup_class_reps
 from .gtrees import NotEquivariant, enumerate_gtrees
 from .pairs import _run_pairs
 
@@ -83,13 +83,6 @@ class GForest:
                              for g in group.elements},
                      pairs, ActionNotFunctorial)
 
-    @classmethod
-    def trivial(cls, trees, group):
-        """The trees, each fixed by every element."""
-        return cls(trivial_gset(group, trees), trees,
-                   {(g, i): {e: e for e in t.edges}
-                    for g in group.elements for i, t in trees.items()})
-
     def __eq__(self, other):
         if not isinstance(other, GForest):
             return NotImplemented
@@ -133,11 +126,6 @@ class ForestMorphism:
             if f.src != src.trees[i] or f.dst != dst.trees[j]:
                 raise ForestError(f"component map {i!r} has wrong endpoints")
 
-    def is_identity(self):
-        return (self.src == self.dst
-                and all(i == j for i, j in self.index_map.items())
-                and all(f.is_identity() for f in self.components.values()))
-
     def __eq__(self, other):
         if not isinstance(other, ForestMorphism):
             return NotImplemented
@@ -153,12 +141,6 @@ class ForestMorphism:
 
     def __repr__(self):
         return f"<{type(self).__name__} over {len(self.components)} indices>"
-
-
-def gtree_to_gforest(gtree):
-    """A single-tree forest out of a tree with an action."""
-    return GForest(trivial_gset(gtree.group, (0,)), {0: gtree.tree},
-                   {(g, 0): gtree.action[g] for g in gtree.group.elements})
 
 
 def is_genuine(gforest):
@@ -436,10 +418,6 @@ class RetractiveMap:
         if not is_equivariant(src.group, self.mapping, src.carrier.act,
                               dst.carrier.act):
             raise NotEquivariant("retractive map is not equivariant")
-
-    def is_identity(self):
-        return (self.src == self.dst
-                and all(v == k for k, v in self.mapping.items()))
 
     def __eq__(self, other):
         if not isinstance(other, RetractiveMap):

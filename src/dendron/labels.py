@@ -35,10 +35,6 @@ class LabeledTree:
         self.label_set = tuple(sorted(self.labels, key=sort_key))
         self._hash = None
 
-    @property
-    def n(self):
-        return len(self.label_set)
-
     def leaf_of(self, label):
         return self.labels[label]
 
@@ -53,7 +49,7 @@ class LabeledTree:
         return self._hash
 
     def __repr__(self):
-        return f"<LabeledTree {self.n} labels on {self.tree!r}>"
+        return f"<LabeledTree {len(self.label_set)} labels on {self.tree!r}>"
 
 
 def canonical_labeling(tree):
@@ -93,10 +89,6 @@ class PointedMap:
         if label == PLUS:
             return PLUS
         return self.mapping[label]
-
-    def is_identity(self):
-        return (self.src_labels == self.dst_labels
-                and all(v == k for k, v in self.mapping.items()))
 
     def __eq__(self, other):
         if not isinstance(other, PointedMap):

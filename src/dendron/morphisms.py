@@ -76,10 +76,6 @@ class TreeMorphism:
     def __repr__(self):
         return f"<TreeMorphism {len(self.src.edges)}->{len(self.dst.edges)} edges>"
 
-    def is_identity(self):
-        return (self.src == self.dst
-                and all(v == k for k, v in self.mapping.items()))
-
     def is_injective(self):
         return len(set(self.mapping.values())) == len(self.mapping)
 
@@ -94,13 +90,6 @@ class TreeMorphism:
         image_vs = {(self.mapping[o], frozenset(self.mapping[e] for e in ins))
                     for o, ins in self.src.vertices}
         return image_vs == set(self.dst.vertices)
-
-    def inverse(self):
-        if not self.is_isomorphism():
-            raise MorphismError("only isomorphisms invert")
-        return TreeMorphism(self.dst, self.src,
-                            {v: k for k, v in self.mapping.items()},
-                            _checked=True)
 
     def sort_signature(self):
         """Deterministic ordering key within a hom-set."""

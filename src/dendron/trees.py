@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 
 
 class TreeError(ValueError):
@@ -458,46 +457,14 @@ def graft(tree, site, arity, below=None):
     return bigger, {e: e for e in tree.edges}
 
 
-def enumerate_trees(leaf_count, max_vertices):
-    """All isomorphism classes with exactly `leaf_count` leaves and at most
-    `max_vertices` vertices, as canonically named trees.
-
-    Closure under leaf grafting from the edge-only tree reaches every class:
-    peeling off an uppermost vertex is the inverse move.
-    """
-    if leaf_count < 0 or max_vertices < 0:
-        return []
-    start = single_edge("e0")
-    seen = {canonical_form(start): start}
-    frontier = [start]
-    while frontier:
-        tree = frontier.pop()
-        nv = len(tree.vertices)
-        if nv >= max_vertices:
-            continue
-        budget = max_vertices - nv - 1
-        max_arity = leaf_count + budget + 1 - len(tree.leaves)
-        for site in tree.leaves:
-            for arity in range(0, max(max_arity, 0) + 1):
-                bigger, _ = graft(tree, site, arity)
-                if len(bigger.leaves) - budget > leaf_count:
-                    continue
-                key = canonical_form(bigger)
-                if key not in seen:
-                    seen[key] = bigger
-                    frontier.append(bigger)
-    found = [t for t in seen.values() if len(t.leaves) == leaf_count]
-    found.sort(key=lambda t: (len(t.vertices), canonical_form(t)))
-    return [relabel_canonical(t) for t in found]
-
-
 def enumerate_all_trees(max_edges):
     """All isomorphism classes with at most `max_edges` edges, as
     canonically named trees ordered by edge count, then canonical code.
 
-    One closure under leaf grafting from the edge-only tree, as in
-    `enumerate_trees`; a graft never removes edges, so arities stop at
-    the remaining edge budget (zero, a stump, always fits).
+    One closure under leaf grafting from the edge-only tree, which reaches
+    every class: peeling off an uppermost vertex is the inverse move.  A
+    graft never removes edges, so arities stop at the remaining edge
+    budget (zero, a stump, always fits).
     """
     if max_edges < 1:
         return []
@@ -565,33 +532,3 @@ def tree_from_json(data):
     if any(len(set(ins)) != len(ins) for _, ins in vertices):
         raise MultipleParents("repeated in-edge in document")
     return Tree(edges, root, vertices)
-
-
-def tree_to_dot(tree, edge_colors=None, name="tree"):
-    """Graphviz rendering: one node per vertex, stub nodes for the root and
-    each leaf, arrows running toward the root."""
-    order = tree.canonical_edge_order()
-    idx = {e: i for i, e in enumerate(order)}
-    node_of = {}
-    lines = [f"digraph {json.dumps(name)} {{", "  rankdir=BT;",
-             '  node [shape=point, width=0.12];']
-    lines.append('  root [shape=plaintext, label="root"];')
-    for e in order:
-        if tree.is_leaf(e):
-            nid = f"leaf{idx[e]}"
-            lines.append(f'  {nid} [shape=plaintext, label={json.dumps(str(e))}];')
-    for i, (o, _ins) in enumerate(tree.vertices):
-        node_of[o] = f"v{idx[o]}"
-    for o, _ins in tree.vertices:
-        lines.append(f"  {node_of[o]};")
-    for e in order:
-        top = node_of[e] if e in node_of else f"leaf{idx[e]}"
-        below = tree.parent_of(e)
-        bottom = "root" if below is None else node_of[below]
-        attrs = [f"label={json.dumps(str(e))}"]
-        if edge_colors and e in edge_colors:
-            attrs.append(f"color={json.dumps(edge_colors[e])}")
-            attrs.append(f"fontcolor={json.dumps(edge_colors[e])}")
-        lines.append(f'  {top} -> {bottom} [{", ".join(attrs)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ import copy
 import hashlib
 import json
 import os
-import re
+import pathlib
 import subprocess
 import sys
 import time
@@ -13,11 +13,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
-                     tree_from_json, gtree_to_gforest,
-                     z4_orbit_contraction_sample, enumerate_gtrees,
+                     tree_from_json, enumerate_gtrees,
                      is_equivariant_morphism, TreeMorphism, identity,
                      factorize, builtin_group, enumerate_genuine_diagrams,
-                     gforest_to_json, enumerate_all_trees,
+                     gforest_to_json, gforest_from_json, enumerate_all_trees,
                      BUILTIN_GROUPS, DanglingEdge)
 from dendron import cli, forests, morphisms
 from dendron.cli import main, SUITES
@@ -37,27 +36,6 @@ def run_module(*argv, **env):
     env = {**os.environ, "PYTHONPATH": src, "DENDRON_WORKERS": "1", **env}
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
-
-
-class TestEnumerate:
-    def test_one_binary_corolla(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--leaves", "2",
-                           "--max-vertices", "1")
-        assert code == 0 and out.strip() == "1"
-
-    def test_one_bare_edge(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--leaves", "1",
-                           "--max-vertices", "0")
-        assert code == 0 and out.strip() == "1"
-
-    def test_written_trees_parse_back(self, capsys, tmp_path):
-        path = tmp_path / "trees.json"
-        code, out, _ = run(capsys, "enumerate", "--leaves", "2",
-                           "--max-vertices", "2", "--output", str(path))
-        docs = json.loads(path.read_text())
-        assert code == 0 and int(out.strip()) == len(docs)
-        for doc in docs:
-            assert tree_from_json(doc).edges
 
 
 class TestCheckSuites:
@@ -171,6 +149,19 @@ class TestCheckSuites:
         bh = report["one_object_groupoid_equivalences"]
         assert set(bh) == groupoids and all(bh.values())
         assert elapsed < budget, f"{group} genuine took {elapsed:.1f}s"
+
+    @pytest.mark.parametrize("name", ["v4", "q8"])
+    def test_groups_past_s3(self, capsys, name):
+        # no tree with at most 4 edges has Q8 among its automorphisms, so
+        # every Q8 action on one factors through the quotient V4 and the
+        # two groups give the same counts
+        path = pathlib.Path(__file__).parent / "groups" / f"{name}.json"
+        code, out, _ = run(capsys, "check", "equivariant",
+                           "--group", str(path), "--max-edges", "4")
+        report = json.loads(out)
+        assert code == 0 and report["ok"]
+        assert (report["trees"], report["plain_homs"]) == (46, 4637)
+        assert report["equivariant_homs"] == report["groth_homs"] == 1865
 
     def test_group_file_input(self, capsys, tmp_path):
         path = tmp_path / "z3.json"
@@ -353,84 +344,6 @@ class TestInjectedFaults:
         assert set(ce["map"].values()) <= set(map(str, y.base.elements))
 
 
-class TestExportDot:
-    def test_bare_edge_renders_two_stubs(self, capsys, tmp_path):
-        path = tmp_path / "eta.json"
-        path.write_text(json.dumps(tree_to_json(single_edge("e"))))
-        code, out, _ = run(capsys, "export-dot", str(path))
-        assert code == 0
-        assert out.count("plaintext") == 2
-        assert out.count("->") == 1
-
-    def test_orbit_coloring_groups_the_action_classes(self, capsys,
-                                                      tmp_path):
-        sample = z4_orbit_contraction_sample()
-        gf = gtree_to_gforest(sample.big.gtree)
-        path = tmp_path / "z4.json"
-        path.write_text(json.dumps(gforest_to_json(gf, group_ref="z4")))
-        code, out, _ = run(capsys, "export-dot", str(path),
-                           "--color-orbits")
-        assert code == 0
-        classes = {}
-        for line in out.splitlines():
-            m = re.search(r'label="([^"]+)", color="([^"]+)"', line)
-            if m:
-                classes.setdefault(m.group(2), set()).add(m.group(1))
-        assert sorted(map(sorted, classes.values())) == [
-            ["-c", "-ic", "c", "ic"], ["a", "ia"], ["b"],
-            ["d", "id"], ["e"], ["r"]]
-
-    @staticmethod
-    def z2_forest(edges, isos):
-        """A one-component Z/2 forest document whose root carries the other
-        edges; isos are the iso of the non-identity element."""
-        return {"group": "z2", "components": [
-            {"edges": edges, "root": edges[0],
-             "vertices": [{"out": edges[0], "in": edges[1:]}]}],
-            "action": {"0": [0], "1": [0]},
-            "isos": {"0": [{str(e): e for e in edges}], "1": [isos]}}
-
-    def test_integer_edge_names_read_back(self, capsys, tmp_path):
-        path = tmp_path / "ints.json"
-        path.write_text(json.dumps(self.z2_forest([0, 1], {"0": 0, "1": 1})))
-        code, out, _ = run(capsys, "export-dot", str(path))
-        assert code == 0 and out.startswith("digraph")
-
-    @pytest.mark.parametrize("edges,isos", [
-        ([0, 1], {"0": 0, "7": 1}),
-        ([0, 1, "1"], {"0": 0, "1": 1})])
-    def test_iso_key_must_name_one_edge(self, capsys, tmp_path, edges,
-                                        isos):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(self.z2_forest(edges, isos)))
-        code, _, err = run(capsys, "export-dot", str(path))
-        assert code == 2 and err.startswith("error:")
-        assert "exactly one edge" in err
-        assert len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("alias", [None, "01", "١"])
-    def test_one_key_per_element(self, capsys, tmp_path, alias):
-        # the "1" row is no isomorphism; a valid row under another
-        # spelling of 1 must not replace it
-        doc = self.z2_forest(["r", "a", "b"], {"r": "r", "a": "a", "b": "a"})
-        if alias is not None:
-            doc["isos"][alias] = [{"r": "r", "a": "a", "b": "b"}]
-        path = tmp_path / "alias.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "export-dot", str(path))
-        assert code == 2 and err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1
-
-    def test_export_is_deterministic(self, capsys, tmp_path):
-        sample = z4_orbit_contraction_sample()
-        gf = gtree_to_gforest(sample.big.gtree)
-        path = tmp_path / "z4.json"
-        path.write_text(json.dumps(gforest_to_json(gf, group_ref="z4")))
-        first = run(capsys, "export-dot", str(path), "--color-orbits")[1]
-        second = run(capsys, "export-dot", str(path), "--color-orbits")[1]
-        assert first == second
-
-
 @lru_cache(maxsize=None)
 def _forest_docs():
     """Documents of small coset diagrams."""
@@ -511,15 +424,21 @@ def _mutated_group_docs(draw):
     return doc
 
 
+def _assert_reads_or_rejects(reader, doc):
+    """The document, as a file would give it, reads; or the reader rejects
+    it with a ValueError, which `cli._reading` turns into exit 2.  Any
+    other exception fails the test."""
+    try:
+        reader(json.loads(json.dumps(doc)))
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+
+
 class TestForestFuzz:
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, deadline=None)
     @given(_mutated_forest_docs())
-    def test_mutated_forests_exit_cleanly(self, capsys, tmp_path, doc):
-        path = tmp_path / "forest.json"
-        path.write_text(json.dumps(doc))
-        _assert_clean_exit(*run(capsys, "export-dot", str(path),
-                                "--color-orbits"), "digraph")
+    def test_mutated_forests_exit_cleanly(self, doc):
+        _assert_reads_or_rejects(gforest_from_json, doc)
 
 
 def _assert_clean_exit(code, out, err, head):
@@ -545,17 +464,69 @@ MISREAD_TREES = [
 
 
 class TestTreeFuzz:
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, deadline=None)
     @given(_mutated_tree_docs())
     @example(MISREAD_TREES[0])
     @example(MISREAD_TREES[1])
     @example(MISREAD_TREES[2])
     @example(MISREAD_TREES[3])
-    def test_mutated_trees_exit_cleanly(self, capsys, tmp_path, doc):
-        path = tmp_path / "tree.json"
-        path.write_text(json.dumps(doc))
-        _assert_clean_exit(*run(capsys, "export-dot", str(path)), "digraph")
+    def test_mutated_trees_exit_cleanly(self, doc):
+        _assert_reads_or_rejects(tree_from_json, doc)
+
+
+class TestDocuments:
+    """The tree and forest readers reject what they cannot read with a
+    ValueError: one line, which `cli._reading` turns into exit 2."""
+
+    @staticmethod
+    def z2_forest(edges, isos):
+        """A one-component Z/2 forest document whose root carries the other
+        edges; isos are the iso of the non-identity element."""
+        return {"group": "z2", "components": [
+            {"edges": edges, "root": edges[0],
+             "vertices": [{"out": edges[0], "in": edges[1:]}]}],
+            "action": {"0": [0], "1": [0]},
+            "isos": {"0": [{str(e): e for e in edges}], "1": [isos]}}
+
+    def test_integer_edge_names_read_back(self):
+        doc = self.z2_forest([0, 1], {"0": 0, "1": 1})
+        forest = gforest_from_json(json.loads(json.dumps(doc)))
+        assert forest.trees[0].edges == {0, 1}
+        assert forest.isos[(1, 0)] == {0: 0, 1: 1}
+
+    @pytest.mark.parametrize("edges,isos", [
+        ([0, 1], {"0": 0, "7": 1}),
+        ([0, 1, "1"], {"0": 0, "1": 1})])
+    def test_iso_key_must_name_one_edge(self, edges, isos):
+        doc = json.loads(json.dumps(self.z2_forest(edges, isos)))
+        with pytest.raises(ValueError, match="exactly one edge"):
+            gforest_from_json(doc)
+
+    @pytest.mark.parametrize("alias", [None, "01", "\u0661"])
+    def test_one_key_per_element(self, alias):
+        # the "1" row is no isomorphism; a valid row under another
+        # spelling of 1 must not replace it
+        doc = self.z2_forest(["r", "a", "b"], {"r": "r", "a": "a", "b": "a"})
+        if alias is not None:
+            doc["isos"][alias] = [{"r": "r", "a": "a", "b": "b"}]
+        with pytest.raises(ValueError):
+            gforest_from_json(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("reader, doc", [
+        (gforest_from_json,
+         {"group": "z2", "components": [tree_to_json(single_edge("e"))],
+          "action": {"x": [0]}, "isos": {"0": [{"e": "e"}]}}),
+        (gforest_from_json,
+         {"group": "z2", "components": [tree_to_json(single_edge("e"))],
+          "action": {"0": [0], "1" * 5000: [0]},
+          "isos": {"0": [{"e": "e"}], "1": [{"e": "e"}]}}),
+        *((tree_from_json, doc) for doc in [
+            {"edges": [["x"]], "root": "x", "vertices": []},
+            *MISREAD_TREES])])
+    def test_malformed_document_is_a_value_error(self, reader, doc):
+        with pytest.raises(ValueError) as exc:
+            reader(json.loads(json.dumps(doc)))
+        assert "\n" not in str(exc.value)
 
 
 class TestGroupFuzz:
@@ -577,10 +548,31 @@ class TestExitCodes:
             main(["check", "nonsense"])
         assert exc.value.code == 2
 
-    def test_missing_file_is_an_io_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "export-dot",
-                           str(tmp_path / "missing.json"))
-        assert code == 2 and "error:" in err
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--leaves", "2", "--max-vertices", "1"],
+        ["export-dot", "tree.json"]], ids=["enumerate", "export-dot"])
+    def test_check_is_the_only_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_output_in_a_missing_directory_is_an_io_error(self, capsys,
+                                                          tmp_path):
+        code, _, err = run(capsys, "check", "factorization", "--max-edges",
+                           "1", "--output", str(tmp_path / "no" / "r.json"))
+        assert code == 2 and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_onto_a_directory_leaves_no_file(self, capsys, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        code, _, err = run(capsys, "check", "factorization", "--max-edges",
+                           "1", "--output", str(target))
+        assert code == 2 and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
     def test_unknown_group_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "equivariant",
@@ -606,29 +598,12 @@ class TestExitCodes:
         assert code == 2 and err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("doc", [
-        {"group": "z2", "components": [tree_to_json(single_edge("e"))],
-         "action": {"x": [0]}, "isos": {"0": [{"e": "e"}]}},
-        {"group": "z2", "components": [tree_to_json(single_edge("e"))],
-         "action": {"0": [0], "1" * 5000: [0]},
-         "isos": {"0": [{"e": "e"}], "1": [{"e": "e"}]}},
-        {"edges": [["x"]], "root": "x", "vertices": []}, *MISREAD_TREES])
-    def test_malformed_dot_input_is_a_usage_error(self, capsys, tmp_path,
-                                                  doc):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "export-dot", str(path))
-        assert code == 2 and err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1
-
     @pytest.mark.parametrize("argv", [
         ["check", "factorization", "--max-edges", "0"],
         ["check", "factorization", "--max-edges", "-2"],
         ["check", "coherence", "--max-size", "-1"],
         ["check", "coherence", "--probe-edges", "0"],
-        ["check", "equivariant", "--per-stratum", "0"],
-        ["enumerate", "--leaves", "-3", "--max-vertices", "1"],
-        ["enumerate", "--leaves", "1", "--max-vertices", "-1"]])
+        ["check", "equivariant", "--per-stratum", "0"]])
     def test_vacuous_bounds_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -683,10 +658,7 @@ class TestSuiteFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, argv", [
-        ("check factorization", ["--max-edges", "1", "--group", "x"]),
-        ("enumerate", ["--leaves", "1", "--max-vertices", "1", "--group",
-                       "x"]),
-        ("export-dot", ["tree.json", "--group", "x"])])
+        ("check factorization", ["--max-edges", "1", "--group", "x"])])
     def test_a_stray_flag_gets_the_commands_own_usage(self, capsys, command,
                                                        argv):
         with pytest.raises(SystemExit) as exc:

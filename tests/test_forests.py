@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dendron import forests
 from dendron import (
     ForestMorphism, GForest, ForestError, ActionNotFunctorial,
-    ComponentIsoInvalid, gtree_to_gforest, is_genuine,
+    ComponentIsoInvalid, is_genuine,
     is_equivariant_forest_morphism, forest_hom, subgroup_group,
     coset_groupoid, bh_to_coset_groupoid, diagram_from_gtree,
     DiagramMorphism, diagram_hom, RetractiveGSet,
@@ -17,7 +17,8 @@ from dendron import (
     q_star_diagram, q_star_diagram_morphism, q_star_genuine,
     q_star_genuine_morphism, q_star_compare, enumerate_genuine_diagrams,
     genuine_equivalence_check, gforest_to_json, gforest_from_json, corolla,
-    single_edge, linear_tree, are_isomorphic, hom_set, identity, compose,
+    single_edge, linear_tree, are_isomorphic, canonical_form, hom_set,
+    identity, compose,
     LabeledTree, phi_star, groth_hom, GTree, GLabeledTree, enumerate_gtrees,
     equivariant_hom, groth_hom_G, cyclic_group, symmetric_group_3,
     trivial_group, subgroups, coset_gset, equivariant_maps, transitive_gsets,
@@ -56,7 +57,10 @@ def swap_gforest(t):
 
 def trivial_gforest(trees, group):
     """The trees at indices 0..n-1, each fixed by every element."""
-    return GForest.trivial(dict(enumerate(trees)), group)
+    return rows_gforest(group, trees,
+                        {g: tuple(range(len(trees))) for g in group.elements},
+                        {(g, i): ident_edges(t) for g in group.elements
+                         for i, t in enumerate(trees)})
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +95,11 @@ def identity_coset_fiber(ret):
     rows = {i: {x: ret.carrier.act(h, x) for x in fib}
             for i, h in enumerate(elems)}
     return GSet(hgrp, fib, rows)
+
+
+def identity_forest_map(f):
+    return ForestMorphism(f, f, {i: i for i in f.trees},
+                          {i: identity(t) for i, t in f.trees.items()})
 
 
 def identity_retractive_map(ret):
@@ -133,9 +142,7 @@ class TestForestBasics:
 
     def test_identity_composes_to_itself(self):
         f = trivial_gforest([corolla(2), corolla(3)], TRIV)
-        ide = ForestMorphism(f, f, {i: i for i in f.trees},
-                             {i: identity(t) for i, t in f.trees.items()})
-        assert ide.is_identity()
+        ide = identity_forest_map(f)
         assert compose_forest_maps(ide, ide) == ide
 
     def test_bad_index_map_rejected(self):
@@ -201,11 +208,6 @@ class TestGForestValidation:
                          {(0, 0): ident_edges(t), (0, 1): ident_edges(t),
                      (1, 0): swap, (1, 1): ident_edges(t)})
 
-    def test_gtree_becomes_one_component(self):
-        gf = gtree_to_gforest(z2_gtrees()[4])
-        assert len(gf.trees) == 1
-        assert gf.group == Z2
-
 
 class TestGenuineness:
     def test_swap_forest_is_genuine(self):
@@ -242,7 +244,7 @@ class TestForestHom:
     def test_self_hom_contains_identity(self):
         gf = trivial_gforest([corolla(2)], TRIV)
         homs = forest_hom(gf, gf)
-        assert sum(1 for fm in homs if fm.is_identity()) == 1
+        assert list(homs).count(identity_forest_map(gf)) == 1
 
     def test_swap_pair_matches_brute_force(self):
         src = swap_gforest(single_edge("e"))
@@ -256,7 +258,7 @@ class TestForestHom:
         gf = swap_gforest(corolla(2))
         homs = forest_hom(gf, gf)
         assert len(homs) == 4
-        assert sum(1 for fm in homs if fm.is_identity()) == 1
+        assert list(homs).count(identity_forest_map(gf)) == 1
 
     @pytest.mark.parametrize("group, max_edges",
                              [(Z2, 3), (Z4, 2), (S3, 2)],
@@ -586,7 +588,6 @@ class TestRetractive:
         ret = RetractiveGSet(self.BASE, self.carrier(), {0: "p0", 1: "p1"},
                              {"p0": 0, "p1": 1, "a0": 0, "a1": 1})
         ide = identity_retractive_map(ret)
-        assert ide.is_identity()
         maps = enumerate_retractive_maps(ret, ret)
         assert ide in set(maps)
         pm = fiber_pointed_map(ide, 0)
@@ -844,6 +845,38 @@ class TestEquivalenceReports:
                 == enumerate_genuine_diagrams(Z2, 3))
         assert len(enumerate_genuine_diagrams(Z2, 3)) == 20
         assert len(enumerate_genuine_diagrams(Z3, 3)) == 18
+
+
+def isomorphic_pairs(diagrams):
+    """Index pairs i < j of diagrams that are isomorphic G-forests: some
+    map between them has a bijective index map and every component an
+    isomorphism.  Pairs whose component shapes differ cannot be, and are
+    not searched."""
+    def shapes(d):
+        return sorted(canonical_form(t) for t in d.trees.values())
+    return [(i, j) for (i, a), (j, b)
+            in itertools.combinations(enumerate(diagrams), 2)
+            if shapes(a) == shapes(b) and any(
+                set(fm.index_map.values()) == set(b.trees)
+                and all(f.is_isomorphism() for f in fm.components.values())
+                for fm in forest_hom(a, b))]
+
+
+class TestGenuineCorpusIsIrredundant:
+    """No two objects of the genuine corpus are isomorphic, so each class
+    is checked once."""
+
+    @pytest.mark.parametrize("group, max_edges, objects", [
+        (Z2, 3, 20), (Z3, 3, 18), (Z4, 3, 31), (S3, 3, 40), (Z2, 4, 52)],
+        ids=["z2", "z3", "z4", "s3", "z2-4"])
+    def test_no_two_diagrams_are_isomorphic(self, group, max_edges, objects):
+        diagrams = enumerate_genuine_diagrams(group, max_edges)
+        assert len(diagrams) == objects
+        assert isomorphic_pairs(diagrams) == []
+
+    def test_a_repeated_diagram_is_found(self):
+        diagrams = list(enumerate_genuine_diagrams(Z2, 3))
+        assert isomorphic_pairs(diagrams + [diagrams[5]]) == [(5, 20)]
 
 
 def forest_roundtrip(gforest, group_ref=None):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +68,25 @@ class TestBuiltinGroups:
     def test_unknown_builtin(self):
         with pytest.raises(GroupError):
             builtin_group("q8")
+
+
+class TestGroupFiles:
+    """The tables under tests/groups are the groups they are named for:
+    among the groups of its order, each is the one with these element
+    orders."""
+
+    @pytest.mark.parametrize("name, orders", [
+        ("v4", [1, 2, 2, 2]), ("q8", [1, 2, 4, 4, 4, 4, 4, 4])])
+    def test_element_orders(self, name, orders):
+        path = pathlib.Path(__file__).parent / "groups" / f"{name}.json"
+        g = group_from_json(json.loads(path.read_text()))
+
+        def order(a):
+            k, x = 1, a
+            while x != g.identity:
+                k, x = k + 1, g.mul(x, a)
+            return k
+        assert sorted(map(order, g.elements)) == orders
 
 
 class TestSubgroups:

@@ -9,7 +9,7 @@ from dendron.cli import _labeled_gtrees
 from dendron import (
     PLUS, Tree, TreeError, NotInnerEdge, corolla, single_edge, relabel,
     all_isomorphisms, hom_set, hom_labeled, compose, contract_edge,
-    factorize, TreeMorphism, PointedMap, compose_pointed,
+    factorize, identity, TreeMorphism, PointedMap, compose_pointed,
     tau_id, tau_comp, phi_star, phi_star_mor, GrothTreeMorphism, F_functor,
     NotEquivariant, SiteInvalid, RootGraftLeafNotFixed, GTree, GLabeledTree,
     is_equivariant_morphism, equivariant_hom, equivariant_isomorphisms,
@@ -170,7 +170,7 @@ class TestWorkedSample:
                                      SAMPLE.face_d)
         assert [s.orbit for s in fact.inner_faces] == [("d", "id")]
         assert not fact.degeneracies and not fact.outer_faces
-        assert fact.iso.is_identity()
+        assert fact.iso == identity(fact.iso.src)
         assert fact.composite().mapping == SAMPLE.face_d.mapping
 
     def test_two_orbit_face(self):
@@ -178,7 +178,7 @@ class TestWorkedSample:
                                      SAMPLE.face)
         assert [s.orbit for s in fact.inner_faces] == [("d", "id"), ("b",)]
         assert not fact.degeneracies and not fact.outer_faces
-        assert fact.iso.is_identity()
+        assert fact.iso == identity(fact.iso.src)
         assert fact.composite().mapping == SAMPLE.face.mapping
 
     def test_hom_counts(self):
@@ -715,7 +715,7 @@ class TestOplaxCoherenceG:
         data = gtree_oplax_data(Z2, 2, probes)
         seen = 0
         for f, g in data.base.composable_pairs():
-            if f.name.is_identity() or g.name.is_identity():
+            if data.base.identity(f.src) in (f, g):
                 continue
             for x in data.fiber_objects(g.dst):
                 assert data.tau_comp(f, g, x) \
@@ -731,7 +731,8 @@ class TestOplaxCoherenceG:
     def test_app_mor_matches_pushed_morphism(self):
         probes = standard_probes(skeletal_gsets(Z2, 2), deep=True)
         data = gtree_oplax_data(Z2, 2, probes)
-        arrows = [m for m in data.base.morphisms if not m.name.is_identity()]
+        arrows = [m for m in data.base.morphisms
+                  if m != data.base.identity(m.src)]
         checked = 0
         for f in arrows:
             xs = data.fiber_objects(f.dst)

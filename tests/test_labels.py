@@ -51,7 +51,8 @@ class TestPointedMap:
 
     def test_identity(self):
         ident = PointedMap.identity_on((1, 2))
-        assert ident.is_identity()
+        assert ident.src_labels == ident.dst_labels == (1, 2)
+        assert ident.mapping == {1: 1, 2: 2}
         phi = skeletal(2, 2, {1: 2, 2: 1})
         assert compose_pointed(phi, ident) == phi
         assert compose_pointed(ident, phi) == phi

@@ -3,12 +3,19 @@ exported class, is reached by the library or by the acceptance tests.
 
 A name that only its own unit tests call is dead surface: it costs lines
 and review, and nothing the verifier reports depends on it.  Names kept on
-purpose are listed below, each with its reason.  A method or property
-counts as reached when its name is read as an attribute anywhere in those
-sources, on whatever object.
+purpose are listed below, each with its reason.
+
+A method or property counts as reached when its name is read as an
+attribute in those sources, outside a function of the same name: a method
+that calls its namesake on its parts does not reach itself.  When two or
+more exported classes define the name, a read counts for one class only
+when it is attributed to that class: `self.<name>` or `cls.<name>` inside
+it, or `<Class>.<name>`, resolved along the method resolution order.  So
+one class's readers cannot hide another class's dead method.
 """
 
 import ast
+import collections
 import inspect
 import pathlib
 
@@ -23,11 +30,13 @@ KEEP = {
                      "construction",
     "corolla": "test fixture: the corolla with n leaves",
     "discrete_category": "the only builder of check_equivalence test inputs",
-    "gforest_to_json": "the CLI tests write forest files with it",
+    "gforest_from_json": "the forest document reader; the fuzz tests pin "
+                         "it, and a replay command will read its documents",
+    "gforest_to_json": "the forest document writer; the fuzz tests "
+                       "round-trip forests through it",
     "groth_identity": "functoriality of F, checked on the Grothendieck "
                       "construction",
     "gtree_oplax_data": "the Omega^G oplax data a coherence suite will run",
-    "gtree_to_gforest": "test fixture: one-component forests for export-dot",
     "identity": "test fixture: the identity morphism of a tree",
     "is_genuine": "decides genuineness, a paper notion the unit tests check",
     "linear_tree": "test fixture: the linear tree with k edges",
@@ -36,7 +45,25 @@ KEEP = {
 }
 
 # "Class.name" of a public method or property kept on purpose -> reason
-METHODS_KEEP = {}
+METHODS_KEEP = {
+    "CoherenceReport.ok": "the coherence verdict, read by suite_coherence",
+    "EquivalenceReport.ok": "the one-object groupoid verdict, read by "
+                            "suite_genuine",
+    "FcFunctor.validate": "the functor laws; bh_to_coset_groupoid checks "
+                          "the functor it builds",
+    "FiniteCategory.validate": "the category laws; coset_groupoid checks "
+                               "the category it builds",
+    "FiniteGroup.identity": "the neutral element, read as group.identity "
+                            "in groups, gtrees and forests",
+    "GLabeledTree.leaf_of": "the leaf a label names, read on values of "
+                            "either labeled class",
+    "GSet.act": "the action of one element on one point, read on G-set "
+                "values in groups, gtrees and forests",
+    "LabeledTree.leaf_of": "the leaf a label names, read on values of "
+                           "either labeled class",
+    "TreeMorphism.sort_signature": "the order key of hom_set's "
+                                   "brute-force oracle in the unit tests",
+}
 
 
 def _used_names(source):
@@ -57,6 +84,30 @@ def _used_names(source):
     return used
 
 
+def _attribute_reads(source, classes):
+    """(owner, name) for each attribute read in a module source, except
+    reads inside a function called `name`.  The owner is the enclosing
+    class for `self.<name>` and `cls.<name>`, the named class for
+    `<Class>.<name>` with Class in `classes`, and None otherwise."""
+    reads = set()
+
+    def visit(node, owner, functions):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = functions | {node.name}
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load) and node.attr not in functions:
+            on = node.value.id if isinstance(node.value, ast.Name) else None
+            reads.add((owner if on in ("self", "cls")
+                       else on if on in classes else None, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, functions)
+
+    visit(ast.parse(source), None, frozenset())
+    return reads
+
+
 def _sources():
     package = pathlib.Path(dendron.__file__).parent
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
@@ -70,22 +121,38 @@ def _unreached():
             if not inspect.ismodule(getattr(dendron, n)) and n not in used}
 
 
+def _classes():
+    return {c: getattr(dendron, c) for c in dendron.__all__
+            if inspect.isclass(getattr(dendron, c))}
+
+
 def _public_members():
     """(class, name) for each public method and property that an exported
     class defines itself."""
-    return {(c, name) for c in dendron.__all__
-            if inspect.isclass(getattr(dendron, c))
-            for name, v in vars(getattr(dendron, c)).items()
+    return {(c, name) for c, cls in _classes().items()
+            for name, v in vars(cls).items()
             if not name.startswith("_") and (
                 inspect.isfunction(v) or isinstance(
                     v, (property, classmethod, staticmethod)))}
 
 
+def _definer(cls, name):
+    """The class whose definition `cls.<name>` finds."""
+    return next((k.__name__ for k in cls.__mro__ if name in vars(k)),
+                cls.__name__)
+
+
 def _unread_members():
-    read = {n.attr for source in _sources()
-            for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    return {f"{c}.{name}" for c, name in _public_members() if name not in read}
+    classes = _classes()
+    members = _public_members()
+    definers = collections.Counter(name for _, name in members)
+    reads = set().union(*(_attribute_reads(s, classes) for s in _sources()))
+    attributed = {(_definer(classes[owner], name), name)
+                  for owner, name in reads if owner in classes}
+    anywhere = {name for _, name in reads}
+    return {f"{c}.{name}" for c, name in members
+            if (c, name) not in attributed
+            and (definers[name] > 1 or name not in anywhere)}
 
 
 def test_every_export_is_reached_or_kept_on_purpose():
@@ -112,6 +179,21 @@ def test_every_public_member_is_read_or_kept_on_purpose():
 
 def test_the_member_keep_list_holds_only_unread_members():
     assert sorted(set(METHODS_KEEP) - _unread_members()) == []
+
+
+def test_reads_are_attributed_to_a_class():
+    source = (
+        "class A:\n"
+        "    def is_identity(self):\n"
+        "        return all(f.is_identity() for f in self.parts)\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls.unit, B.unit, x.size\n"
+        "def use(a):\n"
+        "    return a.is_identity()\n")
+    assert _attribute_reads(source, {"A", "B"}) == {
+        ("A", "parts"), ("A", "unit"), ("B", "unit"), (None, "size"),
+        (None, "is_identity")}
 
 
 def test_members_cover_methods_and_properties():

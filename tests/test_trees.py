@@ -8,8 +8,8 @@ from dendron import (
     Tree, DanglingEdge, MultipleParents, RootHasParent, Disconnected, Cyclic,
     SiteNotLeafOrRoot, canonical_form, single_edge, corolla, linear_tree,
     relabel, relabel_canonical, all_isomorphisms, are_isomorphic,
-    spanned_subtree, graft, enumerate_trees, enumerate_all_trees,
-    tree_to_dot, tree_to_json, tree_from_json, sort_key, PLUS, PointedMap,
+    spanned_subtree, graft, enumerate_all_trees, tree_to_json,
+    tree_from_json, sort_key, PLUS, PointedMap,
     canonical_labeling, phi_star, builtin_group, enumerate_gtrees,
 )
 
@@ -314,26 +314,33 @@ class TestGraft:
         assert canonical_form(t) == canonical_form(direct)
 
 
+def shapes(leaves, max_vertices):
+    """The corpus trees with this many leaves and at most this many
+    vertices: a tree's edges are its leaves and its vertices' out-edges."""
+    return [t for t in enumerate_all_trees(leaves + max_vertices)
+            if len(t.leaves) == leaves and len(t.vertices) <= max_vertices]
+
+
 class TestEnumerate:
     def test_single_leaf_no_vertices(self):
-        ts = enumerate_trees(1, 0)
+        ts = shapes(1, 0)
         assert len(ts) == 1
         assert canonical_form(ts[0]) == canonical_form(single_edge())
 
     def test_corollas(self):
         for n in [0, 2, 3, 4]:
-            ts = enumerate_trees(n, 1)
+            ts = shapes(n, 1)
             assert [canonical_form(t) for t in ts] == [canonical_form(corolla(n))]
 
     def test_one_leaf_one_vertex(self):
         # both the edge-only tree and the unary corolla qualify
-        ts = enumerate_trees(1, 1)
+        ts = shapes(1, 1)
         assert len(ts) == 2
 
     def test_two_leaves_two_vertices_oracle(self):
         # oracle: brute-force count of shapes with 2 leaves, <= 2 vertices:
         # C2; unary under C2; unary on a C2 leaf; C3 with one stump
-        assert len(enumerate_trees(2, 2)) == 4
+        assert len(shapes(2, 2)) == 4
 
     def test_no_duplicates(self):
         ts = enumerate_all_trees(4)
@@ -354,17 +361,16 @@ class TestEnumerate:
         b = enumerate_all_trees(4)
         assert a == b
 
-    @pytest.mark.parametrize("max_edges", range(6))
-    def test_one_pass_matches_leaf_by_leaf_union(self, max_edges):
-        # oracle: one closure per leaf count with up to max_edges vertices,
-        # cut to max_edges edges, then merged in (edge count, code) order
-        union = []
-        for leaves in range(max_edges + 1):
-            union += [t for t in enumerate_trees(leaves, max_edges)
-                      if len(t.edges) <= max_edges]
-        union.sort(key=lambda t: (len(t.edges), canonical_form(t)))
-        assert ([tree_to_json(t) for t in enumerate_all_trees(max_edges)]
-                == [tree_to_json(t) for t in union])
+    @pytest.mark.parametrize("max_edges", range(7))
+    def test_ordered_by_edge_count_then_code(self, max_edges):
+        keys = [(len(t.edges), canonical_form(t))
+                for t in enumerate_all_trees(max_edges)]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("max_edges", range(7))
+    def test_named_canonically(self, max_edges):
+        for t in enumerate_all_trees(max_edges):
+            assert t == relabel_canonical(t)
 
     def test_counts_by_edge_budget(self):
         assert [len(enumerate_all_trees(m)) for m in range(7)] == \
@@ -385,17 +391,6 @@ class TestSerialization:
     def test_roundtrip_random(self, t):
         back = roundtrip(t)
         assert are_isomorphic(t, back) is not None
-
-    def test_dot_output_stable(self):
-        t = corolla(2)
-        out = tree_to_dot(t)
-        assert out == tree_to_dot(t)
-        assert "digraph" in out
-        assert out.count("->") == 3  # one arrow per edge
-
-    def test_dot_edge_only(self):
-        out = tree_to_dot(single_edge())
-        assert out.count("->") == 1
 
 
 class TestRelabel:
