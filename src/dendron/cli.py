@@ -10,8 +10,13 @@ worker processes, at most one per CPU, for the four pairwise suites
 (factorization, equivalence, equivariant, genuine; only coherence runs in
 one process); results are merged in a fixed order, so the worker count
 never changes the report.  Each worker's stride of pairs owns one memo,
-dropped when the stride ends, through which the factorization suite
-shares the normal form's stage chains (`morphisms.factorize`).
+dropped when the stride ends, through which the normal form shares its
+stage chains between maps.  The factorization suite shares all three
+chains for the whole stride (`morphisms.factorize`).  The equivariant
+suite shares the degeneracy and inner-face chains, keyed by the G-trees,
+for one source row at a time: it keeps them in the stride memo under the
+row index and clears the memo when the row changes
+(`gtrees.equivariant_factorize`).
 """
 
 import argparse
@@ -151,8 +156,13 @@ def _labeled_gtrees(group, max_edges, per_stratum):
                                       per_stratum=per_stratum)]
 
 
-def _equivariant_pair(corpus, i, j, memo=None):
+def _equivariant_pair(corpus, i, j, memo):
     (a, la), (b, lb) = corpus[i], corpus[j]
+    if i not in memo:
+        # a stride visits the source rows in increasing order, so the
+        # chains of a finished row are never read again
+        memo.clear()
+        memo[i] = {}
     plain = hom_set(a.tree, b.tree)
     eq = []
     failures = []
@@ -161,8 +171,8 @@ def _equivariant_pair(corpus, i, j, memo=None):
         if flag:
             eq.append(f)
         try:
-            replay = (equivariant_factorize(a, b, f).composite().mapping
-                      == f.mapping)
+            replay = (equivariant_factorize(a, b, f, memo[i])
+                      .composite().mapping == f.mapping)
         except NotEquivariant:
             replay = False
         if replay != flag:

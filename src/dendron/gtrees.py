@@ -342,13 +342,26 @@ def equivariant_graft_orbit(gtree, site, corolla, attach=None, merge=None):
     return bigger, delta
 
 
-def equivariant_factorize(src, dst, f):
+def equivariant_factorize(src, dst, f, memo=None):
     """Factor an equivariant morphism into orbit-sized stages.
 
     The plain normal form, computed with the actions' rows: each face or
     degeneracy handles a whole orbit at once.  Raises NotEquivariant when
     the map does not commute with the actions (the stages cannot be
     grouped).
+
+    Without a memo every stage is built afresh; that is the reference
+    path.  Maps factored through one memo, a dict the caller owns, share
+    two chains (see `morphisms.factorize`): the degeneracies, built once
+    per (source G-tree, kernel classes), and the middle subtree with its
+    inner faces, once per (target G-tree, image root, image leaves, image
+    edges).  A G-tree hashes by its rows, so the keys read the actions.
+    The outer faces are built per map: on the equivariant suite they hold
+    most of a memo's memory and save little time.  Each map still builds
+    and checks its own residual isomorphism and its residual equivariance,
+    so a map that is not equivariant raises at the same check, with the
+    same message.  The equivariant suite keeps one memo per source row
+    (`cli._equivariant_pair`).
     """
     if f.src != src.tree or f.dst != dst.tree:
         raise SourceTargetMismatch("morphism does not match the actions")
@@ -356,7 +369,7 @@ def equivariant_factorize(src, dst, f):
         raise NotEquivariant("factorization needs a common group")
     moving = [g for g in src.group.elements if g != src.group.identity]
     return _normal_form(f, [src.action[g] for g in moving],
-                        [dst.action[g] for g in moving])
+                        [dst.action[g] for g in moving], memo, (src, dst))
 
 
 def _pointed_act(gset):

@@ -13,8 +13,10 @@ faces, then outer faces; `factorize` computes that normal form and
 `Factorization.composite` recomposes it exactly.  Only the isomorphism
 reads the map itself: the degeneracy chain reads the source and the kernel
 classes, the face chains the target and the image.  So maps factored
-through one memo, a dict their caller owns, build each chain once per key;
-the pairwise suites keep one memo per pair stride.
+through one memo, a dict their caller owns, build each chain once per key.
+The factorization suite keeps one memo per pair stride; the equivariant
+suite one per source row, which shares the degeneracy and inner-face
+chains, keyed by the G-trees, and builds the outer faces per map.
 """
 
 from __future__ import annotations
@@ -385,15 +387,17 @@ def _edge_orbit(e, rows):
     return tuple(sorted(moved, key=sort_key))
 
 
-def _chain(memo, build, *args):
-    """build(*args), built once per memo for equal arguments.
+def _chain(memo, key, build, *args):
+    """build(*args), built once per memo for each key.
 
-    Without a memo every call builds afresh.  A build that raises stores
-    nothing, so each map that reaches it raises again, in its own turn.
+    The key must determine the result: it stands for the arguments by
+    value.  Without a memo every call builds afresh.  A build that raises
+    stores nothing, so each map that reaches it raises again, in its own
+    turn.
     """
     if memo is None:
         return build(*args)
-    key = (build, args)
+    key = (build, key)
     out = memo.get(key)
     if out is None:
         out = memo[key] = build(*args)
@@ -495,26 +499,32 @@ def _outer_chain(dst, middle, dst_rows):
     return tuple(outer)
 
 
-def _normal_form(f, src_rows=(), dst_rows=(), memo=None):
+def _normal_form(f, src_rows=(), dst_rows=(), memo=None, ends=None):
     """The normal form of f in orbit-sized stages, as a Factorization.
 
     src_rows and dst_rows are the edge permutations of the non-identity
     group elements on f.src and f.dst, in the same order.  With no rows
-    every orbit is a single edge, which is the plain normal form; only it
-    takes a memo (see `factorize`).
+    every orbit is a single edge, which is the plain normal form.
+
+    A memo shares the stage chains between maps (see `factorize`).  Its
+    keys name f's ends by `ends`: by default f.src and f.dst, which is
+    right with no rows; on the G path the G-trees, which hash by their
+    rows too.  Given `ends`, only the degeneracies and the inner faces are
+    shared, and the outer faces are built per map (see
+    `gtrees.equivariant_factorize`).
 
     Raises NotEquivariant when the stages cannot be grouped into orbits or
     the residual renaming does not commute with the rows.
     """
-    if memo is not None and (src_rows or dst_rows):
-        raise ValueError("a chain memo serves only the plain normal form")
-    src = f.src
-    degeneracies, work = _chain(memo, _degeneracy_chain, src,
-                                _kernel_classes(f), src_rows)
-    middle, inner, cur = _chain(
-        memo, _inner_chain, f.dst, f.mapping[src.root],
-        frozenset(f.mapping[l] for l in src.leaves),
-        frozenset(f.mapping.values()), dst_rows)
+    src, dst = f.src, f.dst
+    src_end, dst_end = ends or (src, dst)
+    classes = _kernel_classes(f)
+    degeneracies, work = _chain(memo, (src_end, classes), _degeneracy_chain,
+                                src, classes, src_rows)
+    image = (f.mapping[src.root], frozenset(f.mapping[l] for l in src.leaves),
+             frozenset(f.mapping.values()))
+    middle, inner, cur = _chain(memo, (dst_end, *image), _inner_chain,
+                                dst, *image, dst_rows)
 
     # what remains of the map is a renaming; a bijection matching roots
     # and vertices is a valid edge map, so the test below covers the
@@ -528,7 +538,8 @@ def _normal_form(f, src_rows=(), dst_rows=(), memo=None):
                for e, v in iso.mapping.items()):
             raise NotEquivariant("residual renaming does not commute")
 
-    outer = _chain(memo, _outer_chain, f.dst, middle, dst_rows)
+    outer = _chain(None if ends else memo, (dst, middle), _outer_chain,
+                   dst, middle, dst_rows)
     return Factorization(degeneracies, iso, inner, outer)
 
 
@@ -548,7 +559,8 @@ def factorize(f, memo=None):
     once per (target, middle subtree).  Each map still builds and checks
     its own residual isomorphism, and the checks raise in the same order.
     The memo holds one entry per distinct key, and its stage objects are
-    shared, so no caller may change them.  The suites keep one memo per
-    pair stride (`pairs._pair_stride`).
+    shared, so no caller may change them.  The factorization suite keeps
+    one memo per pair stride (`pairs._pair_stride`);
+    `gtrees.equivariant_factorize` takes a memo too, keyed by the G-trees.
     """
     return _normal_form(f, memo=memo)

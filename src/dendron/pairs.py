@@ -19,8 +19,8 @@ def _pair_stride(build, bounds, check, start, step, corpus=None):
     """Run check(corpus, i, j, memo) over the pair indices start,
     start + step, ... of an n x n product; a pool worker builds its own
     corpus from the bounds.  memo is one dict for the whole stride, which
-    a check may fill with what its pairs share (`morphisms.factorize`
-    does); it is dropped when the stride returns."""
+    a check may fill with what its pairs share (the factorization and
+    equivariant checks do); it is dropped when the stride returns."""
     if corpus is None:
         corpus = build(*bounds)
     memo = {}

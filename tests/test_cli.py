@@ -163,6 +163,25 @@ class TestCheckSuites:
         assert (report["trees"], report["plain_homs"]) == (46, 4637)
         assert report["equivariant_homs"] == report["groth_homs"] == 1865
 
+    @pytest.mark.parametrize("name, objects, homs, subgroups, budget", [
+        ("v4", 57, 4107, 5, 15), ("q8", 68, 7780, 6, 30)])
+    def test_genuine_past_s3(self, capsys, name, objects, homs, subgroups,
+                             budget):
+        path = pathlib.Path(__file__).parent / "groups" / f"{name}.json"
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "check", "genuine",
+                           "--group", str(path), "--max-edges", "3")
+        elapsed = time.monotonic() - t0
+        report = json.loads(out)
+        assert code == 0 and report["ok"]
+        fc = report["forest_check"]
+        assert (fc["objects"], fc["pairs"]) == (objects, objects ** 2)
+        assert fc["forest_homs"] == fc["pair_homs"] == fc["triple_homs"] \
+            == homs
+        bh = report["one_object_groupoid_equivalences"]
+        assert len(bh) == subgroups and all(bh.values())
+        assert elapsed < budget, f"{name} genuine took {elapsed:.1f}s"
+
     def test_group_file_input(self, capsys, tmp_path):
         path = tmp_path / "z3.json"
         path.write_text(json.dumps(group_to_json(cyclic_group(3))))

@@ -1,6 +1,6 @@
 import functools
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -492,8 +492,40 @@ def brute_force_gtree_keys(group, max_edges):
     return keys
 
 
+def isomorphic_pairs(corpus):
+    """The index pairs of corpus trees, of equal size, that are
+    equivariantly isomorphic: an oracle that reads no canonical key."""
+    by_size = defaultdict(list)
+    for i, t in enumerate(corpus):
+        by_size[len(t.tree.edges)].append(i)
+    return [(i, j) for same in by_size.values()
+            for i, j in itertools.combinations(same, 2)
+            if are_equivariant_isomorphic(corpus[i], corpus[j])]
+
+
+def renamed(gtree):
+    """A copy of gtree with every edge renamed."""
+    ren = {e: ("n", e) for e in gtree.tree.edges}
+    return GTree(relabel(gtree.tree, ren), gtree.group,
+                 {g: {ren[e]: ren[v] for e, v in row.items()}
+                  for g, row in gtree.action.items()})
+
+
 class TestEnumerationIsComplete:
     """enumerate_gtrees holds every G-tree up to isomorphism, once."""
+
+    @pytest.mark.parametrize("group", ["trivial", "z2", "z3", "z4", "s3"])
+    def test_no_two_trees_are_isomorphic_at_five_edges(self, group):
+        assert isomorphic_pairs(enumerate_gtrees(builtin_group(group), 5)) \
+            == []
+
+    def test_a_renamed_copy_is_caught(self):
+        corpus = list(enumerate_gtrees(Z2, 5))
+        moving = max(i for i, t in enumerate(corpus)
+                     if any(row[e] != e for row in t.action.values()
+                            for e in row))
+        corpus.append(renamed(corpus[moving]))
+        assert isomorphic_pairs(corpus) == [(moving, len(corpus) - 1)]
 
     @pytest.mark.parametrize("group, classes", [
         ("trivial", 59), ("z2", 92), ("z3", 67), ("z4", 94), ("s3", 100)])

@@ -12,11 +12,12 @@ from dendron import (
     contract_edge, split_edge, collapse_unary, hom_set, factorize,
     single_edge, corolla, linear_tree, canonical_form, enumerate_all_trees,
     all_isomorphisms, canonical_labeling, hom_labeled, is_label_preserving,
-    spanned_subtree,
+    spanned_subtree, equivariant_factorize, enumerate_gtrees, builtin_group,
+    GTree, NotEquivariant,
 )
 
 from dendron import morphisms
-from dendron.cli import _factorization_pair
+from dendron.cli import _equivariant_pair, _factorization_pair, _labeled_gtrees
 from dendron.pairs import _pair_stride
 from test_trees import random_trees
 
@@ -370,9 +371,47 @@ def memo_disagreements(maps):
     return bad
 
 
+def g_outcome(a, b, f, memo=None):
+    """The stages of equivariant_factorize(a, b, f, memo), or the type and
+    message of what it raised."""
+    try:
+        return stage_view(equivariant_factorize(a, b, f, memo))
+    except (ValueError, KeyError) as err:
+        return type(err), str(err)
+
+
+def g_memo_disagreements(corpus):
+    """(maps, maps that raise, disagreements) over every map between the
+    G-trees of corpus, each factored through a memo its source's maps
+    share, as the equivariant suite does, and without one."""
+    maps = raised = bad = 0
+    for a in corpus:
+        memo = {}
+        for b in corpus:
+            for f in hom_set(a.tree, b.tree):
+                fresh = g_outcome(a, b, f)
+                maps += 1
+                raised += isinstance(fresh, tuple)
+                bad += g_outcome(a, b, f, memo) != fresh
+    return maps, raised, bad
+
+
+def wrong_key(memo, key, build, *args):
+    """A broken `_chain`: once a build has two keys, it answers each with
+    another key's chain."""
+    if memo is None:
+        return build(*args)
+    key = (build, key)
+    if key not in memo:
+        memo[key] = build(*args)
+    return next((v for k, v in memo.items() if k[0] is build and k != key),
+                memo[key])
+
+
 class TestChainMemo:
-    """factorize with a memo shares its stage chains between maps, and
-    must build exactly the stages of the reference path."""
+    """factorize and equivariant_factorize with a memo share their stage
+    chains between maps, and must build exactly the stages of the
+    reference path."""
 
     def test_memo_matches_the_reference_on_the_c1_corpus(self):
         maps = corpus_maps(5)
@@ -381,22 +420,63 @@ class TestChainMemo:
 
     def test_a_memo_returning_another_keys_chain_is_caught(self,
                                                            monkeypatch):
-        def wrong_key(memo, build, *args):
-            if memo is None:
-                return build(*args)
-            key = (build, args)
-            if key not in memo:
-                memo[key] = build(*args)
-            return next((v for k, v in memo.items()
-                         if k[0] is build and k != key), memo[key])
         monkeypatch.setattr(morphisms, "_chain", wrong_key)
         assert memo_disagreements(corpus_maps(3)) > 0
 
-    def test_rows_refuse_a_memo(self):
-        f = identity(corolla(2))
-        rows = [{e: e for e in f.src.edges}]
-        with pytest.raises(ValueError):
-            morphisms._normal_form(f, rows, rows, memo={})
+    @pytest.mark.parametrize("group, maps, raised", [
+        ("z2", 29596, 14010), ("z4", 31647, 16034), ("s3", 36056, 20274)])
+    def test_g_memo_matches_the_reference_at_five_edges(self, group, maps,
+                                                        raised):
+        corpus = enumerate_gtrees(builtin_group(group), 5)
+        assert g_memo_disagreements(corpus) == (maps, raised, 0)
+
+    def test_a_g_memo_returning_another_keys_chain_is_caught(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(morphisms, "_chain", wrong_key)
+        corpus = enumerate_gtrees(builtin_group("z2"), 3)
+        assert g_memo_disagreements(corpus)[2] > 0
+
+    def test_the_g_memo_keys_read_the_actions(self):
+        # one tree under two actions: m1 is fixed by the first and moved by
+        # the second, so a chain shared by tree would skip the second's
+        # "image root is not fixed" and raise at the residual check instead
+        z2 = builtin_group("z2")
+        dst = Tree(["r", "m1", "m2", "a", "b"], "r",
+                   [("r", ["m1", "m2"]), ("m1", ["a"]), ("m2", ["b"])])
+        fixed = GTree.trivial(dst, z2)
+        swapped = GTree.from_generator_rows(dst, z2, {1: {
+            "r": "r", "m1": "m2", "m2": "m1", "a": "b", "b": "a"}})
+        src = GTree.trivial(single_edge("s"), z2)
+        f = TreeMorphism(src.tree, dst, {"s": "m1"})
+        memo = {}
+        assert g_outcome(src, fixed, f, memo) == g_outcome(src, fixed, f)
+        assert g_outcome(src, swapped, f, memo) \
+            == g_outcome(src, swapped, f) \
+            == (NotEquivariant, "image root is not fixed")
+
+    def test_the_g_memo_holds_no_outer_chain_and_dies_with_its_row(self):
+        builds = set()
+        refs = {}
+
+        def check(corpus, i, j, memo):
+            out = _equivariant_pair(corpus, i, j, memo)
+            assert list(memo) == [i]
+            builds.update(k[0] for k in memo[i])
+            refs.setdefault(i, set()).update(
+                weakref.ref(s) for chain in memo[i].values()
+                for part in chain if isinstance(part, tuple) for s in part)
+            if j == 0 and i > 0:
+                # the chains hold no reference cycle, so they die as soon
+                # as the memo drops them, without a collection
+                assert all(r() is None for r in refs[i - 1])
+            return out
+
+        counts, failures = _pair_stride(
+            _labeled_gtrees, (builtin_group("z2"), 4, None), check, 0, 1)
+        assert failures == [] and len(counts) == 30 ** 2
+        assert builds == {morphisms._degeneracy_chain,
+                          morphisms._inner_chain}
+        assert sum(map(bool, list(refs.values())[:-1])) > 10
 
     def test_the_memo_dies_with_its_pair_stride(self):
         refs = []

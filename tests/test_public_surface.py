@@ -5,6 +5,12 @@ A name that only its own unit tests call is dead surface: it costs lines
 and review, and nothing the verifier reports depends on it.  Names kept on
 purpose are listed below, each with its reason.
 
+A name counts as reached when a chain of loads leads to it from a root.
+The roots are the `dendron check` entry point, `cli.main`, and the names
+that the acceptance tests load.  From a reached name, every name that its
+top-level definition loads is reached in turn.  A name on the keep-list is
+not a root: a name that only a kept name loads needs its own entry.
+
 A method or property counts as reached when its name is read as an
 attribute in those sources, outside a function of the same name: a method
 that calls its namesake on its parts does not reach itself.  When two or
@@ -29,19 +35,41 @@ KEEP = {
     "compose_groth": "functoriality of F, checked on the Grothendieck "
                      "construction",
     "corolla": "test fixture: the corolla with n leaves",
+    "corolla_glabeled": "the corolla probes of standard_probes (kept)",
     "discrete_category": "the only builder of check_equivalence test inputs",
+    "equivariant_isomorphisms": "the isomorphisms behind "
+                                "are_equivariant_isomorphic (kept)",
+    "equivariant_split_orbit": "the orbit degeneracy generator; "
+                               "standard_probes (kept) builds its unary "
+                               "probes with it",
     "gforest_from_json": "the forest document reader; the fuzz tests pin "
                          "it, and a replay command will read its documents",
     "gforest_to_json": "the forest document writer; the fuzz tests "
                        "round-trip forests through it",
     "groth_identity": "functoriality of F, checked on the Grothendieck "
                       "construction",
+    "group_to_json": "the group document writer; gforest_to_json (kept) "
+                     "writes its group with it, and the CLI tests write group "
+                     "files with it",
+    "gset_pointed_category": "the base category of gtree_oplax_data (kept)",
     "gtree_oplax_data": "the Omega^G oplax data a coherence suite will run",
     "identity": "test fixture: the identity morphism of a tree",
     "is_genuine": "decides genuineness, a paper notion the unit tests check",
     "linear_tree": "test fixture: the linear tree with k edges",
+    "phi_star_mor": "F on morphisms; compose_groth (kept) composes with it",
     "q_star_compare": "composite pullbacks along orbit maps",
+    "skeletal_gsets": "the objects of gset_pointed_category (kept)",
+    "split_edge": "the degeneracy generator; equivariant_split_orbit (kept) "
+                  "splits each edge of an orbit with it",
     "standard_probes": "the probes a G-coherence suite will run",
+    "tau_comp": "the composition comparison cell; compose_groth (kept) "
+                "composes with it",
+    "tau_id": "the unit comparison cell; groth_identity (kept) uses it",
+    "transitive_gsets": "the orbit types skeletal_gsets (kept) is built from",
+    "tree_from_json": "the tree document reader; gforest_from_json (kept) "
+                      "reads each tree with it",
+    "tree_to_json": "the tree document writer; gforest_to_json (kept) writes "
+                    "each tree with it",
 }
 
 # "Class.name" of a public method or property kept on purpose -> reason
@@ -66,22 +94,46 @@ METHODS_KEEP = {
 }
 
 
-def _used_names(source):
-    """Names loaded in a module source.  A top-level definition's references
-    to itself, and to names it binds (parameters and assignment targets),
-    are not counted."""
-    used = set()
+def _definitions(source):
+    """Each top-level function, class and assignment target of a module
+    source -> the names its definition loads.  A definition's references to
+    itself, and to names it binds (parameters and assignment targets), are
+    not loads."""
+    out = collections.defaultdict(set)
     for stmt in ast.parse(source).body:
-        nodes = list(ast.walk(stmt))
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names, body = [stmt.name], stmt
+        elif isinstance(stmt, ast.Assign):
+            names = [n.id for t in stmt.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+            body = stmt.value
+        else:
+            continue
+        nodes = list(ast.walk(body))
         bound = {n.arg for n in nodes if isinstance(n, ast.arg)} | {
             n.id for n in nodes
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-        names = {n.id for n in nodes
+        loads = {n.id for n in nodes
                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            names.discard(stmt.name)
-        used |= names - bound
-    return used
+        for name in names:
+            out[name] |= loads - bound - {name}
+    return out
+
+
+def _reached(library, roots):
+    """The names reached from roots by following, name by name, the loads
+    of the definitions in the library sources."""
+    loads = collections.defaultdict(set)
+    for source in library:
+        for name, names in _definitions(source).items():
+            loads[name] |= names
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(loads[name])
+    return reached
 
 
 def _attribute_reads(source, classes):
@@ -108,17 +160,26 @@ def _attribute_reads(source, classes):
     return reads
 
 
-def _sources():
+def _library():
     package = pathlib.Path(dendron.__file__).parent
-    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    sources.append(pathlib.Path(__file__).parent / "test_acceptance.py")
-    return [p.read_text() for p in sources]
+    return [p.read_text() for p in package.glob("*.py")
+            if p.name != "__init__.py"]
+
+
+def _acceptance():
+    return (pathlib.Path(__file__).parent / "test_acceptance.py").read_text()
+
+
+def _sources():
+    return _library() + [_acceptance()]
 
 
 def _unreached():
-    used = set().union(*map(_used_names, _sources()))
+    # main is the console script `dendron` (pyproject.toml)
+    roots = {"main"}.union(*_definitions(_acceptance()).values())
+    reached = _reached(_library(), roots)
     return {n for n in dendron.__all__
-            if not inspect.ismodule(getattr(dendron, n)) and n not in used}
+            if not inspect.ismodule(getattr(dendron, n)) and n not in reached}
 
 
 def _classes():
@@ -169,8 +230,26 @@ def test_names_a_definition_binds_are_not_uses():
         "    corolla = rows[0]\n"
         "    return identity, corolla, graft\n"
         "def again():\n"
-        "    return again, hom_set\n")
-    assert _used_names(source) == {"graft", "hom_set"}
+        "    return again, hom_set\n"
+        "TABLE = {k: hom_set for k in keys}\n")
+    assert _definitions(source) == {"close": {"graft"}, "again": {"hom_set"},
+                                    "TABLE": {"hom_set", "keys"}}
+
+
+def test_reach_starts_from_the_roots_only():
+    source = (
+        "def main():\n"
+        "    return run()\n"
+        "def run():\n"
+        "    return SUITES\n"
+        "SUITES = {'a': suite}\n"
+        "def suite():\n"
+        "    pass\n"
+        "def kept():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return suite\n")
+    assert _reached([source], {"main"}) == {"main", "run", "SUITES", "suite"}
 
 
 def test_every_public_member_is_read_or_kept_on_purpose():
