@@ -16,7 +16,9 @@ chains for the whole stride (`morphisms.factorize`).  The equivariant
 suite shares the degeneracy and inner-face chains, keyed by the G-trees,
 for one source row at a time: it keeps them in the stride memo under the
 row index and clears the memo when the row changes
-(`gtrees.equivariant_factorize`).
+(`gtrees.equivariant_factorize`).  The genuine suite shares no chains and
+leaves the stride memo empty: it shares its tree homs within one pair,
+through a cached `hom_set` made and dropped by `forests._genuine_pair`.
 """
 
 import argparse

@@ -18,7 +18,12 @@ genuine layer works through those: substitution is the plain phi_star
 coset by coset, with the fresh edges named and mapped by substitution.py,
 and a genuine morphism's transformation is enumerated from hom_labeled at
 an orbit representative, carried to the other cosets by the translations.
+The diagrams substitution and pullback derive from checked ones are built
+trusted.  Within one pair of the check, forest_hom and every diagram_hom
+list their tree maps through one cached hom_set, dropped with the pair.
 """
+
+from functools import cache
 
 from .trees import relabel, tree_to_json, tree_from_json
 from .morphisms import TreeMorphism, hom_set, compose
@@ -53,16 +58,20 @@ class GForest:
     act trivially at the identity and compose as the group exactly when
     they make the (index, edge) pairs a G-set, and then every iso is a
     composite of generator isos: only those are tested on the trees.
+    With _checked=True none of this is tested: phi_star_genuine and
+    q_star_diagram build that way from forests already checked.
     """
 
     __slots__ = ("group", "base", "trees", "isos", "_hash")
 
-    def __init__(self, base, trees, isos):
+    def __init__(self, base, trees, isos, _checked=False):
         self.group = group = base.group
         self.base = base
         self.trees = dict(trees)
         self.isos = {k: dict(v) for k, v in dict(isos).items()}
         self._hash = None
+        if _checked:
+            return
         if not self.trees or set(self.trees) != set(base.elements):
             raise ForestError("one tree per index, and at least one")
         if set(self.isos) != {(g, i) for g in group.elements
@@ -163,20 +172,16 @@ def is_equivariant_forest_morphism(fm):
         lambda g, p: (dst.base.act(g, p[0]), dst.isos[(g, p[0])][p[1]]))
 
 
-def _family_maps(src, dst, targets, hom=None):
+def _family_maps(src, dst, targets, hom):
     """Every map of G-forests that commutes with the isos, as (index map,
     components) pairs.
 
     Each index i of src goes to (i, j, f): a j from targets(i) and a tree
-    map f from hom(i, j), by default every map from src.trees[i] to
-    dst.trees[j], which g carries along the isos at i and j.  hom is asked
-    at orbit representatives only, so a constraint it imposes must be one
-    the isos carry.  The maps come from the orbit-representative engine.
+    map f from hom(i, j), which g carries along the isos at i and j.  hom
+    is asked at orbit representatives only, so a constraint it imposes
+    must be one the isos carry.  The maps come from the orbit-representative
+    engine.
     """
-    if hom is None:
-        def hom(i, j):
-            return hom_set(src.trees[i], dst.trees[j])
-
     def choices(i):
         return [(i, j, f) for j in targets(i) for f in hom(i, j)]
 
@@ -193,12 +198,20 @@ def _family_maps(src, dst, targets, hom=None):
             for m in maps_by_orbit_reps(src.base, choices, carry)]
 
 
-def forest_hom(src, dst):
+def _tree_homs(src, dst, tree_hom):
+    """hom(i, j) for _family_maps: tree_hom on the trees at i and j, where
+    tree_hom(a, b) lists the tree maps a -> b and is hom_set when None."""
+    tree_hom = tree_hom or hom_set
+    return lambda i, j: tree_hom(src.trees[i], dst.trees[j])
+
+
+def forest_hom(src, dst, tree_hom=None):
     """All equivariant forest morphisms src -> dst.
 
     An index i can only go to an index j fixed by the stabilizer of i, as
     the index map commutes with the actions; the component map at i must
-    commute with the isos of that stabilizer.
+    commute with the isos of that stabilizer.  The component maps come
+    from tree_hom (see _tree_homs).
     """
     if src.group != dst.group:
         raise ForestError("hom needs a common group")
@@ -209,7 +222,8 @@ def forest_hom(src, dst):
                 if stab <= set(dst.base.stabilizer(j))]
 
     return tuple(ForestMorphism(src, dst, idx, comps, _checked=True)
-                 for idx, comps in _family_maps(src, dst, targets))
+                 for idx, comps in _family_maps(
+                     src, dst, targets, _tree_homs(src, dst, tree_hom)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +328,19 @@ class DiagramMorphism(ForestMorphism):
             raise ForestError("components do not commute with translations")
 
 
-def diagram_hom(src, dst):
+def diagram_hom(src, dst, tree_hom=None):
     """All natural transformations src => dst.
 
     The component at the identity coset determines the rest by
     translation; candidates must commute with the arrows stabilizing that
     coset.  The engine builds them natural, so they are not re-checked.
+    The components come from tree_hom (see _tree_homs).
     """
     if src.base != dst.base:
         raise ForestError("diagrams live over different groupoids")
     return tuple(DiagramMorphism(src, dst, comps, _checked=True)
-                 for _, comps in _family_maps(src, dst, lambda c: [c]))
+                 for _, comps in _family_maps(
+                     src, dst, lambda c: [c], _tree_homs(src, dst, tree_hom)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +583,8 @@ def phi_star_genuine(rm, gt):
                                   dict(diagram.isos[(x, c)]),
                                   lambda b: rm.src.carrier.act(x, b))
             for x in group.elements for c in base.elements}
-    new_diag = GForest(base, {c: out.tree for c, out in pieces.items()}, isos)
+    new_diag = GForest(base, {c: out.tree for c, out in pieces.items()}, isos,
+                       _checked=True)
     leaf_map = {b: leaf for out in pieces.values()
                 for b, leaf in out.labels.items()}
     return GenuineTree(rm.src, new_diag, leaf_map)
@@ -647,7 +664,8 @@ def q_star_diagram(q, base, diagram):
         return diagram
     return GForest(base, {c: diagram.trees[q[c]] for c in base.elements},
                    {(x, c): diagram.isos[(x, q[c])]
-                    for x in diagram.group.elements for c in base.elements})
+                    for x in diagram.group.elements for c in base.elements},
+                   _checked=True)
 
 
 def q_star_diagram_morphism(q, base, dm):
@@ -785,14 +803,19 @@ def _genuine_pair(corpus, i, j, memo=None):
     the triples (q, retractive map, fiber transformation) over each q onto
     the transformations over q.  forest_hom picks its index maps by
     stabilizer containment, apart from the orbit maps q run over here.
+
+    Each diagram_hom(x, q*y) asks for the tree maps between the same trees
+    of x and y as forest_hom(x, y), so all of them share one cached
+    hom_set, made for this pair and dropped when it ends.
     """
     (x, lx), (y, ly) = corpus[i], corpus[j]
-    fh = set(forest_hom(x, y))
+    tree_hom = cache(hom_set)
+    fh = set(forest_hom(x, y, tree_hom))
     pair_count = triple_count = 0
     assembled = set()
     failures = []
     for q in equivariant_maps(x.base, y.base):
-        alphas = diagram_hom(x, q_star_diagram(q, x.base, y))
+        alphas = diagram_hom(x, q_star_diagram(q, x.base, y), tree_hom)
         pair_count += len(alphas)
         assembled.update(ForestMorphism(x, y, q, al.components, _checked=True)
                          for al in alphas)

@@ -349,7 +349,8 @@ class TestInjectedFaults:
     def test_genuine_reports_assembly_that_misses_forest_homs(
             self, capsys, monkeypatch):
         ce, _ = self._genuine_counterexample(
-            capsys, monkeypatch, "forest_hom", lambda src, dst: ())
+            capsys, monkeypatch, "forest_hom",
+            lambda src, dst, tree_hom=None: ())
         assert ce["reason"] == \
             "assembly is not a bijection onto the forest homs"
 
