@@ -229,7 +229,9 @@ class OplaxFunctorData:
     tau_id(a, x) the comparison F(id_a)(x) -> x.  fiber_objects(a) yields
     the finite probe set used by exhaustive checks.  Every callback is
     treated as pure: a checker may reuse what it returned for the same
-    arguments.
+    arguments.  The fiber arrows the callbacks return may be shared
+    between calls (the tree data memoises them), so no caller may mutate
+    one, nor an arrow it has passed in.
     """
 
     base: FiniteCategory

@@ -262,6 +262,15 @@ def pointed_category(max_size):
         compose_pointed, lambda n: PointedMap.identity_on(range(1, n + 1)))
 
 
+# entries each memo of `_oplax_data` holds before it is cleared
+MEMO_BOUND = 64
+
+
+def _pushed_key(f, m, x, y):
+    """What the data's app_mor reads: f through its source labels alone."""
+    return f.name.src_labels, id(m), x, y
+
+
 def _oplax_data(base, probes, app_obj, fiber_hom):
     """Corolla substitution over a base category of pointed maps, packaged
     for the coherence checker.
@@ -281,15 +290,50 @@ def _oplax_data(base, probes, app_obj, fiber_hom):
     shortcut formulas are asserted against the validated builders
     above in the test suite.
 
-    A composition cell depends only on the source labels of its first
-    arrow and on the probe, so each is built once per returned data and
-    shared between calls; callers must not mutate it.
+    What the callbacks return is shared between calls, and callers must
+    not mutate it:
+
+    - app_obj's results on probes are interned through one dict, so
+      equal trees reached along different arrows are one object and
+      every lookup keyed on them, the cells' included, hits by identity.
+      It keeps at most one entry per arrow and probe for as long as the
+      data lives, as the cell memo does.  Results on other trees, such
+      as g.(h.x), which a sweep builds once per side of a square, are
+      not kept.
+    - A composition cell depends only on the source labels of its first
+      arrow and on the probe, so each is built once, keyed by both.
+    - app_mor(f, m, x, y) reads f only through f.name.src_labels, so it
+      is memoised under (f.name.src_labels, id(m), x, y) (`_pushed_key`);
+      fiber_compose(a, m1, m2) reads only the two dicts, so it is
+      memoised under (id(m1), id(m2)).  Each entry holds the arrows its
+      key names by id, so no id is reused while the entry lives.  These
+      two memos are cleared whenever they reach MEMO_BOUND (64) entries:
+      a sweep reuses an entry within one (g, h, x) side, where the
+      arrows f into g's source give at most one distinct key per source
+      object.  Each memo is the `memo` attribute of its callback.
+
+    Each key is exactly what the data's own function reads, so data
+    derived from this one by replacing a callback (a twisted cell, say)
+    keeps its own results: nothing is shared on anything coarser than
+    the inputs of the function that computed it.
     """
     from .oplax import OplaxFunctorData
 
     probes = {a: tuple(ts) for a, ts in probes.items()}
+    probe_set = {x for ts in probes.values() for x in ts}
+    interned = {}
+
+    def data_app_obj(f, x):
+        fx = app_obj(f, x)
+        return interned.setdefault(fx, fx) if x in probe_set else fx
+
+    pushed_memo = {}
 
     def app_mor(f, m, x, y):
+        key = _pushed_key(f, m, x, y)
+        hit = pushed_memo.get(key)
+        if hit is not None:
+            return hit[1]
         pushed = dict(m)
         src_layer = _fresh_layer(x.tree)
         dst_layer = _fresh_layer(y.tree)
@@ -297,7 +341,26 @@ def _oplax_data(base, probes, app_obj, fiber_hom):
             pushed[("graft", src_layer, ("leaf", j))] = \
                 ("graft", dst_layer, ("leaf", j))
         pushed[("graft", src_layer, "root")] = ("graft", dst_layer, "root")
+        if len(pushed_memo) >= MEMO_BOUND:
+            pushed_memo.clear()
+        pushed_memo[key] = (m, pushed)
         return pushed
+
+    composites = {}
+
+    def fiber_compose(a, m1, m2):
+        key = (id(m1), id(m2))
+        hit = composites.get(key)
+        if hit is not None:
+            return hit[2]
+        both = {e: m2[v] for e, v in m1.items()}
+        if len(composites) >= MEMO_BOUND:
+            composites.clear()
+        composites[key] = (m1, m2, both)
+        return both
+
+    app_mor.memo = pushed_memo
+    fiber_compose.memo = composites
 
     cells = {}
 
@@ -326,11 +389,11 @@ def _oplax_data(base, probes, app_obj, fiber_hom):
     return OplaxFunctorData(
         base=base,
         fiber_objects=lambda a: probes.get(a, ()),
-        app_obj=app_obj,
+        app_obj=data_app_obj,
         app_mor=app_mor,
         tau_comp=data_tau_comp,
         tau_id=data_tau_id,
-        fiber_compose=lambda a, m1, m2: {e: m2[v] for e, v in m1.items()},
+        fiber_compose=fiber_compose,
         fiber_identity=lambda a, x: {e: e for e in x.tree.edges},
         fiber_hom=fiber_hom,
     )

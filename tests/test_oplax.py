@@ -17,8 +17,9 @@ from dendron import (
     subgroups, symmetric_group_3, skeletal_gsets, PointedMap,
     compose_pointed, enumerate_pointed_maps, EquivariantPointedMap,
     enumerate_equivariant_pointed_maps, gtree_oplax_data, standard_probes,
+    TreeMorphism,
 )
-from dendron import oplax
+from dendron import oplax, substitution
 
 
 def cyclic_cat(n, obj="*"):
@@ -573,6 +574,124 @@ class TestTreeDataCoherence:
             F.fiber_compose(1, cell, inv) == F.fiber_identity(1, lo)
             and F.fiber_compose(1, inv, cell) == F.fiber_identity(1, hi)
             for inv in F.fiber_hom(1, hi, lo))
+
+
+def twisted_pushes(F, only):
+    """F with the images of the two fresh leaves that app_mor adds swapped
+    in every arrow pushed along `only`, an arrow with two source labels."""
+    good = F.app_mor
+
+    def bad(f, m, x, y):
+        pushed = good(f, m, x, y)
+        if f != only:
+            return pushed
+        pushed = dict(pushed)
+        a, b = sorted(k for k in pushed if k not in m and k[2] != "root")
+        pushed[a], pushed[b] = pushed[b], pushed[a]
+        return pushed
+
+    return dataclasses.replace(F, app_mor=bad)
+
+
+def memo_disagreements(F):
+    """(pushed arrows, composites, disagreements) over every app_mor and
+    fiber_compose call a sweep of F makes: each result, as the data's
+    memos hand it back mid-sweep, against a fresh phi_star_mor mapping or
+    a fresh dict composite of the same arguments.  A wrong pushed arrow
+    is counted and replaced by the fresh one, so the sweep goes on."""
+    app_mor, fiber_compose = F.app_mor, F.fiber_compose
+    counts = Counter()
+
+    def checked_mor(f, m, x, y):
+        got = app_mor(f, m, x, y)
+        x, y = getattr(x, "labeled", x), getattr(y, "labeled", y)
+        fresh = phi_star_mor(f.name, TreeMorphism(x.tree, y.tree, m), x, y)
+        counts["pushed"] += 1
+        if got == fresh.mapping:
+            return got
+        counts["bad"] += 1
+        return fresh.mapping
+
+    def checked_compose(a, m1, m2):
+        got = fiber_compose(a, m1, m2)
+        counts["composites"] += 1
+        counts["bad"] += got != {e: m2[v] for e, v in m1.items()}
+        return got
+
+    rep = check_all_coherence(dataclasses.replace(
+        F, app_mor=checked_mor, fiber_compose=checked_compose))
+    # one pushed arrow and two composites per square and per triangle
+    assert counts["pushed"] == rep.squares + rep.triangles
+    assert counts["composites"] == 2 * counts["pushed"]
+    return counts["pushed"], counts["composites"], counts["bad"]
+
+
+MEMO_CASES = {
+    "tree": lambda: tree_oplax_data(2, tree_probes(3)),
+    "gtree_z2": REFERENCE_CASES["gtree_z2"],
+}
+
+
+class TestSweepMemos:
+    """The tree data memoises app_mor and fiber_compose; what they hand
+    back mid-sweep must be what a fresh build gives."""
+
+    @pytest.mark.parametrize("case, pushed", [
+        ("gtree_z2", 4552), ("tree", 5732)])
+    def test_memoised_results_match_fresh_builds(self, case, pushed):
+        F = MEMO_CASES[case]()
+        assert memo_disagreements(F) == (pushed, 2 * pushed, 0)
+
+    def test_a_key_without_the_source_labels_is_caught(self, monkeypatch):
+        monkeypatch.setattr(substitution, "_pushed_key",
+                            lambda f, m, x, y: (id(m), x, y))
+        assert memo_disagreements(MEMO_CASES["tree"]())[2] > 0
+
+    def test_a_push_twisted_at_one_arrow_is_detected(self, monkeypatch):
+        # the memo keys app_mor by source labels, which the swap of 1..2
+        # shares with eight other arrows 2 -> 2; the twist must still
+        # fail exactly the squares and triangles that push along it
+        monkeypatch.setattr(oplax, "MAX_FAILURES", 10 ** 9)
+        clean = tree_oplax_data(2, tree_probes(3))
+        swap = next(m for m in clean.base.hom(2, 2)
+                    if m.name.mapping == {1: 2, 2: 1})
+        F = twisted_pushes(clean, swap)
+        rep = check_all_coherence(F)
+        assert not rep.ok
+        assert {fail[1] for fail in rep.failures} == {swap}
+        assert {fail[0] for fail in rep.failures} == {"square", "triangle"}
+        assert Counter(rep.failures) == Counter(reference_sweep(F)[2])
+
+    def test_equal_results_on_probes_are_one_object(self):
+        # a stump over one label and a two-label tree with the second
+        # label sent to "+" graft to the same tree, among others
+        F = tree_oplax_data(3, tree_probes(3))
+        results = [F.app_obj(k, x) for k in F.base.morphisms
+                   for x in F.fiber_objects(k.dst)]
+        assert len({id(r) for r in results}) == len(set(results)) \
+            < len(results)
+
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_memos_stay_within_their_bound(self, bound, monkeypatch):
+        assert f"MEMO_BOUND ({substitution.MEMO_BOUND})" \
+            in substitution._oplax_data.__doc__
+        monkeypatch.setattr(substitution, "MEMO_BOUND", bound)
+        F = tree_oplax_data(3, tree_probes(2))
+        memos = F.app_mor.memo, F.fiber_compose.memo
+        peak = [0, 0]
+
+        def watched(call):
+            def run(*args):
+                out = call(*args)
+                peak[:] = [max(p, len(m)) for p, m in zip(peak, memos)]
+                return out
+            return run
+
+        rep = check_all_coherence(dataclasses.replace(
+            F, app_mor=watched(F.app_mor),
+            fiber_compose=watched(F.fiber_compose)))
+        assert rep.ok
+        assert peak == [bound, bound]
 
 
 class TestEquivalenceChecker:
