@@ -626,12 +626,6 @@ def memo_disagreements(F):
     return counts["pushed"], counts["composites"], counts["bad"]
 
 
-MEMO_CASES = {
-    "tree": lambda: tree_oplax_data(2, tree_probes(3)),
-    "gtree_z2": REFERENCE_CASES["gtree_z2"],
-}
-
-
 class TestSweepMemos:
     """The tree data memoises app_mor and fiber_compose; what they hand
     back mid-sweep must be what a fresh build gives."""
@@ -639,13 +633,13 @@ class TestSweepMemos:
     @pytest.mark.parametrize("case, pushed", [
         ("gtree_z2", 4552), ("tree", 5732)])
     def test_memoised_results_match_fresh_builds(self, case, pushed):
-        F = MEMO_CASES[case]()
+        F = REFERENCE_CASES[case]()
         assert memo_disagreements(F) == (pushed, 2 * pushed, 0)
 
     def test_a_key_without_the_source_labels_is_caught(self, monkeypatch):
         monkeypatch.setattr(substitution, "_pushed_key",
                             lambda f, m, x, y: (id(m), x, y))
-        assert memo_disagreements(MEMO_CASES["tree"]())[2] > 0
+        assert memo_disagreements(REFERENCE_CASES["tree"]())[2] > 0
 
     def test_a_push_twisted_at_one_arrow_is_detected(self, monkeypatch):
         # the memo keys app_mor by source labels, which the swap of 1..2
