@@ -5,7 +5,7 @@ from .trees import (
     Disconnected, Cyclic, SiteNotLeafOrRoot, canonical_form,
     single_edge, corolla, linear_tree, relabel, relabel_canonical,
     all_isomorphisms, are_isomorphic, spanned_subtree, graft,
-    enumerate_all_trees, tree_to_json, tree_from_json, sort_key,
+    enumerate_all_trees, sort_key,
 )
 from .morphisms import (
     MorphismError, SourceTargetMismatch, NotMonotone, VertexConditionFails,
@@ -36,7 +36,7 @@ from .groups import (
     builtin_group, group_to_json, group_from_json,
 )
 from .gtrees import (
-    NotEquivariant, SiteInvalid, RootGraftLeafNotFixed, GTree, GLabeledTree,
+    NotEquivariant, SiteInvalid, GTree, GLabeledTree,
     is_equivariant_morphism, equivariant_hom, equivariant_isomorphisms,
     are_equivariant_isomorphic, equivariant_contract_orbit,
     equivariant_split_orbit, equivariant_graft_orbit, equivariant_factorize,
@@ -56,7 +56,7 @@ from .forests import (
     genuine_hom, eta_morphism, q_star_diagram, q_star_diagram_morphism,
     q_star_retractive, q_star_retractive_map, q_star_genuine,
     q_star_genuine_morphism, q_star_compare, enumerate_genuine_diagrams,
-    genuine_equivalence_check, gforest_to_json, gforest_from_json,
+    genuine_equivalence_check,
 )
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -244,8 +244,8 @@ class InputError(Exception):
 
 @contextmanager
 def _reading():
-    """The one input-error boundary: a reader's ValueError, which is how
-    every reader rejects a document, becomes an InputError."""
+    """The one input-error boundary: a ValueError of the group reader,
+    which is how it rejects a group document, becomes an InputError."""
     try:
         yield
     except ValueError as exc:

@@ -25,15 +25,14 @@ list their tree maps through one cached hom_set, dropped with the pair.
 
 from functools import cache
 
-from .trees import relabel, tree_to_json, tree_from_json
 from .morphisms import TreeMorphism, hom_set, compose
 from .labels import PLUS, LabeledTree, PointedMap, LabelError, hom_labeled
 from .substitution import phi_star, iota, _extend_fresh
 from .oplax import FiniteCategory, FcFunctor, group_category, \
     check_equivalence
-from .groups import FiniteGroup, GSet, GSetError, GroupError, \
-    check_action, coset_gset, equivariant_maps, group_from_ref, \
-    is_equivariant, maps_by_orbit_reps, subgroup_class_reps
+from .groups import FiniteGroup, GSet, GroupError, check_action, \
+    coset_gset, equivariant_maps, is_equivariant, maps_by_orbit_reps, \
+    subgroup_class_reps
 from .gtrees import NotEquivariant, enumerate_gtrees
 from .pairs import _run_pairs
 
@@ -843,83 +842,3 @@ def genuine_equivalence_check(group, max_edges=3, per_stratum=None):
             "triple_homs": triple, "mismatches": failures,
             "ok": not failures}
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def gforest_to_json(gforest, group_ref=None):
-    """Schema: {"group", "components", "action", "isos"}.
-
-    The trees are listed in index order and indices written as positions
-    in that list.  Trees are renamed to string edges first, so forests with
-    tuple-named edges round trip up to that renaming only.
-    """
-    from .groups import group_to_json
-    index = gforest.base.elements
-    pos = {i: k for k, i in enumerate(index)}
-    renames = {}
-    docs = []
-    for i in index:
-        t = gforest.trees[i]
-        if all(isinstance(e, str) for e in t.edges):
-            ren = {e: e for e in t.edges}
-        else:
-            ren = {e: f"e{k}" for k, e in enumerate(t.canonical_edge_order())}
-        renames[i] = ren
-        docs.append(tree_to_json(relabel(t, ren)))
-    data = {
-        "components": docs,
-        "action": {str(g): [pos[gforest.base.act(g, i)] for i in index]
-                   for g in gforest.group.elements},
-        "isos": {str(g): [
-            {renames[i][e]: renames[gforest.base.act(g, i)][v]
-             for e, v in gforest.isos[(g, i)].items()}
-            for i in index]
-            for g in gforest.group.elements},
-    }
-    data["group"] = group_ref if group_ref is not None \
-        else group_to_json(gforest.group)
-    return data
-
-
-def gforest_from_json(data):
-    """Rebuild a GForest over the indices 0..n-1; "group" is a builtin name
-    or an inline table."""
-    if not isinstance(data, dict) or not {"group", "action", "isos"} <= \
-            set(data) or not isinstance(data.get("components"), list):
-        raise ForestError("forest data needs \"group\", \"action\", "
-                          "\"isos\" and a \"components\" list")
-    group = group_from_ref(data["group"])
-    trees = dict(enumerate(tree_from_json(doc) for doc in data["components"]))
-    action, isos = data["action"], data["isos"]
-    # one key per element: "01" or a non-ASCII digit must not alias "1"
-    numbers = {str(g): g for g in group.elements}
-    if not (isinstance(action, dict) and isinstance(isos, dict)
-            and all(g in numbers for g in [*action, *isos])
-            and all(isinstance(row, list) and all(type(j) is int
-                                                  for j in row)
-                    for row in action.values())
-            and all(isinstance(ms, list) and len(ms) == len(trees)
-                    and all(isinstance(m, dict) and all(
-                        isinstance(v, (str, int)) for v in m.values())
-                        for m in ms)
-                    for ms in isos.values())):
-        raise ForestError("\"action\" must map element numbers to index "
-                          "lists, \"isos\" to one edge map per component")
-
-    def edge(i, key):
-        found = [e for e in trees[i].edges if str(e) == key]
-        if len(found) != 1:
-            raise ForestError(f"iso key {key!r} must name exactly one edge "
-                              f"of component {i}")
-        return found[0]
-
-    maps = {(numbers[g], i): {edge(i, k): v for k, v in ms[i].items()}
-            for g, ms in isos.items() for i in trees}
-    try:
-        base = GSet(group, trees, {numbers[g]: dict(enumerate(row))
-                                   for g, row in action.items()})
-    except GSetError as err:
-        raise ActionNotFunctorial(str(err)) from None
-    return GForest(base, trees, maps)

@@ -4,8 +4,7 @@ A group acts on a tree through root-preserving automorphisms, one edge
 permutation per element.  The face and degeneracy generators then come in
 orbit-sized packets: an inner face contracts a whole orbit of edges at once,
 a degeneracy merges an orbit of unary vertices, and an outer face grafts the
-same corolla over every leaf in an orbit (or one corolla under the root,
-whose merge leaf must be fixed by the action).  Every equivariant morphism
+same corolla over every leaf in an orbit.  Every equivariant morphism
 factors through such packets, mirroring the plain normal form stage by
 stage.
 
@@ -67,10 +66,6 @@ from .groups import (
 
 class SiteInvalid(TreeError):
     """Raised when an orbit graft is aimed somewhere it cannot go."""
-
-
-class RootGraftLeafNotFixed(TreeError):
-    """Raised when a root graft would merge the root into a moving leaf."""
 
 
 class GTree:
@@ -270,73 +265,47 @@ def equivariant_split_orbit(gtree, edge):
     return bigger, sigma
 
 
-def equivariant_graft_orbit(gtree, site, corolla, attach=None, merge=None):
-    """Graft the same corolla over a whole orbit of leaves, or under the
-    root.
+def equivariant_graft_orbit(gtree, site, corolla, attach=None):
+    """Graft the same corolla over a whole orbit of leaves.
 
-    The corolla is a G-set of fresh leaves.  For a leaf site, `attach` maps
-    each corolla element, equivariantly, to the orbit member it hangs over
-    (defaulting to the site itself when the orbit is a fixed point; empty
-    fibers make stumps).  For the root site, `merge` picks the corolla leaf
-    merged with the old root and must be fixed by the whole group; the rest
-    become fresh leaves.  Returns (bigger GTree, face gtree.tree ->
+    The corolla is a G-set of fresh leaves.  `attach` maps each corolla
+    element, equivariantly, to the orbit member it hangs over (defaulting
+    to the site itself when the orbit is a fixed point; empty fibers make
+    stumps).  Grafts go at leaves only; `enumerate_gtrees` reaches every
+    G-tree that way.  Returns (bigger GTree, face gtree.tree ->
     bigger.tree), the edge inclusion.
     """
     tree = gtree.tree
     if corolla.group != gtree.group:
         raise NotEquivariant("corolla and tree must share the group")
+    if not tree.is_leaf(site):
+        raise SiteInvalid(f"{site!r} is not a leaf")
     layer = _fresh_layer(tree)
-    if merge is not None or (site == tree.root and not tree.is_leaf(site)):
-        if site != tree.root:
-            raise SiteInvalid("a merge leaf only makes sense at the root")
-        if merge not in corolla.elements:
-            raise SiteInvalid("merge leaf must belong to the corolla")
-        if not is_equivariant(gtree.group, {merge: merge}, lambda g, c: c,
-                              corolla.act):
-            raise RootGraftLeafNotFixed(
-                "the leaf merged with the root must be fixed")
-        rest = [c for c in corolla.elements if c != merge]
-        fresh = {c: ("graft", layer, c) for c in rest}
-        new_root = ("graft", layer, "root")
-        edges = set(tree.edges) | set(fresh.values()) | {new_root}
-        vertices = list(tree.vertices)
-        vertices.append((new_root, [tree.root] + [fresh[c] for c in rest]))
-        bigger_tree = Tree(edges, new_root, vertices)
-        rows = {}
-        for g in gtree.group.elements:
-            row = {e: gtree.act(g, e) for e in tree.edges}
-            row[new_root] = new_root
-            for c in rest:
-                row[fresh[c]] = fresh[corolla.act(g, c)]
-            rows[g] = row
-    else:
-        if not tree.is_leaf(site):
-            raise SiteInvalid(f"{site!r} is not a leaf")
-        orbit = gtree.edge_orbit(site)
-        if attach is None:
-            if orbit != (site,):
-                raise SiteInvalid("a graft over a moving orbit needs an "
-                                  "attach map")
-            attach = {c: site for c in corolla.elements}
-        attach = dict(attach)
-        if set(attach) != set(corolla.elements) \
-                or not set(attach.values()) <= set(orbit):
-            raise SiteInvalid("attach must map the corolla into the orbit")
-        if not is_equivariant(gtree.group, attach, corolla.act, gtree.act):
-            raise NotEquivariant("attach map is not equivariant")
-        fresh = {c: ("graft", layer, c) for c in corolla.elements}
-        edges = set(tree.edges) | set(fresh.values())
-        vertices = list(tree.vertices)
-        for m in orbit:
-            vertices.append((m, [fresh[c] for c in corolla.elements
-                                 if attach[c] == m]))
-        bigger_tree = Tree(edges, tree.root, vertices)
-        rows = {}
-        for g in gtree.group.elements:
-            row = {e: gtree.act(g, e) for e in tree.edges}
-            for c in corolla.elements:
-                row[fresh[c]] = fresh[corolla.act(g, c)]
-            rows[g] = row
+    orbit = gtree.edge_orbit(site)
+    if attach is None:
+        if orbit != (site,):
+            raise SiteInvalid("a graft over a moving orbit needs an "
+                              "attach map")
+        attach = {c: site for c in corolla.elements}
+    attach = dict(attach)
+    if set(attach) != set(corolla.elements) \
+            or not set(attach.values()) <= set(orbit):
+        raise SiteInvalid("attach must map the corolla into the orbit")
+    if not is_equivariant(gtree.group, attach, corolla.act, gtree.act):
+        raise NotEquivariant("attach map is not equivariant")
+    fresh = {c: ("graft", layer, c) for c in corolla.elements}
+    edges = set(tree.edges) | set(fresh.values())
+    vertices = list(tree.vertices)
+    for m in orbit:
+        vertices.append((m, [fresh[c] for c in corolla.elements
+                             if attach[c] == m]))
+    bigger_tree = Tree(edges, tree.root, vertices)
+    rows = {}
+    for g in gtree.group.elements:
+        row = {e: gtree.act(g, e) for e in tree.edges}
+        for c in corolla.elements:
+            row[fresh[c]] = fresh[corolla.act(g, c)]
+        rows[g] = row
     bigger = GTree(bigger_tree, gtree.group, rows)
     delta = TreeMorphism(tree, bigger_tree, {e: e for e in tree.edges})
     return bigger, delta
@@ -658,7 +627,8 @@ class OrbitContractionSample:
 
 
 def z4_orbit_contraction_sample():
-    """Build the cyclic-order-four sample used across tests and the CLI.
+    """Build the cyclic-order-four sample that acceptance criterion 4 and
+    the G-tree tests read.
 
     The big tree has eleven edges; the generator swaps the branches over
     "b" and "e" pairwise and cycles the four leaves "c", "ic", "-c",

@@ -93,11 +93,6 @@ class TreeMorphism:
                     for o, ins in self.src.vertices}
         return image_vs == set(self.dst.vertices)
 
-    def sort_signature(self):
-        """Deterministic ordering key within a hom-set."""
-        return tuple(sort_key(self.mapping[e])
-                     for e in self.src.canonical_edge_order())
-
 
 def _check_edge_map(src, dst, mapping):
     if set(mapping) != src.edges:

@@ -43,7 +43,7 @@ class Cyclic(TreeError):
 
 
 class SiteNotLeafOrRoot(TreeError):
-    """Grafting was requested at an edge that is neither a leaf nor the root."""
+    """Grafting was requested at an edge that is not a leaf."""
 
 
 @functools.lru_cache(maxsize=1 << 16, typed=True)
@@ -418,42 +418,22 @@ def _fresh_layer(tree):
     return tree._fresh
 
 
-def graft(tree, site, arity, below=None):
-    """Attach a fresh corolla at a leaf or below the root.
-
-    At a leaf the new vertex gets `arity` fresh in-edges (zero makes a
-    stump).  At the root the corolla goes underneath: a fresh root plus
-    `arity` - 1 fresh leaves, the old root taking the remaining slot, so
-    arity must be at least 1 there.  `below` forces the root-side reading
-    when the site is both root and leaf (the edge-only tree).  Returns
+def graft(tree, site, arity):
+    """Attach a fresh corolla at a leaf: the leaf becomes the out-edge of a
+    new vertex with `arity` fresh in-edges (zero makes a stump).  Grafts go
+    at leaves only; `enumerate_all_trees` reaches every shape that way.
+    Returns
     (bigger tree, embedding map), the embedding being identity on the old
     edge names.
     """
     if site not in tree.edges:
         raise DanglingEdge(f"graft site {site!r} is not an edge")
-    if below is None:
-        below = site == tree.root and not tree.is_leaf(site)
-    layer = _fresh_layer(tree)
-    edges = set(tree.edges)
-    vertices = list(tree.vertices)
-    if below:
-        if site != tree.root:
-            raise SiteNotLeafOrRoot("grafting below is only possible at the root")
-        if arity < 1:
-            raise SiteNotLeafOrRoot("a root graft needs arity at least 1")
-        new_root = ("graft", layer, "root")
-        fresh = [("graft", layer, i) for i in range(arity - 1)]
-        edges.add(new_root)
-        edges.update(fresh)
-        vertices.append((new_root, [tree.root] + fresh))
-        bigger = Tree(edges, new_root, vertices)
-    elif tree.is_leaf(site):
-        fresh = [("graft", layer, i) for i in range(arity)]
-        edges.update(fresh)
-        vertices.append((site, fresh))
-        bigger = Tree(edges, tree.root, vertices)
-    else:
+    if not tree.is_leaf(site):
         raise SiteNotLeafOrRoot(f"cannot graft at {site!r}")
+    layer = _fresh_layer(tree)
+    fresh = [("graft", layer, i) for i in range(arity)]
+    bigger = Tree(tree.edges | set(fresh), tree.root,
+                  list(tree.vertices) + [(site, fresh)])
     return bigger, {e: e for e in tree.edges}
 
 
@@ -484,51 +464,3 @@ def enumerate_all_trees(max_edges):
     found = sorted(seen.items(), key=lambda kv: (len(kv[1].edges), kv[0]))
     return [relabel_canonical(t) for _, t in found]
 
-
-# --- serialization ---------------------------------------------------------
-
-
-def _require_str_names(tree):
-    for e in tree.edges:
-        if not isinstance(e, str):
-            return False
-    return True
-
-
-def tree_to_json(tree):
-    """Schema: {"edges": [...], "root": ..., "vertices": [{"out","in"}]}.
-
-    Files carry string edge names; trees with generated tuple names are
-    renamed canonically first.
-    """
-    if not _require_str_names(tree):
-        tree = relabel_canonical(tree)
-    return {
-        "edges": list(tree.sorted_edges()),
-        "root": tree.root,
-        "vertices": [{"out": o, "in": sorted(ins, key=sort_key)}
-                     for o, ins in tree.vertices],
-    }
-
-
-def tree_from_json(data):
-    """Read a document written by `tree_to_json`, exactly as written: the
-    edges and each in-edge list are lists, names are str or int (not
-    bool), and no name repeats."""
-    try:
-        edges = data["edges"]
-        root = data["root"]
-        vertices = [(v["out"], v["in"]) for v in data["vertices"]]
-    except (KeyError, TypeError) as exc:
-        raise TreeError(f"malformed tree document: {exc}") from exc
-    if not isinstance(edges, list) \
-            or not all(isinstance(ins, list) for _, ins in vertices):
-        raise TreeError("edges and in-edges must be lists")
-    names = [root, *edges, *(e for o, ins in vertices for e in (o, *ins))]
-    if not all(type(e) in (str, int) for e in names):
-        raise TreeError("edge names must be strings or integers")
-    if len(set(edges)) != len(edges):
-        raise MultipleParents("duplicate edge name in document")
-    if any(len(set(ins)) != len(ins) for _, ins in vertices):
-        raise MultipleParents("repeated in-edge in document")
-    return Tree(edges, root, vertices)

@@ -1,5 +1,4 @@
 import argparse
-import copy
 import hashlib
 import json
 import os
@@ -7,17 +6,14 @@ import pathlib
 import subprocess
 import sys
 import time
-from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dendron import (cyclic_group, group_to_json, single_edge, tree_to_json,
-                     tree_from_json, enumerate_gtrees,
-                     is_equivariant_morphism, TreeMorphism, identity,
-                     factorize, builtin_group, enumerate_genuine_diagrams,
-                     gforest_to_json, gforest_from_json, enumerate_all_trees,
-                     BUILTIN_GROUPS, DanglingEdge)
+from dendron import (cyclic_group, group_to_json, single_edge,
+                     enumerate_gtrees, is_equivariant_morphism, TreeMorphism,
+                     identity, factorize, builtin_group, BUILTIN_GROUPS,
+                     DanglingEdge)
 from dendron import cli, forests, morphisms
 from dendron.cli import main, SUITES
 from dendron.pairs import _workers
@@ -364,15 +360,6 @@ class TestInjectedFaults:
         assert set(ce["map"].values()) <= set(map(str, y.base.elements))
 
 
-@lru_cache(maxsize=None)
-def _forest_docs():
-    """Documents of small coset diagrams."""
-    return tuple(gforest_to_json(d, group_ref=name)
-                 for name in ("z2", "z4", "s3")
-                 for d in enumerate_genuine_diagrams(builtin_group(name), 3,
-                                                     per_stratum=2))
-
-
 def _containers(node):
     """node and every dict or list below it."""
     yield node
@@ -403,32 +390,6 @@ def _mutate(draw, roots, names, values):
 
 
 @st.composite
-def _mutated_forest_docs(draw):
-    """A forest document with entries under "action" and "isos" set,
-    deleted or swapped."""
-    doc = copy.deepcopy(draw(st.sampled_from(_forest_docs())))
-    names = sorted({v for ms in doc["isos"].values() for m in ms
-                    for v in m.values()}) + ["x", "7"]
-    values = st.one_of(st.integers(-1, 6), st.sampled_from(names))
-    _mutate(draw, [doc["action"], doc["isos"]], names, values)
-    return doc
-
-
-@st.composite
-def _mutated_tree_docs(draw):
-    """A tree document with any of its entries set, deleted or swapped;
-    a value may be a name, a string of names, a list, a bool or null."""
-    doc = tree_to_json(draw(st.sampled_from(enumerate_all_trees(4))))
-    names = sorted(doc["edges"]) + ["edges", "root", "vertices", "in",
-                                    "out", "x"]
-    values = st.one_of(st.integers(-1, 3), st.booleans(), st.none(),
-                       st.sampled_from(names + ["".join(doc["edges"])]),
-                       st.lists(st.sampled_from(names), max_size=3))
-    _mutate(draw, [doc], names, values)
-    return doc
-
-
-@st.composite
 def _mutated_group_docs(draw):
     """A builtin group's document, some with element names, with any of
     its entries set, deleted or swapped."""
@@ -444,23 +405,6 @@ def _mutated_group_docs(draw):
     return doc
 
 
-def _assert_reads_or_rejects(reader, doc):
-    """The document, as a file would give it, reads; or the reader rejects
-    it with a ValueError, which `cli._reading` turns into exit 2.  Any
-    other exception fails the test."""
-    try:
-        reader(json.loads(json.dumps(doc)))
-    except ValueError as exc:
-        assert "\n" not in str(exc)
-
-
-class TestForestFuzz:
-    @settings(max_examples=200, deadline=None)
-    @given(_mutated_forest_docs())
-    def test_mutated_forests_exit_cleanly(self, doc):
-        _assert_reads_or_rejects(gforest_from_json, doc)
-
-
 def _assert_clean_exit(code, out, err, head):
     assert code in (0, 2)
     if code == 0:
@@ -468,85 +412,6 @@ def _assert_clean_exit(code, out, err, head):
     else:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
-
-
-# tree documents an earlier reader took for something else: a string of
-# in-edges, a repeated in-edge, a string of edges, a bool edge name
-MISREAD_TREES = [
-    {"edges": ["r", "x", "y"], "root": "r",
-     "vertices": [{"out": "r", "in": "xy"}]},
-    {"edges": ["r", "b"], "root": "r",
-     "vertices": [{"out": "r", "in": ["b", "b"]}]},
-    {"edges": "rb", "root": "r", "vertices": [{"out": "r", "in": ["b"]}]},
-    {"edges": ["r", True], "root": "r",
-     "vertices": [{"out": "r", "in": [True]}]},
-]
-
-
-class TestTreeFuzz:
-    @settings(max_examples=200, deadline=None)
-    @given(_mutated_tree_docs())
-    @example(MISREAD_TREES[0])
-    @example(MISREAD_TREES[1])
-    @example(MISREAD_TREES[2])
-    @example(MISREAD_TREES[3])
-    def test_mutated_trees_exit_cleanly(self, doc):
-        _assert_reads_or_rejects(tree_from_json, doc)
-
-
-class TestDocuments:
-    """The tree and forest readers reject what they cannot read with a
-    ValueError: one line, which `cli._reading` turns into exit 2."""
-
-    @staticmethod
-    def z2_forest(edges, isos):
-        """A one-component Z/2 forest document whose root carries the other
-        edges; isos are the iso of the non-identity element."""
-        return {"group": "z2", "components": [
-            {"edges": edges, "root": edges[0],
-             "vertices": [{"out": edges[0], "in": edges[1:]}]}],
-            "action": {"0": [0], "1": [0]},
-            "isos": {"0": [{str(e): e for e in edges}], "1": [isos]}}
-
-    def test_integer_edge_names_read_back(self):
-        doc = self.z2_forest([0, 1], {"0": 0, "1": 1})
-        forest = gforest_from_json(json.loads(json.dumps(doc)))
-        assert forest.trees[0].edges == {0, 1}
-        assert forest.isos[(1, 0)] == {0: 0, 1: 1}
-
-    @pytest.mark.parametrize("edges,isos", [
-        ([0, 1], {"0": 0, "7": 1}),
-        ([0, 1, "1"], {"0": 0, "1": 1})])
-    def test_iso_key_must_name_one_edge(self, edges, isos):
-        doc = json.loads(json.dumps(self.z2_forest(edges, isos)))
-        with pytest.raises(ValueError, match="exactly one edge"):
-            gforest_from_json(doc)
-
-    @pytest.mark.parametrize("alias", [None, "01", "\u0661"])
-    def test_one_key_per_element(self, alias):
-        # the "1" row is no isomorphism; a valid row under another
-        # spelling of 1 must not replace it
-        doc = self.z2_forest(["r", "a", "b"], {"r": "r", "a": "a", "b": "a"})
-        if alias is not None:
-            doc["isos"][alias] = [{"r": "r", "a": "a", "b": "b"}]
-        with pytest.raises(ValueError):
-            gforest_from_json(json.loads(json.dumps(doc)))
-
-    @pytest.mark.parametrize("reader, doc", [
-        (gforest_from_json,
-         {"group": "z2", "components": [tree_to_json(single_edge("e"))],
-          "action": {"x": [0]}, "isos": {"0": [{"e": "e"}]}}),
-        (gforest_from_json,
-         {"group": "z2", "components": [tree_to_json(single_edge("e"))],
-          "action": {"0": [0], "1" * 5000: [0]},
-          "isos": {"0": [{"e": "e"}], "1": [{"e": "e"}]}}),
-        *((tree_from_json, doc) for doc in [
-            {"edges": [["x"]], "root": "x", "vertices": []},
-            *MISREAD_TREES])])
-    def test_malformed_document_is_a_value_error(self, reader, doc):
-        with pytest.raises(ValueError) as exc:
-            reader(json.loads(json.dumps(doc)))
-        assert "\n" not in str(exc.value)
 
 
 class TestGroupFuzz:

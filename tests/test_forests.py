@@ -1,5 +1,4 @@
 import itertools
-import json
 from functools import lru_cache
 
 import pytest
@@ -16,7 +15,7 @@ from dendron import (
     self_labeled_genuine, phi_star_genuine, genuine_hom, eta_morphism,
     q_star_diagram, q_star_diagram_morphism, q_star_genuine,
     q_star_genuine_morphism, q_star_compare, enumerate_genuine_diagrams,
-    genuine_equivalence_check, gforest_to_json, gforest_from_json, corolla,
+    genuine_equivalence_check, corolla,
     single_edge, linear_tree, are_isomorphic, canonical_form, hom_set,
     identity, compose,
     LabeledTree, phi_star, groth_hom, GTree, GLabeledTree, enumerate_gtrees,
@@ -175,11 +174,6 @@ class TestGForestValidation:
         isos = {(g, i): ident_edges(t) for g in range(2) for i in range(2)}
         with pytest.raises(GSetError):
             rows_gforest(Z2, [t, t], {0: (1, 0), 1: (0, 1)}, isos)
-        # read from a document, the index rows are the forest's error
-        doc = gforest_to_json(swap_gforest(t), group_ref="z2")
-        doc["action"] = {"0": [1, 0], "1": [0, 1]}
-        with pytest.raises(ActionNotFunctorial):
-            gforest_from_json(doc)
 
     def test_identity_iso_must_be_trivial(self):
         t = corolla(2)
@@ -195,10 +189,6 @@ class TestGForestValidation:
         with pytest.raises(GSetError):
             rows_gforest(Z4, [t, t],
                          {0: (0, 1), 1: (1, 0), 2: (0, 1), 3: (0, 1)}, isos)
-        doc = gforest_to_json(trivial_gforest([t, t], Z4), group_ref="z4")
-        doc["action"] = {"0": [0, 1], "1": [1, 0], "2": [0, 1], "3": [0, 1]}
-        with pytest.raises(ActionNotFunctorial):
-            gforest_from_json(doc)
 
     def test_isos_must_compose_like_the_group(self):
         t = corolla(2)
@@ -878,29 +868,3 @@ class TestGenuineCorpusIsIrredundant:
         diagrams = list(enumerate_genuine_diagrams(Z2, 3))
         assert isomorphic_pairs(diagrams + [diagrams[5]]) == [(5, 20)]
 
-
-def forest_roundtrip(gforest, group_ref=None):
-    text = json.dumps(gforest_to_json(gforest, group_ref=group_ref))
-    return gforest_from_json(json.loads(text))
-
-
-class TestForestJson:
-    def test_string_named_round_trip_is_exact(self):
-        d = diagram_from_gtree(GTree.trivial(corolla(2), TRIV), Z2, (0,))
-        gf = d
-        assert forest_roundtrip(gf, group_ref="z2") == gf
-        assert sorted(gforest_to_json(gf)) == [
-            "action", "components", "group", "isos"]
-
-    def test_generated_names_round_trip_up_to_renaming(self):
-        gf = diagram_from_gtree(z2_gtrees()[4], Z2, (0, 1))
-        back = forest_roundtrip(gf, group_ref="z2")
-        assert len(back.trees) == len(gf.trees)
-        assert all(are_isomorphic(back.trees[i], gf.trees[i])
-                   for i in gf.trees)
-        assert back.base == gf.base
-
-    def test_inline_group_round_trip(self):
-        gf = swap_gforest(corolla(2))
-        back = forest_roundtrip(gf)
-        assert back == gf

@@ -11,7 +11,7 @@ from dendron import (
     all_isomorphisms, hom_set, hom_labeled, compose, contract_edge,
     factorize, identity, TreeMorphism, PointedMap, compose_pointed,
     tau_id, tau_comp, phi_star, phi_star_mor, GrothTreeMorphism, F_functor,
-    NotEquivariant, SiteInvalid, RootGraftLeafNotFixed, GTree, GLabeledTree,
+    NotEquivariant, SiteInvalid, GTree,
     is_equivariant_morphism, equivariant_hom, equivariant_isomorphisms,
     are_equivariant_isomorphic, equivariant_contract_orbit,
     equivariant_split_orbit, equivariant_graft_orbit, equivariant_factorize,
@@ -297,21 +297,6 @@ class TestOrbitGraft:
         att[1], att[2] = att[2], att[1]
         with pytest.raises(NotEquivariant):
             equivariant_graft_orbit(grown, leaf, reg, attach=att)
-
-    def test_root_graft_needs_fixed_merge_leaf(self):
-        free = coset_gset(Z4, (0,))
-        with pytest.raises(RootGraftLeafNotFixed):
-            equivariant_graft_orbit(SAMPLE.big.gtree, "r", free,
-                                    merge=free.elements[0])
-
-    def test_root_graft(self):
-        cor = coset_gset(Z4, (0, 1, 2, 3))
-        rooted, inc = equivariant_graft_orbit(SAMPLE.big.gtree, "r", cor,
-                                              merge=cor.elements[0])
-        assert len(rooted.tree.edges) == 12
-        assert rooted.tree.root == ("graft", 0, "root")
-        assert not rooted.tree.is_leaf("r")
-        assert all(k == v for k, v in inc.mapping.items())
 
     def test_inner_site_rejected(self):
         cor = coset_gset(Z4, (0, 1, 2, 3))

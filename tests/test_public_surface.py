@@ -3,7 +3,8 @@ exported class, is reached by the library or by the acceptance tests.
 
 A name that only its own unit tests call is dead surface: it costs lines
 and review, and nothing the verifier reports depends on it.  Names kept on
-purpose are listed below, each with its reason.
+purpose are listed below, each with its reason, and some other test module
+loads each of them.
 
 A name counts as reached when a chain of loads leads to it from a root.
 The roots are the `dendron check` entry point, `cli.main`, and the names
@@ -35,41 +36,37 @@ KEEP = {
     "compose_groth": "functoriality of F, checked on the Grothendieck "
                      "construction",
     "corolla": "test fixture: the corolla with n leaves",
-    "corolla_glabeled": "the corolla probes of standard_probes (kept)",
+    "corolla_glabeled": "a fixture of TestOplaxCoherenceG: the corolla "
+                        "probes of standard_probes (kept)",
     "discrete_category": "the only builder of check_equivalence test inputs",
     "equivariant_isomorphisms": "the isomorphisms behind "
                                 "are_equivariant_isomorphic (kept)",
     "equivariant_split_orbit": "the orbit degeneracy generator; "
                                "standard_probes (kept) builds its unary "
                                "probes with it",
-    "gforest_from_json": "the forest document reader; the fuzz tests pin "
-                         "it, and a replay command will read its documents",
-    "gforest_to_json": "the forest document writer; the fuzz tests "
-                       "round-trip forests through it",
     "groth_identity": "functoriality of F, checked on the Grothendieck "
                       "construction",
-    "group_to_json": "the group document writer; gforest_to_json (kept) "
-                     "writes its group with it, and the CLI tests write group "
-                     "files with it",
+    "group_to_json": "the fixture that writes the group files that "
+                     "--group FILE and TestGroupFuzz read",
     "gset_pointed_category": "the base category of gtree_oplax_data (kept)",
-    "gtree_oplax_data": "the Omega^G oplax data a coherence suite will run",
+    "gtree_oplax_data": "the Omega^G oplax data whose coherence "
+                        "TestOplaxCoherenceG checks on z2",
     "identity": "test fixture: the identity morphism of a tree",
     "is_genuine": "decides genuineness, a paper notion the unit tests check",
     "linear_tree": "test fixture: the linear tree with k edges",
-    "phi_star_mor": "F on morphisms; compose_groth (kept) composes with it",
+    "phi_star_mor": "F on morphisms: the reference that the shortcut "
+                    "cells are checked against",
     "q_star_compare": "composite pullbacks along orbit maps",
     "skeletal_gsets": "the objects of gset_pointed_category (kept)",
     "split_edge": "the degeneracy generator; equivariant_split_orbit (kept) "
                   "splits each edge of an orbit with it",
-    "standard_probes": "the probes a G-coherence suite will run",
-    "tau_comp": "the composition comparison cell; compose_groth (kept) "
-                "composes with it",
-    "tau_id": "the unit comparison cell; groth_identity (kept) uses it",
+    "standard_probes": "a fixture of TestOplaxCoherenceG: the probes whose "
+                       "oplax data it checks",
+    "tau_comp": "the composition comparison cell: the reference that the "
+                "shortcut cells are checked against",
+    "tau_id": "the unit comparison cell: the reference that the shortcut "
+              "cells are checked against",
     "transitive_gsets": "the orbit types skeletal_gsets (kept) is built from",
-    "tree_from_json": "the tree document reader; gforest_from_json (kept) "
-                      "reads each tree with it",
-    "tree_to_json": "the tree document writer; gforest_to_json (kept) writes "
-                    "each tree with it",
 }
 
 # "Class.name" of a public method or property kept on purpose -> reason
@@ -89,8 +86,6 @@ METHODS_KEEP = {
                 "values in groups, gtrees and forests",
     "LabeledTree.leaf_of": "the leaf a label names, read on values of "
                            "either labeled class",
-    "TreeMorphism.sort_signature": "the order key of hom_set's "
-                                   "brute-force oracle in the unit tests",
 }
 
 
@@ -222,6 +217,28 @@ def test_every_export_is_reached_or_kept_on_purpose():
 
 def test_the_keep_list_holds_only_unreached_exports():
     assert sorted(set(KEEP) - _unreached()) == []
+
+
+def _test_loads():
+    """The names the other test modules load, a name imported under an
+    alias counting as loaded when the alias is."""
+    loaded = set()
+    here = pathlib.Path(__file__)
+    for path in here.parent.glob("test_*.py"):
+        if path == here:
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {n.id for n in nodes
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        aliases = {a.asname: a.name for n in nodes
+                   if isinstance(n, ast.ImportFrom) for a in n.names
+                   if a.asname}
+        loaded |= names | {aliases[n] for n in names & set(aliases)}
+    return loaded
+
+
+def test_every_kept_name_is_loaded_by_a_test():
+    assert sorted(set(KEEP) - _test_loads()) == []
 
 
 def test_names_a_definition_binds_are_not_uses():
